@@ -228,9 +228,13 @@ def cmd_mc(args, ps: ParameterSet, argv: list[str]) -> int:
     p_swap = args.p_swap if args.p_swap is not None else analytic.p_swap
     slot = link.L0 / link.c_fiber + link.tau_init
     cutoff = args.cutoff if args.cutoff is not None else math.inf
-    cfg = mcsim.ProtocolConfig(n_nest=link.n_nest, p0=p0, p_swap=p_swap,
-                               slot_time=slot, trials=args.trials,
-                               seed=args.seed, memory_cutoff=cutoff)
+    try:
+        cfg = mcsim.ProtocolConfig(n_nest=link.n_nest, p0=p0, p_swap=p_swap,
+                                   slot_time=slot, trials=args.trials,
+                                   seed=args.seed, memory_cutoff=cutoff)
+    except ValueError as exc:
+        print(f"invalid Monte Carlo input: {exc}", file=sys.stderr)
+        return 2
     records = mcsim.run_trials(cfg)
     stats = mcsim.timing_stats(records, cfg)
     if args.p0 is None and args.p_swap is None:
@@ -238,17 +242,17 @@ def cmd_mc(args, ps: ParameterSet, argv: list[str]) -> int:
     else:
         target = 1.5**cfg.n_nest * slot / (p0 * p_swap**cfg.n_nest)
     print(mcsim.compare_with_analytic(cfg, target, stats=stats))
-    success = [r for r in records if r.success]
-    if success:
-        storage = np.array([r.max_storage_time for r in success])
-        print(f"success fraction {len(success) / len(records):.4f}; "
+    storage = records.max_storage_time[records.success]
+    if storage.size:
+        print(f"success fraction {storage.size / len(records):.4f}; "
               f"max-storage median {np.median(storage):.4g} s; "
               f"fraction exceeding 1 s: {(storage > 1.0).mean():.4f}")
     if args.out:
         lines = ["trial,total_time_s,swap_failures,max_storage_s"]
-        for i, r in enumerate(records):
-            lines.append(f"{i},{_fmt(r.total_time)},{r.swap_failures},"
-                         f"{_fmt(r.max_storage_time)}")
+        for i, (t, failures, stored) in enumerate(zip(
+                records.total_time.tolist(), records.swap_failures.tolist(),
+                records.max_storage_time.tolist())):
+            lines.append(f"{i},{_fmt(t)},{failures},{_fmt(stored)}")
         _emit("\n".join(lines) + "\n", args, ps, argv)
     return 0
 

@@ -3,23 +3,48 @@
 Time is slotted at one entanglement-generation attempt per slot
 (slot = L0/c + tau_init).  All elementary links attempt in parallel; sibling
 subtrees wait on each other, and a failed swap regenerates both child
-subtrees starting from the failure time.  Every trial draws from its own
-counter-based RNG stream keyed by (seed, trial index), so results are
-bit-reproducible no matter how trials are scheduled.
+subtrees starting from the failure time.
+
+A subtree's duration does not depend on when it starts, so trials are
+sampled whole arrays at a time, one nesting level at a time.  A level-0
+subtree (one link) takes Geometric(p0) slots.  A level-k subtree runs
+Geometric(p_swap) rounds; each round lasts max(A, B) + swap_time for two
+fresh level-(k-1) subtrees A and B started together, and only the last swap
+succeeds.  Each count is drawn by inverse transform from one uniform: the
+SplitMix64 hash of its address, (seed, trial, the (round, side) path down
+the tree).  A draw therefore depends on its address alone, never on the
+other trials or on how trials are split into chunks, so records are
+bit-reproducible per (seed, trial), a longer campaign extends a shorter one,
+and campaigns that differ only in p0 or p_swap share their random numbers
+(common random numbers, monotone pathwise).  Trials run in chunks of about
+``CHUNK_NODES`` tree nodes, which bounds the working memory.
+
+Times are held as counts of slots and of swaps, whole numbers in float64:
+exact below 2**53, and wide enough for the slot counts of a link with tiny
+p0 (a direct 1000 km link draws counts beyond the int64 range).  They are
+converted to seconds only to compare and to report them.
 
 A finite ``memory_cutoff`` bounds how long any nuclear memory may hold a
-state; a trial aborts unsuccessfully the moment a stored state would exceed
-it (see TrialRecord.success).
+state; a trial aborts unsuccessfully at the earliest moment a stored state
+would exceed it (see TrialRecords).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .rates import RateResult
+
+#: expected tree nodes sampled per chunk of trials
+CHUNK_NODES = 1 << 14
+
+_MASK = (1 << 64) - 1
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 @dataclass(frozen=True)
@@ -46,6 +71,8 @@ class ProtocolConfig:
             raise ValueError("need at least one trial")
         if self.n_nest < 0:
             raise ValueError("n_nest must be non-negative")
+        if not self.memory_cutoff >= 0.0:
+            raise ValueError("memory_cutoff must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -55,6 +82,51 @@ class TrialRecord:
     swap_failures: int
     max_storage_time: float
     success: bool
+
+
+@dataclass(frozen=True, eq=False)
+class TrialRecords:
+    """Columnar records of a campaign, one row per trial in trial order.
+
+    A successful trial reports its delivery time, every swap failure and
+    link attempt, and the longest time any memory held a state.  A trial in
+    which some memory would hold a state longer than the cutoff aborts at
+    the earliest such expiry (write time + cutoff): it reports that time,
+    ``max_storage_time`` equal to the cutoff, and only the swap failures and
+    attempts that ended by then.
+
+    Indexing gives a ``TrialRecord``, slicing gives ``TrialRecords``, and
+    ``==`` compares every column exactly.
+    """
+
+    total_time: np.ndarray          # seconds
+    success: np.ndarray             # bool
+    swap_failures: np.ndarray       # int
+    max_storage_time: np.ndarray    # seconds
+    attempts: np.ndarray            # whole numbers in float64, (trials, links)
+
+    def __len__(self) -> int:
+        return self.total_time.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return TrialRecords(*(getattr(self, f.name)[index]
+                                  for f in fields(self)))
+        return TrialRecord(
+            total_time=float(self.total_time[index]),
+            attempts_per_link=tuple(int(a) for a in self.attempts[index]),
+            swap_failures=int(self.swap_failures[index]),
+            max_storage_time=float(self.max_storage_time[index]),
+            success=bool(self.success[index]))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TrialRecords):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -101,90 +173,150 @@ class StorageHistogram:
         return float((self.values > threshold).mean())
 
 
-class _CutoffExceeded(Exception):
-    def __init__(self, expiry_time: float):
-        self.expiry_time = expiry_time
+def _mix(x: np.ndarray) -> np.ndarray:
+    """SplitMix64 step on a uint64 array: a bijection with full avalanche."""
+    z = x + _GOLDEN
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    return z ^ (z >> np.uint64(31))
 
 
-def _sample_geometric(rng: np.random.Generator, p: float) -> int:
-    """Slots until first success, from a single uniform (inverse transform).
+def _geometric(keys: np.ndarray, p: float) -> np.ndarray:
+    """One draw on {1, 2, ...} of success probability ``p`` per key.
 
-    One uniform per draw keeps streams aligned across parameter values, so
-    common-random-number comparisons are monotone in p.
+    Inverse transform of one uniform, the key's top 53 bits, so the draw at
+    a given address can only shrink as ``p`` grows.
     """
-    if p >= 1.0:
-        return 1
-    u = rng.random()
-    return max(1, math.ceil(math.log1p(-u) / math.log1p(-p)))
+    u = (keys >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    log_q = -math.inf if p >= 1.0 else math.log1p(-p)
+    return np.maximum(np.ceil(np.log1p(-u) / log_q), 1.0)
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, trial]))
+def _trials_per_chunk(cfg: ProtocolConfig) -> int:
+    """Trials whose trees hold about CHUNK_NODES nodes on average."""
+    branching = 2.0 / cfg.p_swap    # subtrees started per parent
+    nodes = sum(branching**k for k in range(cfg.n_nest + 1))
+    return max(1, int(CHUNK_NODES // nodes))
 
 
-def _run_trial(cfg: ProtocolConfig, trial: int) -> TrialRecord:
-    rng = _trial_rng(cfg.seed, trial)
+def _sample_chunk(cfg: ProtocolConfig, first: int, count: int):
+    """TrialRecords columns of trials ``first`` .. ``first + count - 1``."""
+    # times are stacked along axis 0 as (slots, swaps)
+    one_swap = np.array([[0.0], [1.0]])
+
+    def seconds(t):
+        return t[0] * cfg.slot_time + t[1] * cfg.swap_time
+
+    # top-down: draw each level's round counts and address its subtrees;
+    # the two subtrees of round i of a level sit at 2i and 2i + 1 below it
+    root = _mix(np.array([cfg.seed & _MASK], dtype=np.uint64))
+    keys = _mix(root ^ np.arange(first, first + count, dtype=np.uint64))
+    trial = np.arange(count)
+    link = np.zeros(count, dtype=np.int64)
+    levels = []
+    for k in range(cfg.n_nest, 0, -1):
+        rounds = _geometric(keys, cfg.p_swap).astype(np.int64)
+        owner = np.repeat(np.arange(rounds.size), rounds)
+        last = np.cumsum(rounds) - 1
+        head = last - rounds + 1
+        index = np.arange(owner.size) - head[owner]
+        levels.append((owner, head, last, trial[owner]))
+        below = np.repeat(owner, 2)
+        side = np.tile([0, 1], owner.size)
+        keys = _mix(keys[below]
+                    ^ (2 * np.repeat(index, 2) + side + 1).astype(np.uint64))
+        trial = trial[below]
+        link = link[below] + (side << (k - 1))
+    slots = _geometric(keys, cfg.p0)
+
+    # bottom-up: each subtree's duration, the write offsets of its outer
+    # memories and its largest internal storage, relative to its own start
+    dur = np.stack([slots, np.zeros(slots.size)])
+    left = right = dur
+    inner = np.zeros(slots.size)
+    rounds_up = []
+    failures = []       # trial of each failed swap, per level
+    for owner, head, last, trial_of in reversed(levels):
+        dur_s = seconds(dur)
+        d = np.where(dur_s[0::2] >= dur_s[1::2],
+                     dur[:, 0::2], dur[:, 1::2]) + one_swap
+        # the swap consumes the mid memories; a failure also empties the
+        # outer ones
+        failed = np.ones(d.shape[1], dtype=bool)
+        failed[last] = False
+        writes = (right[:, 0::2], left[:, 1::2],
+                  left[:, 0::2], right[:, 1::2])
+        stored = [seconds(d - w) for w in writes]
+        for s in stored[2:]:
+            s[~failed] = -math.inf
+        rounds_up.append((d, failed, writes, stored))
+        failures.append(trial_of[failed])
+        round_inner = np.maximum(inner[0::2], inner[1::2])
+        for s in stored:
+            np.maximum(round_inner, s, out=round_inner)
+        dur = np.add.reduceat(d, head, axis=1)
+        before_last = dur - d[:, last]
+        left = before_last + left[:, 0::2][:, last]
+        right = before_last + right[:, 1::2][:, last]
+        inner = np.maximum.reduceat(round_inner, head)
+    # the end memories hold until delivery (nothing is stored at n_nest 0)
+    top = ((seconds(dur - left), left), (seconds(dur - right), right))
+    max_storage = np.maximum(inner, np.maximum(top[0][0], top[1][0]))
+    success = ~(max_storage > cfg.memory_cutoff)
+
+    attempted = slots
+    abort = np.full(count, math.inf)
+    if not success.all():
+        # abort time: the earliest expiry (write + cutoff) of any hold
+        # exceeding the cutoff, from absolute write times found top-down;
+        # events count when they end by then
+        def expire(trial_of, stored, write):
+            over = stored > cfg.memory_cutoff
+            np.minimum.at(abort, trial_of[over],
+                          seconds(write[:, over]) + cfg.memory_cutoff)
+
+        for stored, write in top:
+            expire(np.arange(count), stored, write)
+        start = np.zeros((2, count))
+        ends = []     # seconds at which each failed swap happened, top-down
+        for (owner, head, _, trial_of), (d, failed, writes, stored) in zip(
+                levels, reversed(rounds_up)):
+            elapsed = np.cumsum(d, axis=1) - d
+            round_start = start[:, owner] + elapsed - elapsed[:, head][:, owner]
+            for s, w in zip(stored, writes):
+                expire(trial_of, s, round_start + w)
+            ends.append(seconds(round_start + d)[failed])
+            start = np.repeat(round_start, 2, axis=1)
+        failures = [t[end <= abort[t]]
+                    for t, end in zip(failures, reversed(ends))]
+        attempted = np.clip(np.floor((abort[trial] - seconds(start))
+                                     / cfg.slot_time), 0.0, slots)
+    swap_failures = sum((np.bincount(t, minlength=count) for t in failures),
+                        np.zeros(count, dtype=np.int64))
     n_links = 2**cfg.n_nest
-    attempts = [0] * n_links
-    swap_failures = 0
-    max_storage = 0.0
-    cutoff = cfg.memory_cutoff
-
-    def hold(consume_time: float, written: float) -> None:
-        nonlocal max_storage
-        stored = consume_time - written
-        if stored > cutoff:
-            raise _CutoffExceeded(written + cutoff)
-        if stored > max_storage:
-            max_storage = stored
-
-    def generate(level: int, base: int, start: float):
-        """Completion time plus write times of the boundary memories."""
-        nonlocal swap_failures
-        if level == 0:
-            slots = _sample_geometric(rng, cfg.p0)
-            attempts[base] += slots
-            t = start + slots * cfg.slot_time
-            return t, t, t
-        half = 2 ** (level - 1)
-        round_start = start
-        while True:
-            ta, left_a, right_a = generate(level - 1, base, round_start)
-            tb, left_b, right_b = generate(level - 1, base + half, round_start)
-            t = max(ta, tb) + cfg.swap_time
-            hold(t, right_a)   # mid memories are consumed by the swap
-            hold(t, left_b)
-            if rng.random() < cfg.p_swap:
-                return t, left_a, right_b
-            swap_failures += 1
-            hold(t, left_a)    # outer memories lose their state on failure
-            hold(t, right_b)
-            round_start = t
-
-    try:
-        t, left, right = generate(cfg.n_nest, 0, 0.0)
-        if cfg.n_nest > 0:
-            hold(t, left)      # end memories hold until final delivery
-            hold(t, right)
-        return TrialRecord(total_time=t, attempts_per_link=tuple(attempts),
-                           swap_failures=swap_failures,
-                           max_storage_time=max_storage, success=True)
-    except _CutoffExceeded as exc:
-        return TrialRecord(total_time=exc.expiry_time,
-                           attempts_per_link=tuple(attempts),
-                           swap_failures=swap_failures,
-                           max_storage_time=cfg.memory_cutoff, success=False)
+    attempts = np.bincount(trial * n_links + link, weights=attempted,
+                           minlength=count * n_links)
+    return (np.where(success, seconds(dur), abort), success, swap_failures,
+            np.where(success, max_storage, cfg.memory_cutoff),
+            attempts.reshape(count, n_links))
 
 
-def run_trials(cfg: ProtocolConfig) -> list[TrialRecord]:
+def run_trials(cfg: ProtocolConfig) -> TrialRecords:
     """All trial records, in trial order (deterministic for a given cfg)."""
-    return [_run_trial(cfg, i) for i in range(cfg.trials)]
+    n = cfg.trials
+    columns = (np.empty(n), np.empty(n, dtype=bool), np.empty(n, dtype=np.int64),
+               np.empty(n), np.empty((n, 2**cfg.n_nest)))
+    step = _trials_per_chunk(cfg)
+    for lo in range(0, n, step):
+        chunk = _sample_chunk(cfg, lo, min(step, n - lo))
+        for column, part in zip(columns, chunk):
+            column[lo:lo + len(part)] = part
+    return TrialRecords(*columns)
 
 
-def timing_stats(records: list[TrialRecord], cfg: ProtocolConfig) -> TimingStats:
-    """Aggregate statistics over the successful trials of a record list."""
-    times = np.array([r.total_time for r in records if r.success])
+def timing_stats(records: TrialRecords, cfg: ProtocolConfig) -> TimingStats:
+    """Aggregate statistics over the successful trials of a campaign."""
+    times = records.total_time[records.success]
     n_success = times.size
     if n_success == 0:
         nan = math.nan
@@ -227,7 +359,7 @@ def compare_with_analytic(cfg: ProtocolConfig, analytic: RateResult | float,
 def storage_time_histogram(cfg: ProtocolConfig, bins: int = 50) -> StorageHistogram:
     """Distribution of each trial's maximum memory storage time."""
     records = run_trials(cfg)
-    values = np.array([r.max_storage_time for r in records if r.success])
+    values = records.max_storage_time[records.success]
     if values.size == 0:
         values = np.zeros(1)
     counts, edges = np.histogram(values, bins=bins)

@@ -415,10 +415,8 @@ def swap_branches(rho: DensityMatrix, F_gate: float, F_readout: float):
 
 
 def swap_entanglement(rho: DensityMatrix, F_gate: float, F_readout: float,
-                      rng: np.random.Generator | None = None):
+                      rng: np.random.Generator):
     """Sample one swap outcome; returns (corrected pair on D1/D4, record bits)."""
-    if rng is None:
-        rng = np.random.default_rng()
     branches = swap_branches(rho, F_gate, F_readout)
     u = rng.random()
     acc = 0.0

@@ -233,3 +233,26 @@ def test_missing_config_file_is_config_error(capsys):
     code, _, err = run(capsys, ["rates", "--config", "/nonexistent.cfg"])
     assert code == 3
     assert "config error" in err
+
+
+@pytest.mark.parametrize("bad", [["--trials", "0"], ["--p0", "2"],
+                                 ["--n", "-1"], ["--cutoff", "-1"]])
+def test_mc_bad_input_is_usage_error(capsys, bad):
+    code, out, err = run(capsys, ["mc"] + bad)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("invalid Monte Carlo input")
+
+
+def test_mc_direct_link_at_defaults_keeps_huge_slot_counts(capsys, tmp_path):
+    # one 1000 km link: p0 ~ 8e-19, so some draws exceed the int64 range
+    out_csv = tmp_path / "direct.csv"
+    code, out, _ = run(capsys, ["mc", "--n", "0", "--trials", "10000",
+                                "--out", str(out_csv)])
+    assert code == 0
+    assert "PASS" in out
+    _, rows = parse_csv(out_csv.read_text())
+    times = [float(r["total_time_s"]) for r in rows]
+    assert len(times) == 10000
+    assert min(times) > 0.0
