@@ -221,9 +221,10 @@ def cmd_validate(args, ps: ParameterSet, argv: list[str]) -> int:
 
 
 def cmd_mc(args, ps: ParameterSet, argv: list[str]) -> int:
-    link = ps.link if args.n is None else with_link(ps, n_nest=args.n).link
-    analytic = rates.mean_time_parallel(
-        ps if args.n is None else with_link(ps, n_nest=args.n))
+    if args.n is not None:
+        ps = with_link(ps, n_nest=args.n)
+    link = ps.link
+    analytic = rates.mean_time_parallel(ps)
     p0 = args.p0 if args.p0 is not None else analytic.p0
     p_swap = args.p_swap if args.p_swap is not None else analytic.p_swap
     slot = link.L0 / link.c_fiber + link.tau_init

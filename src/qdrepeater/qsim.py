@@ -4,9 +4,15 @@ Two layers:
 
 * state-vector dynamics of the electron to nuclear-ensemble flip-flop
   transfer, both in the collective excitation-number basis and in the full
-  2**(N+1) product space (brute-force cross-check), and
+  2**(N+1) product space (brute-force cross-check).  The flip-flop conserves
+  the number of up spins, so the full-space propagator is built one
+  excitation-number block at a time (at most C(N+1, (N+1)//2) wide, 252 at
+  9 nuclei) instead of from one dense 2**(N+1) diagonalization, and
 * a dense density-matrix register (up to 8 qubits) used to simulate the
-  swap circuit and short chains with scalar-fidelity noise channels.
+  swap circuit and power-of-two chains with scalar-fidelity noise channels.
+  A gate or Kraus channel on k qubits acts as its 4**k superoperator on
+  the (2,)*2n tensor view of the matrix; no full-register operator is
+  ever built.
 
 Conventions: qubit |0> is spin-down, |1> is spin-up; qubit 0 is the most
 significant bit of the register index.  The controlled-Z gate flips the sign
@@ -150,63 +156,51 @@ def evolve_transfer(state: PureState, p: TransferParams, t: float) -> PureState:
     return PureState(amps, p.n_nuclei, "collective")
 
 
-def _embed(op: np.ndarray, targets: list[int], n_qubits: int) -> np.ndarray:
-    """Place a 2**k operator on the given qubits of an n-qubit register."""
-    k = len(targets)
-    if len(set(targets)) != k:
-        raise ValueError("target qubits must be distinct")
-    dim = 2**n_qubits
-    rest = [q for q in range(n_qubits) if q not in targets]
-    out = np.zeros((dim, dim), dtype=complex)
-    t_shift = [n_qubits - 1 - q for q in targets]
-    r_shift = [n_qubits - 1 - q for q in rest]
-
-    def spread(bits: int, shifts: list[int]) -> int:
-        idx = 0
-        for pos, shift in enumerate(shifts):
-            idx |= ((bits >> (len(shifts) - 1 - pos)) & 1) << shift
-        return idx
-
-    rest_indices = [spread(r, r_shift) for r in range(2 ** len(rest))]
-    for a in range(2**k):
-        ia = spread(a, t_shift)
-        for b in range(2**k):
-            v = op[a, b]
-            if v == 0:
-                continue
-            ib = spread(b, t_shift)
-            for ir in rest_indices:
-                out[ia | ir, ib | ir] = v
-    return out
-
-
 def build_full_space_hamiltonian(p: TransferParams) -> np.ndarray:
     """Per-nucleus flip-flop Hamiltonian on the 2**(N+1) product register.
 
     coupling * sum_i (sigma+_i S-_e + sigma-_i S+_e); only the delta_m = 1
-    single-magnon mode has a product-space representation here.
+    single-magnon mode has a product-space representation here.  The
+    electron is the most significant bit of the register index; nucleus i
+    couples every index with the electron up and nucleus i down to the index
+    with both bits flipped.
     """
     if p.delta_m != 1:
         raise ValueError("full product-space dynamics is defined for delta_m = 1")
     if p.n_nuclei > MAX_FULL_SPACE_NUCLEI:
         raise ValueError(f"full space limited to {MAX_FULL_SPACE_NUCLEI} nuclei")
-    n_qubits = p.n_nuclei + 1
-    s_minus = np.array([[0, 1], [0, 0]], dtype=complex)   # |0><1| on electron
-    sig_plus = np.array([[0, 0], [1, 0]], dtype=complex)  # |1><0| on a nucleus
-    pair = np.kron(s_minus, sig_plus) + np.kron(s_minus, sig_plus).conj().T
-    H = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
-    for i in range(1, n_qubits):
-        H += _embed(pair, [0, i], n_qubits)
-    return p.coupling * H
+    n = p.n_nuclei
+    idx = np.arange(2 ** (n + 1))
+    electron = 1 << n
+    H = np.zeros((idx.size, idx.size), dtype=complex)
+    for bit in range(n):
+        nucleus = 1 << bit
+        src = idx[((idx & electron) != 0) & ((idx & nucleus) == 0)]
+        dst = src ^ (electron | nucleus)
+        H[dst, src] = p.coupling
+        H[src, dst] = p.coupling
+    return H
 
 
 def full_space_oracle(p: TransferParams, state: PureState, t: float) -> PureState:
-    """Brute-force evolution in the full product space."""
+    """Brute-force evolution in the full product space.
+
+    The flip-flop conserves the number of up spins, so the Hamiltonian is
+    block diagonal in the popcount of the register index.  Each block (the
+    largest is C(N+1, (N+1)//2) wide) is diagonalized and evolved on its own.
+    """
     if state.space != "full":
         raise ValueError("full_space_oracle expects a full product-space state")
     if state.n_nuclei != p.n_nuclei:
         raise ValueError("state and parameters disagree on the nucleus count")
-    amps = _propagator(build_full_space_hamiltonian(p), t) @ state.amps
+    H = build_full_space_hamiltonian(p)
+    n_qubits = p.n_nuclei + 1
+    idx = np.arange(2**n_qubits)
+    ups = sum((idx >> bit) & 1 for bit in range(n_qubits))
+    amps = np.empty_like(state.amps)
+    for count in range(n_qubits + 1):
+        blk = np.flatnonzero(ups == count)
+        amps[blk] = _propagator(H[np.ix_(blk, blk)], t) @ state.amps[blk]
     return PureState(amps, p.n_nuclei, "full")
 
 
@@ -267,22 +261,38 @@ class DensityMatrix:
         return DensityMatrix(np.kron(self.mat, other.mat),
                              self.n_qubits + other.n_qubits, check=False)
 
+    def _tensor(self) -> np.ndarray:
+        """The matrix as a (2,)*2n tensor: row qubits, then column qubits."""
+        return self.mat.reshape((2,) * (2 * self.n_qubits))
+
     def apply_unitary(self, op: np.ndarray, qubits: list[int]) -> "DensityMatrix":
-        U = _embed(op, qubits, self.n_qubits)
-        return DensityMatrix(U @ self.mat @ U.conj().T, self.n_qubits,
-                             check=False)
+        return self.apply_kraus([op], qubits)
 
     def apply_kraus(self, ops: list[np.ndarray],
                     qubits: list[int]) -> "DensityMatrix":
-        out = np.zeros_like(self.mat)
-        for op in ops:
-            K = _embed(op, qubits, self.n_qubits)
-            out += K @ self.mat @ K.conj().T
-        return DensityMatrix(out, self.n_qubits, check=False)
+        """sum_m K_m rho K_m^dagger with each K_m acting on ``qubits``.
+
+        ``qubits[0]`` is the most significant bit of the operators' index.
+        The channel is applied as its 4**k superoperator
+        sum_m K_m (x) conj(K_m) to the tensor view with the target row and
+        column axes moved to the front.
+        """
+        n, k = self.n_qubits, len(qubits)
+        if len(set(qubits)) != k:
+            raise ValueError("target qubits must be distinct")
+        rest = [q for q in range(n) if q not in qubits]
+        order = (list(qubits) + [q + n for q in qubits]
+                 + rest + [q + n for q in rest])
+        kraus = np.asarray(ops, dtype=complex)
+        superop = np.einsum("mab,mcd->acbd", kraus, kraus.conj())
+        front = self._tensor().transpose(order).reshape(4**k, -1)
+        out = (superop.reshape(4**k, 4**k) @ front).reshape((2,) * (2 * n))
+        out = out.transpose(np.argsort(order)).reshape(self.mat.shape)
+        return DensityMatrix(out, n, check=False)
 
     def partial_trace(self, keep: list[int]) -> "DensityMatrix":
         n = self.n_qubits
-        t = self.mat.reshape((2,) * (2 * n))
+        t = self._tensor()
         remaining = list(range(n))
         for q in sorted(set(range(n)) - set(keep), reverse=True):
             pos = remaining.index(q)
@@ -294,13 +304,15 @@ class DensityMatrix:
 
     def measure_z_branches(self, qubit: int):
         """Projective Z-measurement branches [(prob, outcome, collapsed)]."""
-        idx = np.arange(2**self.n_qubits)
-        bit = (idx >> (self.n_qubits - 1 - qubit)) & 1
+        before = 2**qubit
+        after = 2 ** (self.n_qubits - 1 - qubit)
+        blocks = self.mat.reshape(before, 2, after, before, 2, after)
         branches = []
         for outcome in (0, 1):
-            mask = (bit == outcome).astype(float)
-            proj = mask[:, None] * mask[None, :]
-            sub = self.mat * proj
+            keep = (slice(None), outcome, slice(None)) * 2
+            sub = np.zeros_like(blocks)
+            sub[keep] = blocks[keep]
+            sub = sub.reshape(self.mat.shape)
             prob = float(np.trace(sub).real)
             if prob <= 1e-15:
                 continue
@@ -345,14 +357,13 @@ def werner_pair(fidelity: float, label: str = "psi_plus") -> DensityMatrix:
     return DensityMatrix(mat, 2)
 
 
-def _two_qubit_depolarizing_kraus(p_dep: float) -> list[np.ndarray]:
-    paulis = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
-    ops = []
-    for a, pa in enumerate(paulis):
-        for b, pb in enumerate(paulis):
-            weight = 1.0 - 15.0 * p_dep / 16.0 if a == b == 0 else p_dep / 16.0
-            ops.append(math.sqrt(weight) * np.kron(pa, pb))
-    return ops
+def _two_qubit_depolarizing_kraus(p_dep: float) -> np.ndarray:
+    """The 16 weighted Pauli products P_a (x) P_b, stacked; I (x) I first."""
+    paulis = np.stack((PAULI_I, PAULI_X, PAULI_Y, PAULI_Z))
+    products = np.einsum("iab,jcd->ijacbd", paulis, paulis).reshape(16, 4, 4)
+    weights = np.full(16, p_dep / 16.0)
+    weights[0] = 1.0 - 15.0 * p_dep / 16.0
+    return np.sqrt(weights)[:, None, None] * products
 
 
 def apply_cz(rho: DensityMatrix, q1: int, q2: int,
@@ -445,10 +456,11 @@ def chain_fidelity_oracle(l: int, F_ent: float, F_transfer: float,
     Each link starts as a depolarized pair of fidelity
     F_e_init**2 * F_ent * F_transfer**2 (two initialized dots, one heralded
     generation, two write-read cycles); the l-1 noisy swaps are applied
-    hierarchically.
+    hierarchically, so l must be a power of two (l = 2**n_nest).  No register
+    ever holds more than the four qubits of one swap.
     """
-    if l not in (1, 2, 4):
-        raise ValueError("chain oracle supports l in {1, 2, 4}")
+    if l < 1 or l & (l - 1):
+        raise ValueError(f"chain oracle needs a power-of-two length, got {l}")
     pair_fidelity = F_e_init**2 * F_ent * F_transfer**2
     level = [werner_pair(pair_fidelity) for _ in range(l)]
     while len(level) > 1:

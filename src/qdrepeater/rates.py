@@ -62,21 +62,27 @@ def swap_success_probability(link: LinkParams) -> float:
     return link.eta_s * link.eta_c * link.eta_cav * link.eta_d
 
 
-def _mean_time(params: ParameterSet, prefactor: float, tag: str,
-               include_init: bool = True) -> RateResult:
-    link = params.link
-    L0 = link.L0
-    p0 = link_success_probability(link, L0)
-    ps = swap_success_probability(link)
-    slot = L0 / link.c_fiber + (link.tau_init if include_init else 0.0)
-    denom = p0 * ps**link.n_nest
+def _mean_time(p0: float, p_swap: float, slot: float, n: int,
+               prefactor: float, tag: str) -> RateResult:
+    """<T> = prefactor * slot / (p0 * p_swap**n), or unreachable."""
+    denom = p0 * p_swap**n
     if denom <= 0.0:
-        return RateResult(p0=p0, p_swap=ps, mean_time=math.inf, rate=0.0,
+        return RateResult(p0=p0, p_swap=p_swap, mean_time=math.inf, rate=0.0,
                           scheme_tag=tag)
     mean = prefactor * slot / denom
     rate = 1.0 / mean if mean > 0.0 else math.inf
-    return RateResult(p0=p0, p_swap=ps, mean_time=mean, rate=rate,
+    return RateResult(p0=p0, p_swap=p_swap, mean_time=mean, rate=rate,
                       scheme_tag=tag)
+
+
+def _heralded_mean_time(params: ParameterSet, prefactor: float,
+                        tag: str) -> RateResult:
+    """The closed form for the heralded-link scheme of ``params``."""
+    link = params.link
+    return _mean_time(link_success_probability(link),
+                      swap_success_probability(link),
+                      link.L0 / link.c_fiber + link.tau_init, link.n_nest,
+                      prefactor, tag)
 
 
 def mean_time_parallel(params: ParameterSet) -> RateResult:
@@ -86,7 +92,7 @@ def mean_time_parallel(params: ParameterSet) -> RateResult:
     plain geometric mean (L0/c + tau_init)/p0.
     """
     n = params.link.n_nest
-    return _mean_time(params, 1.5**n, "parallel")
+    return _heralded_mean_time(params, 1.5**n, "parallel")
 
 
 def mean_time_sequential(params: ParameterSet) -> RateResult:
@@ -96,10 +102,8 @@ def mean_time_sequential(params: ParameterSet) -> RateResult:
     neighbor, so the parallel value is returned.
     """
     n = params.link.n_nest
-    if n == 0:
-        result = _mean_time(params, 1.0, "sequential")
-        return result
-    return _mean_time(params, 2.0 * 1.5 ** (n - 1), "sequential")
+    prefactor = 2.0 * 1.5 ** (n - 1) if n else 1.0
+    return _heralded_mean_time(params, prefactor, "sequential")
 
 
 def mean_time_two_plus_two(params: ParameterSet) -> RateResult:
@@ -111,19 +115,11 @@ def mean_time_two_plus_two(params: ParameterSet) -> RateResult:
     """
     link = params.link
     n = link.n_nest
-    L0 = link.L0
-    eta_t = transmission_probability(L0, link.L_att)
+    eta_t = transmission_probability(link.L0, link.L_att)
     p0 = 0.5 * (eta_t * link.eta_s * link.eta_d) ** 2
-    ps = 0.5 * link.eta_d**2 * link.eta_m**4
-    slot = L0 / link.c_fiber
-    denom = p0 * ps**n
-    if denom <= 0.0:
-        return RateResult(p0=p0, p_swap=ps, mean_time=math.inf, rate=0.0,
-                          scheme_tag="two_plus_two")
-    mean = 1.5**n * slot / denom
-    rate = 1.0 / mean if mean > 0.0 else math.inf
-    return RateResult(p0=p0, p_swap=ps, mean_time=mean, rate=rate,
-                      scheme_tag="two_plus_two")
+    p_swap = 0.5 * link.eta_d**2 * link.eta_m**4
+    return _mean_time(p0, p_swap, link.L0 / link.c_fiber, n, 1.5**n,
+                      "two_plus_two")
 
 
 def direct_transmission_rate(L: float, source_rate: float, L_att: float) -> float:

@@ -183,6 +183,16 @@ def test_mc_seed_change_moves_numbers_but_still_passes(capsys):
     assert out_a != out_b
 
 
+def test_mc_meta_records_the_overridden_nesting_level(capsys, tmp_path):
+    out_csv = tmp_path / "m.csv"
+    code, _, _ = run(capsys, ["mc", "--n", "1", "--p0", "0.1",
+                              "--p-swap", "0.5", "--trials", "100",
+                              "--out", str(out_csv)])
+    assert code == 0
+    meta = json.loads((tmp_path / "m.csv.meta.json").read_text())
+    assert meta["parameters"]["n_nest"] == 1
+
+
 def test_mc_default_config_reports_storage(capsys):
     code, out, _ = run(capsys, ["mc", "--trials", "300", "--seed", "5"])
     assert code == 0

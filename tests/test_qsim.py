@@ -21,6 +21,83 @@ def swap_fidelity_closed_form(F1, F2, F_gate, F_readout):
     return (1 - p_gate) * (w * record_ok + (1 - w) / 4) + p_gate / 4
 
 
+# ------------------------------------------------------------ references
+#
+# Loop-built dense kernels that the whole-array ones in qsim replaced; kept
+# here as the oracle the fast paths must reproduce.
+
+def embed_reference(op, targets, n_qubits):
+    """Place a 2**k operator on the given qubits of an n-qubit register."""
+    k = len(targets)
+    dim = 2**n_qubits
+    rest = [q for q in range(n_qubits) if q not in targets]
+    out = np.zeros((dim, dim), dtype=complex)
+    t_shift = [n_qubits - 1 - q for q in targets]
+    r_shift = [n_qubits - 1 - q for q in rest]
+
+    def spread(bits, shifts):
+        idx = 0
+        for pos, shift in enumerate(shifts):
+            idx |= ((bits >> (len(shifts) - 1 - pos)) & 1) << shift
+        return idx
+
+    rest_indices = [spread(r, r_shift) for r in range(2 ** len(rest))]
+    for a in range(2**k):
+        ia = spread(a, t_shift)
+        for b in range(2**k):
+            v = op[a, b]
+            if v == 0:
+                continue
+            ib = spread(b, t_shift)
+            for ir in rest_indices:
+                out[ia | ir, ib | ir] = v
+    return out
+
+
+def full_space_hamiltonian_reference(p):
+    n_qubits = p.n_nuclei + 1
+    s_minus = np.array([[0, 1], [0, 0]], dtype=complex)
+    sig_plus = np.array([[0, 0], [1, 0]], dtype=complex)
+    pair = np.kron(s_minus, sig_plus) + np.kron(s_minus, sig_plus).conj().T
+    H = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
+    for i in range(1, n_qubits):
+        H += embed_reference(pair, [0, i], n_qubits)
+    return p.coupling * H
+
+
+def full_space_evolution_reference(p, amps, t):
+    """One dense eigh of the whole 2**(N+1) Hamiltonian."""
+    energies, modes = np.linalg.eigh(full_space_hamiltonian_reference(p))
+    return (modes * np.exp(-1j * energies * t)) @ modes.conj().T @ amps
+
+
+def measure_z_reference(mat, n_qubits, qubit):
+    bit = (np.arange(2**n_qubits) >> (n_qubits - 1 - qubit)) & 1
+    branches = []
+    for outcome in (0, 1):
+        mask = (bit == outcome).astype(float)
+        sub = mat * (mask[:, None] * mask[None, :])
+        prob = float(np.trace(sub).real)
+        branches.append((prob, outcome, sub / prob))
+    return branches
+
+
+def random_density_matrix(rng, n_qubits):
+    a = (rng.normal(size=(2**n_qubits, 2**n_qubits))
+         + 1j * rng.normal(size=(2**n_qubits, 2**n_qubits)))
+    rho = a @ a.conj().T
+    return qsim.DensityMatrix(rho / np.trace(rho).real, n_qubits)
+
+
+def random_operator(rng, k):
+    return rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+
+
+def up_spin_count(n_qubits):
+    idx = np.arange(2**n_qubits)
+    return sum((idx >> b) & 1 for b in range(n_qubits))
+
+
 # ------------------------------------------------------------ transfer
 
 def test_hamiltonian_is_hermitian_with_collective_ladder():
@@ -151,6 +228,28 @@ def test_collective_enhancement_scales_as_sqrt_n(n):
     assert fitted_g == pytest.approx(expected_g, rel=1e-9)
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_full_space_hamiltonian_equals_loop_reference(n):
+    p = qsim.TransferParams(n_nuclei=n, coupling=1.3)
+    H = qsim.build_full_space_hamiltonian(p)
+    assert np.array_equal(H, full_space_hamiltonian_reference(p))
+    ups = up_spin_count(n + 1)
+    assert np.array_equal(H * ups[None, :], ups[:, None] * H)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_block_evolution_equals_dense_propagator(n):
+    rng = np.random.default_rng(100 + n)
+    p = qsim.TransferParams(n_nuclei=n, coupling=1.9)
+    amps = rng.normal(size=2 ** (n + 1)) + 1j * rng.normal(size=2 ** (n + 1))
+    amps /= np.linalg.norm(amps)
+    state = qsim.PureState(amps, n, "full")
+    for t in (0.0, 0.37, 2.9):
+        evolved = qsim.full_space_oracle(p, state, t)
+        expected = full_space_evolution_reference(p, amps, t)
+        assert np.max(np.abs(evolved.amps - expected)) < 1e-12
+
+
 def test_full_space_size_and_mode_guards():
     with pytest.raises(ValueError, match="full space"):
         qsim.build_full_space_hamiltonian(
@@ -211,6 +310,47 @@ def test_werner_closed_form():
         f = w + (1 - w) / 4
         pair = qsim.werner_pair(f)
         assert qsim.bell_fidelity(pair) == pytest.approx(f, rel=1e-12)
+
+
+TARGETS = [[2, 0], [0, 2], [1], [3], [3, 1], [1, 3, 0]]
+
+
+@pytest.mark.parametrize("n_qubits", [4, 5])
+@pytest.mark.parametrize("targets", TARGETS)
+def test_apply_unitary_and_kraus_equal_embedded_operators(n_qubits, targets):
+    rng = np.random.default_rng(7 * n_qubits + len(targets))
+    rho = random_density_matrix(rng, n_qubits)
+    k = len(targets)
+    op = random_operator(rng, k)
+    U = embed_reference(op, targets, n_qubits)
+    out = rho.apply_unitary(op, targets)
+    assert np.max(np.abs(out.mat - U @ rho.mat @ U.conj().T)) < 1e-12
+
+    ops = [random_operator(rng, k) for _ in range(3)]
+    expected = sum(embed_reference(K, targets, n_qubits) @ rho.mat
+                   @ embed_reference(K, targets, n_qubits).conj().T
+                   for K in ops)
+    out = rho.apply_kraus(ops, targets)
+    assert np.max(np.abs(out.mat - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("n_qubits", [4, 5])
+def test_measure_z_branches_equal_projector_masks(n_qubits):
+    rng = np.random.default_rng(n_qubits)
+    rho = random_density_matrix(rng, n_qubits)
+    for qubit in range(n_qubits):
+        got = rho.measure_z_branches(qubit)
+        want = measure_z_reference(rho.mat, n_qubits, qubit)
+        assert [o for _, o, _ in got] == [o for _, o, _ in want] == [0, 1]
+        for (p, _, dm), (p_ref, _, mat_ref) in zip(got, want):
+            assert p == pytest.approx(p_ref, abs=1e-12)
+            assert np.max(np.abs(dm.mat - mat_ref)) < 1e-12
+
+
+def test_channels_reject_repeated_targets():
+    rho = qsim.werner_pair(0.9).tensor(qsim.werner_pair(0.9))
+    with pytest.raises(ValueError, match="distinct"):
+        rho.apply_unitary(qsim.CZ_GATE, [1, 1])
 
 
 # ------------------------------------------------------------ swapping
@@ -327,6 +467,26 @@ def test_chain_oracle_close_to_product_formula(l, n):
 def test_chain_oracle_rejects_unsupported_lengths():
     with pytest.raises(ValueError):
         qsim.chain_fidelity_oracle(3, 1, 1, 1, 1, 1)
+
+
+@pytest.mark.parametrize("l", [0, 6])
+def test_chain_oracle_rejects_lengths_that_are_not_powers_of_two(l):
+    with pytest.raises(ValueError, match="power-of-two"):
+        qsim.chain_fidelity_oracle(l, 1, 1, 1, 1, 1)
+
+
+def test_chain_oracle_eight_links_matches_werner_closed_form():
+    # Werner pairs through a depolarizing swap with exact readout stay Werner:
+    # w_out = (1 - p_gate) * w_a * w_b, so after 7 swaps of 8 pairs
+    # w = (1 - p_gate)**7 * w0**8.  (Readout errors break the Werner form.)
+    comp = dict(F_ent=0.995, F_transfer=0.993, F_gate=0.995,
+                F_readout=1.0, F_e_init=0.99996)
+    pair = comp["F_e_init"] ** 2 * comp["F_ent"] * comp["F_transfer"] ** 2
+    w0 = (4 * pair - 1) / 3
+    p_gate = 4 * (1 - comp["F_gate"]) / 3
+    w = (1 - p_gate) ** 7 * w0**8
+    assert qsim.chain_fidelity_oracle(8, **comp) == pytest.approx(
+        (1 + 3 * w) / 4, abs=1e-12)
 
 
 # ------------------------------------------------------------ invariants
