@@ -356,16 +356,9 @@ def compare_with_analytic(cfg: ProtocolConfig, analytic: RateResult | float,
                             passed=within_band or within_noise)
 
 
-def storage_time_histogram(cfg: ProtocolConfig, bins: int = 50,
-                           records: TrialRecords | None = None,
-                           ) -> StorageHistogram:
-    """Distribution of each trial's maximum memory storage time.
-
-    ``records`` are the campaign's records when the caller already has them
-    (``run_trials(cfg)``); otherwise the campaign is run here.
-    """
-    if records is None:
-        records = run_trials(cfg)
+def storage_time_histogram(cfg: ProtocolConfig, bins: int = 50) -> StorageHistogram:
+    """Distribution of each trial's maximum memory storage time."""
+    records = run_trials(cfg)
     values = records.max_storage_time[records.success]
     if values.size == 0:
         values = np.zeros(1)

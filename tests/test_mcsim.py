@@ -187,15 +187,6 @@ def test_storage_matches_enumeration_oracle():
         assert abs(observed - probs[d]) <= 4 * sigma + 1e-4
 
 
-def test_storage_histogram_reuses_given_records():
-    c = cfg(n_nest=2, p0=0.2, p_swap=0.6, trials=3_000, seed=9)
-    fresh = mcsim.storage_time_histogram(c)
-    reused = mcsim.storage_time_histogram(c, records=mcsim.run_trials(c))
-    assert np.array_equal(reused.values, fresh.values)
-    assert np.array_equal(reused.counts, fresh.counts)
-    assert np.array_equal(reused.bin_edges, fresh.bin_edges)
-
-
 def test_storage_fraction_helper():
     hist = mcsim.storage_time_histogram(
         cfg(n_nest=1, p0=0.5, p_swap=1.0, trials=5_000, seed=3))
