@@ -235,14 +235,13 @@ def check_quantum_oracle():
 
     comp = dict(F_ent=0.995, F_transfer=0.993, F_gate=0.995,
                 F_readout=0.99983, F_e_init=0.99996)
+    budget = fidelity.FidelityBudget(
+        **comp, F_n_init=1.0, F_quad=1.0, F_BK_nominal=comp["F_ent"],
+        F_total=math.nan, gate_time=0.0, n_nest=0, warnings=())
     gaps = []
     for l, n in ((2, 1), (4, 2)):
         oracle = qsim.chain_fidelity_oracle(l, **comp)
-        formula = (comp["F_e_init"] ** (2 * l)
-                   * comp["F_readout"] ** (2 * (l - 1))
-                   * (comp["F_ent"] * comp["F_transfer"] ** 2) ** l
-                   * comp["F_gate"] ** (l - 1))
-        gaps.append(abs(oracle - formula))
+        gaps.append(abs(oracle - fidelity.overall_fidelity(budget, n)))
     chain_ok = all(gap <= 0.02 for gap in gaps)
     details.append(f"chain oracle vs product formula gaps "
                    f"{gaps[0]:.4f}, {gaps[1]:.4f} (<= 0.02)")

@@ -8,7 +8,20 @@ composition of all components over a nested chain.
 
 Perturbative formulas (notably the gate) can leave their validity regime and
 return values outside [0, 1]; they are reported raw together with warnings
-rather than clamped.
+rather than clamped.  The gate and the readout return their validity notes,
+and a budget carries them in ``warnings``.
+
+F_ent is the heralding fidelity averaged over both dots' Gaussian spectral
+diffusion, a product Gauss-Hermite rule.  One kernel evaluates it for a whole
+array of resonant Purcell factors, broadcasting (points, nodes, nodes) and
+summing each point in the same order as a lone point.  Node doubling
+(21, 42, 84, ...) goes on only for the points whose last two estimates still
+differ by more than ``rtol``; each point keeps the estimate at which it
+converged.  Node tables are built on first use, once per order, and are
+read-only.  A single budget is the one-point case of the grid code, and
+:func:`fidelity_contour` evaluates each component once on the grid axis it
+depends on: F_ent, the gate and the readout per Purcell factor, F_n_init per
+polarization.
 """
 
 from __future__ import annotations
@@ -16,13 +29,13 @@ from __future__ import annotations
 import math
 import warnings as _warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 from scipy.constants import physical_constants
 from scipy.interpolate import PchipInterpolator
 
-from .params import ParameterSet, PhysicalParams, with_physical
+from .params import ParameterSet, PhysicalParams
 
 TWO_PI = 2.0 * math.pi
 
@@ -115,32 +128,86 @@ def barrett_kok_fidelity(gp_i, gp_j, Gp_i, Gp_j, delta_omega):
     return 0.5 * (1.0 + num / den)
 
 
-def _bk_at_offsets(phys: PhysicalParams, xi, xj):
-    """Heralding fidelity at spectral offsets (xi, xj) from the mean detuning.
+def _nominal_bk(phys: PhysicalParams, F_res: np.ndarray) -> np.ndarray:
+    """Heralding fidelity of two identical dots at the mean detuning."""
+    fp = purcell_at_detuning(F_res, phys.kappa, phys.detuning)
+    gp, Gp = enhanced_rates(phys.gamma_r, phys.gamma_nr, phys.gamma_star, fp)
+    return barrett_kok_fidelity(gp, gp, Gp, Gp, 0.0)
 
-    The Purcell factor is re-evaluated per offset: the dot frequency moves
-    while the cavity stays fixed.
+
+@cache
+def _gauss_hermite(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Hermite nodes and weights (physicists' convention)."""
+    x, w = np.polynomial.hermite.hermgauss(nodes)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+#: Elements of one (rows, nodes, nodes) block of the product rule, 2 MB of
+#: float64; a longer F_res array is evaluated a block of rows at a time.
+_BLOCK_ELEMENTS = 1 << 18
+
+
+def _ent_product_rule(phys: PhysicalParams, F_res: np.ndarray,
+                      nodes: int) -> np.ndarray:
+    """Product-rule average of the heralding fidelity at each resonant F_res.
+
+    Every other input comes from ``phys``.  The Purcell factor is
+    re-evaluated per spectral offset: the dot frequency moves while the
+    cavity stays fixed.  Each row is summed on its own, in the same order as
+    for a single point, so its value does not depend on the other rows.
     """
-    det_i = phys.detuning + xi
-    det_j = phys.detuning + xj
-    fp_i = purcell_at_detuning(phys.F_res, phys.kappa, det_i)
-    fp_j = purcell_at_detuning(phys.F_res, phys.kappa, det_j)
-    gp_i, Gp_i = enhanced_rates(phys.gamma_r, phys.gamma_nr, phys.gamma_star, fp_i)
-    gp_j, Gp_j = enhanced_rates(phys.gamma_r, phys.gamma_nr, phys.gamma_star, fp_j)
-    return barrett_kok_fidelity(gp_i, gp_j, Gp_i, Gp_j, xi - xj)
+    x, w = _gauss_hermite(nodes)
+    off = math.sqrt(2.0) * phys.sigma_sd * x
+    det = phys.detuning + off
+    dw = off[:, None] - off[None, :]
+    out = np.empty(F_res.size)
+    step = max(1, _BLOCK_ELEMENTS // nodes**2)
+    for lo in range(0, F_res.size, step):
+        fp = purcell_at_detuning(F_res[lo:lo + step, None], phys.kappa, det)
+        gp, Gp = enhanced_rates(phys.gamma_r, phys.gamma_nr, phys.gamma_star,
+                                fp)
+        vals = barrett_kok_fidelity(gp[:, :, None], gp[:, None, :],
+                                    Gp[:, :, None], Gp[:, None, :], dw)
+        # physicists' convention: sum(w) = sqrt(pi) per dimension
+        out[lo:lo + step] = np.einsum("i,j,gij->g", w, w, vals) / math.pi
+    return out
+
+
+def _ent_adaptive(phys: PhysicalParams, F_res: np.ndarray, rtol: float,
+                  start_nodes: int = 21, max_doublings: int = 6) -> np.ndarray:
+    """Spectral-diffusion-averaged F_ent at each F_res, by node doubling.
+
+    Only the points whose last two estimates still differ by more than
+    ``rtol`` go on to the next doubling; each point keeps the estimate at
+    which it converged.
+    """
+    if phys.sigma_sd < 0:
+        raise ValueError("sigma_sd must be non-negative")
+    if phys.sigma_sd == 0.0:
+        return _nominal_bk(phys, F_res)
+    nodes = start_nodes
+    todo = np.arange(F_res.size)
+    prev = _ent_product_rule(phys, F_res, nodes)
+    last = np.full(F_res.size, math.nan)  # no estimate before the first
+    out = np.empty(F_res.size)
+    for _ in range(max_doublings):
+        nodes *= 2
+        cur = _ent_product_rule(phys, F_res[todo], nodes)
+        done = np.abs(cur - prev) <= rtol * np.abs(cur)
+        out[todo[done]] = cur[done]
+        if done.all():
+            return out
+        todo, last, prev = todo[~done], prev[~done], cur[~done]
+    raise ConvergenceError((float(last[0]), float(prev[0])))
 
 
 def entanglement_fidelity_fixed_nodes(phys: PhysicalParams, nodes: int) -> float:
     """Gauss-Hermite product-rule average of the heralding fidelity."""
-    x, w = np.polynomial.hermite.hermgauss(nodes)
-    # physicists' convention: sum(w) = sqrt(pi) per dimension
-    off = math.sqrt(2.0) * phys.sigma_sd * x
-    xi, xj = np.meshgrid(off, off, indexing="ij")
-    vals = _bk_at_offsets(phys, xi, xj)
-    return float(np.einsum("i,j,ij->", w, w, vals) / math.pi)
+    return float(_ent_product_rule(phys, np.array([phys.F_res]), nodes)[0])
 
 
-@lru_cache(maxsize=128)
 def entanglement_fidelity(phys: PhysicalParams, rtol: float = 1e-6,
                           start_nodes: int = 21, max_doublings: int = 6) -> float:
     """Spectral-diffusion-averaged entanglement-generation fidelity.
@@ -149,19 +216,8 @@ def entanglement_fidelity(phys: PhysicalParams, rtol: float = 1e-6,
     configured mean detuning.  The product Gauss-Hermite rule is refined by
     node doubling until successive estimates agree to ``rtol``.
     """
-    if phys.sigma_sd < 0:
-        raise ValueError("sigma_sd must be non-negative")
-    if phys.sigma_sd == 0.0:
-        return float(_bk_at_offsets(phys, 0.0, 0.0))
-    nodes = start_nodes
-    prev = entanglement_fidelity_fixed_nodes(phys, nodes)
-    for _ in range(max_doublings):
-        nodes *= 2
-        cur = entanglement_fidelity_fixed_nodes(phys, nodes)
-        if abs(cur - prev) <= rtol * abs(cur):
-            return cur
-        prev = cur
-    raise ConvergenceError((prev, cur))
+    return float(_ent_adaptive(phys, np.array([phys.F_res]), rtol,
+                               start_nodes, max_doublings)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -180,16 +236,23 @@ _nuclear_init_curve = PchipInterpolator(
     [a[1] for a in _NUCLEAR_INIT_ANCHORS])
 
 
+def _nuclear_init(polarization: np.ndarray) -> np.ndarray:
+    """:func:`nuclear_init_fidelity` at every entry of an array."""
+    outside = ~((0.80 <= polarization) & (polarization <= 1.0))
+    if outside.any():
+        raise ValueError(
+            f"polarization {polarization[outside][0]} outside the tabulated "
+            "range [0.80, 1.0]")
+    return _nuclear_init_curve(polarization)
+
+
 def nuclear_init_fidelity(polarization: float) -> float:
     """State-transfer factor from partial nuclear polarization.
 
     Monotone cubic interpolation through tabulated anchor points; the table
     starts at 80% polarization and no extrapolation below it is allowed.
     """
-    if not 0.80 <= polarization <= 1.0:
-        raise ValueError(
-            f"polarization {polarization} outside the tabulated range [0.80, 1.0]")
-    return float(_nuclear_init_curve(polarization))
+    return float(_nuclear_init(np.array([polarization], dtype=float))[0])
 
 
 def quadrupolar_factor(sigma_Q: float, delta_m: int, t: float) -> float:
@@ -249,21 +312,35 @@ def gate_fidelity(phys: PhysicalParams) -> GateResult:
     return GateResult(fidelity=value, gate_time=gate_time, warnings=tuple(warn))
 
 
+def _readout(T: float, D: float, eta_c: float, eta_d: float, Omega: float,
+             gamma_prime: float) -> tuple[float, tuple[str, ...]]:
+    """Readout fidelity and its validity notes; see :func:`readout_fidelity`.
+
+    The emission-rate formula needs a weak drive, Omega <= gamma'/5.
+    """
+    if T < 0 or D < 0:
+        raise ValueError("readout window and dark-count rate must be non-negative")
+    notes: tuple[str, ...] = ()
+    if Omega > gamma_prime / 5.0:
+        notes = (f"readout drive {Omega / gamma_prime:.3g} x gamma' is not weak "
+                 "(above 0.2 x gamma'); emission-rate formula degrades",)
+    signal = T * eta_c * eta_d * Omega**2 / gamma_prime
+    return 0.5 * (1.0 + math.exp(-T * D) - math.exp(-signal)), notes
+
+
 def readout_fidelity(T: float, D: float, eta_c: float, eta_d: float,
                      Omega: float, gamma_prime: float) -> float:
     """Spin readout fidelity with Poissonian signal and dark counts.
 
     F = 1/2 * [1 + exp(-T*D) - exp(-T*eta_c*eta_d*Omega**2/gamma')], with the
-    weak continuous drive emitting at rate Omega**2/gamma'.
+    weak continuous drive emitting at rate Omega**2/gamma'.  A drive that is
+    not weak raises a ``UserWarning``; :func:`fidelity_budget` reports it in
+    its ``warnings`` instead.
     """
-    if T < 0 or D < 0:
-        raise ValueError("readout window and dark-count rate must be non-negative")
-    if Omega > gamma_prime / 5.0:
-        _warnings.warn("readout drive is not weak relative to the enhanced "
-                       "decay rate; emission-rate formula degrades",
-                       stacklevel=2)
-    signal = T * eta_c * eta_d * Omega**2 / gamma_prime
-    return 0.5 * (1.0 + math.exp(-T * D) - math.exp(-signal))
+    value, notes = _readout(T, D, eta_c, eta_d, Omega, gamma_prime)
+    for note in notes:
+        _warnings.warn(note, stacklevel=2)
+    return value
 
 
 def invert_readout_drive(F_target: float, T: float, D: float, eta_c: float,
@@ -317,39 +394,61 @@ def overall_fidelity(budget: FidelityBudget, n_nest: int) -> float:
             * budget.F_gate ** (l - 1))
 
 
+def _budget_grid(params: ParameterSet, fp_grid, pol_grid, n_nest: int,
+                 rtol: float) -> tuple[tuple[FidelityBudget, ...], ...]:
+    """Budgets on a (resonant Purcell factor, polarization) grid.
+
+    Each component is evaluated once on the axis it depends on: F_ent,
+    F_BK_nominal, the gate and the readout once per Purcell factor (F_ent for
+    the whole axis in one quadrature), F_n_init once per polarization.  Only
+    F_transfer's product and the composition run per point.
+    """
+    phys, link = params.physical, params.link
+    fp = np.asarray(fp_grid, dtype=float)
+    pol = np.asarray(pol_grid, dtype=float)
+
+    f_ent = _ent_adaptive(phys, fp, rtol).tolist()
+    f_bk = _nominal_bk(phys, fp).tolist()
+    gamma_prime_res = (phys.gamma_r * (1.0 + fp) + phys.gamma_nr).tolist()
+
+    f_e = electron_init_fidelity(phys)
+    f_quad = quadrupolar_factor(phys.sigma_Q, 2, phys.t_transfer)
+    f_n = _nuclear_init(pol).tolist()
+    f_tr = [transfer_fidelity(f_e, v, f_quad) for v in f_n]
+
+    budgets = []
+    for F_res, f_ent_i, f_bk_i, gp_res in zip(fp.tolist(), f_ent, f_bk,
+                                              gamma_prime_res):
+        gate = gate_fidelity(replace(phys, F_res=F_res))
+        f_ro, ro_notes = _readout(phys.T_readout, phys.D_dark, link.eta_c,
+                                  link.eta_d, phys.Omega_readout, gp_res)
+        row = []
+        for f_n_j, f_tr_j in zip(f_n, f_tr):
+            budget = FidelityBudget(
+                F_e_init=f_e, F_n_init=f_n_j, F_quad=f_quad,
+                F_transfer=f_tr_j, F_BK_nominal=f_bk_i, F_ent=f_ent_i,
+                F_gate=gate.fidelity, F_readout=f_ro,
+                F_total=math.nan, gate_time=gate.gate_time, n_nest=n_nest,
+                warnings=gate.warnings + ro_notes)
+            row.append(replace(budget,
+                               F_total=overall_fidelity(budget, n_nest)))
+        budgets.append(tuple(row))
+    return tuple(budgets)
+
+
 def fidelity_budget(params: ParameterSet, n_nest: int | None = None,
                     rtol: float = 1e-6) -> FidelityBudget:
     """Evaluate every component fidelity for one parameter set and compose.
 
     Entanglement generation runs detuned (Purcell suppressed); the gate and
-    readout run on resonance with C = F_res.
+    readout run on resonance with C = F_res.  The validity notes of the gate
+    and the readout are collected in ``warnings``.
     """
-    phys, link = params.physical, params.link
     if n_nest is None:
-        n_nest = link.n_nest
-
-    fp_det = purcell_at_detuning(phys.F_res, phys.kappa, phys.detuning)
-    gp_det, Gp_det = enhanced_rates(phys.gamma_r, phys.gamma_nr,
-                                    phys.gamma_star, fp_det)
-    f_bk = float(barrett_kok_fidelity(gp_det, gp_det, Gp_det, Gp_det, 0.0))
-    f_ent = entanglement_fidelity(phys, rtol=rtol)
-
-    f_e = electron_init_fidelity(phys)
-    f_n = nuclear_init_fidelity(phys.nuclear_polarization)
-    f_quad = quadrupolar_factor(phys.sigma_Q, 2, phys.t_transfer)
-    f_tr = transfer_fidelity(f_e, f_n, f_quad)
-
-    gate = gate_fidelity(phys)
-    gamma_prime_res = phys.gamma_r * (1.0 + phys.F_res) + phys.gamma_nr
-    f_ro = readout_fidelity(phys.T_readout, phys.D_dark, link.eta_c,
-                            link.eta_d, phys.Omega_readout, gamma_prime_res)
-
-    budget = FidelityBudget(
-        F_e_init=f_e, F_n_init=f_n, F_quad=f_quad, F_transfer=f_tr,
-        F_BK_nominal=f_bk, F_ent=f_ent, F_gate=gate.fidelity,
-        F_readout=f_ro, F_total=math.nan, gate_time=gate.gate_time,
-        n_nest=n_nest, warnings=gate.warnings)
-    return replace(budget, F_total=overall_fidelity(budget, n_nest))
+        n_nest = params.link.n_nest
+    phys = params.physical
+    return _budget_grid(params, [phys.F_res], [phys.nuclear_polarization],
+                        n_nest, rtol)[0][0]
 
 
 @dataclass(frozen=True)
@@ -374,22 +473,14 @@ def fidelity_contour(params: ParameterSet, fp_grid, polarization_grid,
 
     Each grid Purcell value sets both the gate cooperativity and the resonant
     factor feeding the detuned entanglement-generation average; the transfer
-    duration stays fixed at the configured write-read time.
+    duration stays fixed at the configured write-read time.  Every budget
+    equals :func:`fidelity_budget` at that point.
     """
     fp_grid = tuple(float(v) for v in fp_grid)
     pol_grid = tuple(float(v) for v in polarization_grid)
     if not fp_grid or not pol_grid:
         raise ValueError("grids must be non-empty")
-    total = np.empty((len(fp_grid), len(pol_grid)))
-    budgets = []
-    for i, fp in enumerate(fp_grid):
-        row = []
-        base = with_physical(params, F_res=fp)
-        for j, pol in enumerate(pol_grid):
-            ps = with_physical(base, nuclear_polarization=pol)
-            b = fidelity_budget(ps, n_nest=n_nest)
-            total[i, j] = b.F_total
-            row.append(b)
-        budgets.append(tuple(row))
+    budgets = _budget_grid(params, fp_grid, pol_grid, n_nest, rtol=1e-6)
+    total = np.array([[b.F_total for b in row] for row in budgets])
     return ContourResult(fp_grid=fp_grid, polarization_grid=pol_grid,
-                         total=total, budgets=tuple(budgets))
+                         total=total, budgets=budgets)

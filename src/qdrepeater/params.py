@@ -334,6 +334,21 @@ def build_parameter_set(raw: dict[str, str],
     return ps
 
 
+def _build_with_overrides(raw: dict[str, str], sources: dict[str, str],
+                          overrides: list[str] | None) -> ParameterSet:
+    """Apply ``key=value`` override strings on top of ``raw`` and build."""
+    raw, sources = dict(raw), dict(sources)
+    for item in overrides or []:
+        if "=" not in item:
+            raise ConfigError(f"override must look like key=value, got {item!r}")
+        key, _, value = item.partition("=")
+        key = key.strip()
+        _kind_of(key)  # reject unknown keys early
+        raw[key] = value.strip()
+        sources[key] = "cli override"
+    return build_parameter_set(raw, sources)
+
+
 def load_config(path: str, overrides: list[str] | None = None) -> ParameterSet:
     """Load a config file, apply ``key=value`` override strings, validate."""
     try:
@@ -342,29 +357,13 @@ def load_config(path: str, overrides: list[str] | None = None) -> ParameterSet:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     raw = parse_config_text(text)
-    sources = {k: f"config: {path}" for k in raw}
-    for item in overrides or []:
-        if "=" not in item:
-            raise ConfigError(f"override must look like key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        key = key.strip()
-        _kind_of(key)
-        raw[key] = value.strip()
-        sources[key] = "cli override"
-    return build_parameter_set(raw, sources)
+    return _build_with_overrides(raw, {k: f"config: {path}" for k in raw},
+                                 overrides)
 
 
 def default_parameters(overrides: list[str] | None = None) -> ParameterSet:
     """The full documented default set, optionally with ``key=value`` overrides."""
-    raw: dict[str, str] = {}
-    sources: dict[str, str] = {}
-    for item in overrides or []:
-        if "=" not in item:
-            raise ConfigError(f"override must look like key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        raw[key.strip()] = value.strip()
-        sources[key.strip()] = "cli override"
-    return build_parameter_set(raw, sources)
+    return _build_with_overrides({}, {}, overrides)
 
 
 def validate(ps: ParameterSet) -> ValidationReport:

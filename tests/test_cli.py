@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import pytest
 
@@ -128,6 +129,30 @@ def test_contour_refuses_out_of_regime_without_force(capsys):
     assert out.startswith("F_p,polarization")
 
 
+def test_contour_refuses_strong_readout_drive_without_force(capsys):
+    strong = ["contour", "--param", "Omega_readout=2pi*500 GHz"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, strong)
+    assert caught == []
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("refusing to compose")
+    assert "readout drive" in err
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, strong + ["--force"])
+    assert caught == []
+    assert code == 0
+    assert out.startswith("F_p,polarization")
+    lines = err.strip().splitlines()
+    assert lines
+    assert all(line.startswith("warning: ") for line in lines)
+    assert any("readout drive" in line for line in lines)
+
+
 # ------------------------------------------------------------ validate
 
 def test_validate_stubbed_pass_and_fail(capsys, monkeypatch):
@@ -223,6 +248,22 @@ def test_bad_param_is_config_error(capsys):
     assert "config error" in err
     code, _, _ = run(capsys, ["rates", "--param", "gamma_r=0.59"])
     assert code == 3  # missing unit suffix
+
+
+@pytest.mark.parametrize("override", ["bogus=1", "noequals"])
+@pytest.mark.parametrize("with_config", [False, True])
+def test_malformed_override_is_one_config_error(capsys, tmp_path, override,
+                                                with_config):
+    argv = ["rates", "--param", override]
+    if with_config:
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("eta_d = 0.8\n")
+        argv += ["--config", str(cfg)]
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("config error: ")
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -1,5 +1,9 @@
 import math
+import warnings
+from collections import Counter
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +16,40 @@ from qdrepeater.params import TWO_PI, default_parameters, with_physical
 F_ENT_500_AT_275 = 0.9946133416
 F_ENT_200_AT_200 = 0.9926551476
 F_BK_NOMINAL_500 = 0.9950519849
+
+# the `contour` command's default grid
+DEFAULT_FP_GRID = np.linspace(100.0, 1000.0, 10)
+DEFAULT_POL_GRID = [round(0.80 + 0.01 * i, 2) for i in range(20)] + [0.999, 1.0]
+
+
+def _reference_fixed_nodes(phys, nodes):
+    """Per-point product rule: a fresh hermgauss table and a meshgrid."""
+    x, w = np.polynomial.hermite.hermgauss(nodes)
+    off = math.sqrt(2.0) * phys.sigma_sd * x
+    xi, xj = np.meshgrid(off, off, indexing="ij")
+    fp_i = fidelity.purcell_at_detuning(phys.F_res, phys.kappa,
+                                        phys.detuning + xi)
+    fp_j = fidelity.purcell_at_detuning(phys.F_res, phys.kappa,
+                                        phys.detuning + xj)
+    gp_i, Gp_i = fidelity.enhanced_rates(phys.gamma_r, phys.gamma_nr,
+                                         phys.gamma_star, fp_i)
+    gp_j, Gp_j = fidelity.enhanced_rates(phys.gamma_r, phys.gamma_nr,
+                                         phys.gamma_star, fp_j)
+    vals = fidelity.barrett_kok_fidelity(gp_i, gp_j, Gp_i, Gp_j, xi - xj)
+    return float(np.einsum("i,j,ij->", w, w, vals) / math.pi)
+
+
+def _reference_adaptive(phys, rtol=1e-6, start_nodes=21, max_doublings=6):
+    """Per-point node doubling of the reference rule: (value, final nodes)."""
+    nodes = start_nodes
+    prev = _reference_fixed_nodes(phys, nodes)
+    for _ in range(max_doublings):
+        nodes *= 2
+        cur = _reference_fixed_nodes(phys, nodes)
+        if abs(cur - prev) <= rtol * abs(cur):
+            return cur, nodes
+        prev = cur
+    raise AssertionError("reference quadrature did not converge")
 
 
 # ------------------------------------------------------------ purcell / BK
@@ -93,6 +131,62 @@ def test_entanglement_fidelity_nonconvergence_raises(params):
         fidelity.entanglement_fidelity(params.physical, rtol=1e-300,
                                        start_nodes=1, max_doublings=1)
     assert len(err.value.estimates) == 2
+
+
+@pytest.mark.parametrize("nodes", [21, 42, 84])
+def test_grid_kernel_matches_per_point_reference(params, monkeypatch, nodes):
+    phys = params.physical
+    f_res = np.array([37.5, 100.0, 250.0, 500.0, 1000.0])
+    ref = [_reference_fixed_nodes(replace(phys, F_res=f), nodes) for f in f_res]
+    with monkeypatch.context() as m:
+        # rows evaluated two at a time
+        m.setattr(fidelity, "_BLOCK_ELEMENTS", 2 * nodes**2)
+        blocked = fidelity._ent_product_rule(phys, f_res, nodes)
+    grid = fidelity._ent_product_rule(phys, f_res, nodes)
+    assert grid.tolist() == pytest.approx(ref, rel=1e-15, abs=0.0)
+    assert np.array_equal(blocked, grid)
+
+
+def test_adaptive_grid_matches_per_point_doubling(params):
+    phys = replace(params.physical, sigma_sd=TWO_PI * 1.0e9)
+    f_res = np.array([10.0, 50.0, 100.0, 500.0])
+    grid = fidelity._ent_adaptive(phys, f_res, rtol=1e-6)
+    ref = [_reference_adaptive(replace(phys, F_res=f)) for f in f_res]
+    assert len({nodes for _, nodes in ref}) >= 2
+    assert grid.tolist() == pytest.approx([v for v, _ in ref], rel=1e-15,
+                                          abs=0.0)
+
+
+def test_grid_nonconvergence_carries_two_estimates(params):
+    with pytest.raises(fidelity.ConvergenceError) as err:
+        fidelity._ent_adaptive(params.physical, np.array([200.0, 500.0]),
+                               rtol=1e-300, start_nodes=1, max_doublings=2)
+    phys200 = replace(params.physical, F_res=200.0)
+    assert err.value.estimates == pytest.approx(
+        (_reference_fixed_nodes(phys200, 2), _reference_fixed_nodes(phys200, 4)),
+        rel=1e-15, abs=0.0)
+
+
+def test_gauss_hermite_tables_are_read_only_and_built_once(params,
+                                                           monkeypatch):
+    calls = Counter()
+    hermgauss = np.polynomial.hermite.hermgauss
+
+    def counting(nodes):
+        calls[nodes] += 1
+        return hermgauss(nodes)
+
+    monkeypatch.setattr(np.polynomial.hermite, "hermgauss", counting)
+    fidelity._gauss_hermite.cache_clear()
+    for _ in range(2):
+        fidelity.fidelity_contour(params, DEFAULT_FP_GRID, DEFAULT_POL_GRID)
+        fidelity.entanglement_fidelity(params.physical)
+    assert calls == Counter({21: 1, 42: 1})
+    x, w = fidelity._gauss_hermite(21)
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    assert not hasattr(fidelity.entanglement_fidelity, "cache_info")
 
 
 # ------------------------------------------------------------ transfer
@@ -334,3 +428,35 @@ def test_contour_anchors(params):
 def test_contour_rejects_empty_grid(params):
     with pytest.raises(ValueError):
         fidelity.fidelity_contour(params, [], [0.9])
+
+
+def test_contour_equals_budget_at_every_point(params):
+    contour = fidelity.fidelity_contour(params, DEFAULT_FP_GRID,
+                                        DEFAULT_POL_GRID, n_nest=3)
+    assert contour.total.shape == (10, 22)
+    for i, fp in enumerate(contour.fp_grid):
+        for j, pol in enumerate(contour.polarization_grid):
+            point = with_physical(params, F_res=fp, nuclear_polarization=pol)
+            expected = fidelity.fidelity_budget(point, n_nest=3)
+            assert contour.budgets[i][j] == expected
+            assert contour.total[i, j] == expected.F_total
+
+
+def test_default_contour_f_ent_matches_high_order_rule(params):
+    contour = fidelity.fidelity_contour(params, DEFAULT_FP_GRID,
+                                        DEFAULT_POL_GRID)
+    for fp, _, budget in contour.rows():
+        ref = _reference_fixed_nodes(with_physical(params, F_res=fp).physical,
+                                     168)
+        assert abs(budget.F_ent - ref) <= 1e-6
+
+
+def test_budget_carries_readout_drive_note():
+    strong = default_parameters(["Omega_readout=2pi*500 GHz"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        budget = fidelity.fidelity_budget(strong)
+    assert caught == []
+    assert any("readout drive" in note and "weak" in note
+               for note in budget.warnings)
+    assert not budget.in_regime
