@@ -5,13 +5,17 @@ numeric CSV output uses the fixed ``%.6e`` format with stable headers and row
 order; passing ``--out`` also writes a ``<out>.meta.json`` companion recording
 the fully resolved parameter set.
 
-Exit codes: 0 success, 1 validation failure, 2 usage error, 3 config error.
+Exit codes: 0 success, 1 validation failure (also a refused out-of-regime
+contour and an F_ent quadrature that does not converge), 2 usage error,
+3 config error.  Errors print one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+# argparse's gettext loads locale on the first parse; load it with the CLI
+import locale  # noqa: F401
 import math
 import sys
 from dataclasses import dataclass
@@ -287,7 +291,11 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
-    return _COMMANDS[args.command](args, ps, ["qdrepeater"] + argv)
+    try:
+        return _COMMANDS[args.command](args, ps, ["qdrepeater"] + argv)
+    except fidelity.ConvergenceError as exc:
+        print(f"F_ent {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -32,15 +32,15 @@ from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
-from scipy.constants import physical_constants
-from scipy.interpolate import PchipInterpolator
+# loaded with this module rather than by the first quadrature
+import numpy.polynomial.hermite  # noqa: F401
 
 from .params import ParameterSet, PhysicalParams
 
 TWO_PI = 2.0 * math.pi
 
-#: Bohr magneton over Planck constant (Hz/T), CODATA.
-MU_B_OVER_H = physical_constants["Bohr magneton in Hz/T"][0]
+#: Bohr magneton over Planck constant (Hz/T), CODATA 2022.
+MU_B_OVER_H = 13996244917.1
 
 
 class ConvergenceError(RuntimeError):
@@ -137,11 +137,23 @@ def _nominal_bk(phys: PhysicalParams, F_res: np.ndarray) -> np.ndarray:
 
 @cache
 def _gauss_hermite(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Hermite nodes and weights (physicists' convention)."""
-    x, w = np.polynomial.hermite.hermgauss(nodes)
+    """Read-only Gauss-Hermite nodes and weights (physicists' convention).
+
+    numpy's weights overflow at high orders (from about 400 nodes on numpy
+    2.4); such a table comes back non-finite, without floating-point
+    warnings, and :func:`_finite_rule` tells the callers.
+    """
+    with np.errstate(all="ignore"):
+        x, w = np.polynomial.hermite.hermgauss(nodes)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
+
+
+def _finite_rule(nodes: int) -> bool:
+    """True when the Gauss-Hermite table of this order is finite."""
+    x, w = _gauss_hermite(nodes)
+    return bool(np.isfinite(x).all() and np.isfinite(w).all())
 
 
 #: Elements of one (rows, nodes, nodes) block of the product rule, 2 MB of
@@ -181,7 +193,9 @@ def _ent_adaptive(phys: PhysicalParams, F_res: np.ndarray, rtol: float,
 
     Only the points whose last two estimates still differ by more than
     ``rtol`` go on to the next doubling; each point keeps the estimate at
-    which it converged.
+    which it converged.  Doubling stops early at an order whose node table
+    is not finite, and :class:`ConvergenceError` then carries the last two
+    finite estimates.
     """
     if phys.sigma_sd < 0:
         raise ValueError("sigma_sd must be non-negative")
@@ -194,6 +208,8 @@ def _ent_adaptive(phys: PhysicalParams, F_res: np.ndarray, rtol: float,
     out = np.empty(F_res.size)
     for _ in range(max_doublings):
         nodes *= 2
+        if not _finite_rule(nodes):
+            break
         cur = _ent_product_rule(phys, F_res[todo], nodes)
         done = np.abs(cur - prev) <= rtol * np.abs(cur)
         out[todo[done]] = cur[done]
@@ -205,6 +221,8 @@ def _ent_adaptive(phys: PhysicalParams, F_res: np.ndarray, rtol: float,
 
 def entanglement_fidelity_fixed_nodes(phys: PhysicalParams, nodes: int) -> float:
     """Gauss-Hermite product-rule average of the heralding fidelity."""
+    if not _finite_rule(nodes):
+        raise ValueError(f"no finite Gauss-Hermite rule at {nodes} nodes")
     return float(_ent_product_rule(phys, np.array([phys.F_res]), nodes)[0])
 
 
@@ -231,9 +249,45 @@ def electron_init_fidelity(phys: PhysicalParams) -> float:
 
 _NUCLEAR_INIT_ANCHORS = ((0.80, 0.977), (0.95, 0.998), (0.999, 0.99999),
                          (1.0, 1.0))
-_nuclear_init_curve = PchipInterpolator(
-    [a[0] for a in _NUCLEAR_INIT_ANCHORS],
-    [a[1] for a in _NUCLEAR_INIT_ANCHORS])
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point end slope, kept from breaking monotonicity."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Power-basis coefficients of the monotone cubic (PCHIP) through (x, y).
+
+    Row k of the (4, intervals) result multiplies (t - x_i)**(3 - k) on
+    interval i.  The slopes are a weighted harmonic mean of the neighbouring
+    secants inside (zero at a local extremum or next to a flat secant) and
+    the one-sided three-point rule at both ends.  Needs at least three
+    points.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    d = np.zeros_like(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d[1:-1] = np.where(flat, 0.0,
+                           1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+
+
+_NUCLEAR_INIT_X = np.array([a[0] for a in _NUCLEAR_INIT_ANCHORS])
+_NUCLEAR_INIT_C = _pchip_coefficients(
+    _NUCLEAR_INIT_X, np.array([a[1] for a in _NUCLEAR_INIT_ANCHORS]))
 
 
 def _nuclear_init(polarization: np.ndarray) -> np.ndarray:
@@ -243,7 +297,16 @@ def _nuclear_init(polarization: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"polarization {polarization[outside][0]} outside the tabulated "
             "range [0.80, 1.0]")
-    return _nuclear_init_curve(polarization)
+    x, c = _NUCLEAR_INIT_X, _NUCLEAR_INIT_C
+    i = np.minimum(np.searchsorted(x, polarization, side="right") - 1,
+                   x.size - 2)
+    s = polarization - x[i]
+    out = np.zeros_like(s)
+    z = np.ones_like(s)
+    for k in (3, 2, 1, 0):  # ascending powers: this order fixes the rounding
+        out += c[k, i] * z
+        z *= s
+    return out
 
 
 def nuclear_init_fidelity(polarization: float) -> float:

@@ -35,6 +35,8 @@ import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+# np.percentile loads numpy.ma on first use (through np.unique); load it here
+import numpy.ma  # noqa: F401
 
 from .rates import RateResult
 

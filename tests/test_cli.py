@@ -1,6 +1,10 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,16 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(args):
+    """A fresh interpreter with the package on its path."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def parse_csv(text):
@@ -127,6 +141,19 @@ def test_contour_refuses_out_of_regime_without_force(capsys):
     assert code == 0
     assert "warning" in err
     assert out.startswith("F_p,polarization")
+
+
+def test_contour_unconverged_quadrature_is_one_error_line():
+    proc = run_python(["-W", "always", "-m", "qdrepeater.cli", "contour",
+                       "--param", "sigma_sd=2pi*2 GHz", "--fp-min", "10",
+                       "--fp-max", "100", "--fp-points", "2"])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert "did not converge" in lines[0] and "nan" not in lines[0]
+    assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_contour_refuses_strong_readout_drive_without_force(capsys):
@@ -307,3 +334,15 @@ def test_mc_direct_link_at_defaults_keeps_huge_slot_counts(capsys, tmp_path):
     times = [float(r["total_time_s"]) for r in rows]
     assert len(times) == 10000
     assert min(times) > 0.0
+
+
+# ------------------------------------------------------------ start-up
+
+def test_cli_import_loads_no_scipy():
+    proc = run_python(["-c", "import sys, qdrepeater, qdrepeater.cli; "
+                             "print(' '.join(sys.modules))"])
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert not [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
+    # loaded at import, not inside the first command that needs them
+    assert {"numpy.polynomial.hermite", "numpy.ma", "locale"} <= loaded

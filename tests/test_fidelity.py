@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from collections import Counter
@@ -167,6 +168,24 @@ def test_grid_nonconvergence_carries_two_estimates(params):
         rel=1e-15, abs=0.0)
 
 
+def test_doubling_stops_at_the_last_finite_node_table(params):
+    # numpy's hermgauss weights overflow from about 400 nodes, so the
+    # doubling 21, 42, ..., 1344 cannot run to its end
+    phys = replace(params.physical, sigma_sd=TWO_PI * 2e9, F_res=10.0)
+    finite = list(itertools.takewhile(fidelity._finite_rule,
+                                      (21 * 2**k for k in range(7))))
+    assert len(finite) < 7
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(fidelity.ConvergenceError) as err:
+            fidelity.entanglement_fidelity(phys)
+    assert err.value.estimates == tuple(
+        fidelity.entanglement_fidelity_fixed_nodes(phys, n)
+        for n in finite[-2:])
+    with pytest.raises(ValueError, match="no finite Gauss-Hermite rule"):
+        fidelity.entanglement_fidelity_fixed_nodes(phys, 2 * finite[-1])
+
+
 def test_gauss_hermite_tables_are_read_only_and_built_once(params,
                                                            monkeypatch):
     calls = Counter()
@@ -213,6 +232,19 @@ def test_nuclear_init_no_extrapolation():
 def test_nuclear_init_monotone(p):
     assert fidelity.nuclear_init_fidelity(p + 1e-3) >= \
         fidelity.nuclear_init_fidelity(p)
+
+
+def test_nuclear_init_curve_and_constant_match_scipy():
+    interpolate = pytest.importorskip("scipy.interpolate")
+    constants = pytest.importorskip("scipy.constants")
+    x = np.array([a[0] for a in fidelity._NUCLEAR_INIT_ANCHORS])
+    y = np.array([a[1] for a in fidelity._NUCLEAR_INIT_ANCHORS])
+    curve = interpolate.PchipInterpolator(x, y)
+    assert np.array_equal(fidelity._NUCLEAR_INIT_C, curve.c)
+    grid = np.concatenate([np.linspace(0.80, 1.0, 200_001), x])
+    assert np.array_equal(fidelity._nuclear_init(grid), curve(grid))
+    assert fidelity.MU_B_OVER_H == \
+        constants.physical_constants["Bohr magneton in Hz/T"][0]
 
 
 def test_quadrupolar_factor_values():
