@@ -84,7 +84,7 @@ def check_gate():
 def check_readout():
     gamma_prime = (1 + 500) * TWO_PI * 0.59e9
     f = fidelity.readout_fidelity(600e-9, 500.0, 0.9, 0.9, TWO_PI * 1e9,
-                                  gamma_prime)
+                                  gamma_prime).fidelity
     omega = fidelity.invert_readout_drive(0.99983, 600e-9, 500.0, 0.9, 0.9,
                                           gamma_prime)
     rel = abs(omega - TWO_PI * 1e9) / (TWO_PI * 1e9)
@@ -174,10 +174,12 @@ def check_monte_carlo():
     z1 = abs(stats1.mean - exact) / stats1.stderr
     details.append(f"n=1 mean {stats1.mean:.2f} vs exact {exact:.2f} (z={z1:.2f})")
 
-    analytic3 = 1.5**3 / (0.01 * 0.5832**3)
+    analytic3 = rates._mean_time(0.01, 0.5832, 1.0, 3, 1.5**3,
+                                 "parallel").mean_time
     cfg3 = mcsim.ProtocolConfig(n_nest=3, p0=0.01, p_swap=0.5832,
                                 slot_time=1.0, trials=20_000, seed=20240803)
-    report3 = mcsim.compare_with_analytic(cfg3, analytic3, tolerance=0.15)
+    report3 = mcsim.compare_with_analytic(mcsim.simulate_chain(cfg3),
+                                          analytic3, tolerance=0.15)
     details.append(f"n=3 ratio {report3.ratio:.3f} (within 15%)")
 
     cfg_d = mcsim.ProtocolConfig(n_nest=1, p0=0.05, p_swap=0.6, slot_time=1.0,
@@ -235,13 +237,10 @@ def check_quantum_oracle():
 
     comp = dict(F_ent=0.995, F_transfer=0.993, F_gate=0.995,
                 F_readout=0.99983, F_e_init=0.99996)
-    budget = fidelity.FidelityBudget(
-        **comp, F_n_init=1.0, F_quad=1.0, F_BK_nominal=comp["F_ent"],
-        F_total=math.nan, gate_time=0.0, n_nest=0, warnings=())
     gaps = []
     for l, n in ((2, 1), (4, 2)):
         oracle = qsim.chain_fidelity_oracle(l, **comp)
-        gaps.append(abs(oracle - fidelity.overall_fidelity(budget, n)))
+        gaps.append(abs(oracle - fidelity.overall_fidelity(n, **comp)))
     chain_ok = all(gap <= 0.02 for gap in gaps)
     details.append(f"chain oracle vs product formula gaps "
                    f"{gaps[0]:.4f}, {gaps[1]:.4f} (<= 0.02)")

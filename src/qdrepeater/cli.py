@@ -38,7 +38,6 @@ class SweepSpec:
     stop: float
     points: int
     scale: str = "linear"
-    overrides: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.points < 2:
@@ -228,9 +227,10 @@ def cmd_mc(args, ps: ParameterSet, argv: list[str]) -> int:
     if args.n is not None:
         ps = with_link(ps, n_nest=args.n)
     link = ps.link
-    analytic = rates.mean_time_parallel(ps)
-    p0 = args.p0 if args.p0 is not None else analytic.p0
-    p_swap = args.p_swap if args.p_swap is not None else analytic.p_swap
+    p0 = (args.p0 if args.p0 is not None
+          else rates.link_success_probability(link))
+    p_swap = (args.p_swap if args.p_swap is not None
+              else rates.swap_success_probability(link))
     slot = link.L0 / link.c_fiber + link.tau_init
     cutoff = args.cutoff if args.cutoff is not None else math.inf
     try:
@@ -241,17 +241,15 @@ def cmd_mc(args, ps: ParameterSet, argv: list[str]) -> int:
         print(f"invalid Monte Carlo input: {exc}", file=sys.stderr)
         return 2
     records = mcsim.run_trials(cfg)
-    stats = mcsim.timing_stats(records, cfg)
-    if args.p0 is None and args.p_swap is None:
-        target = analytic
-    else:
-        target = 1.5**cfg.n_nest * slot / (p0 * p_swap**cfg.n_nest)
-    print(mcsim.compare_with_analytic(cfg, target, stats=stats))
-    storage = records.max_storage_time[records.success]
-    if storage.size:
-        print(f"success fraction {storage.size / len(records):.4f}; "
-              f"max-storage median {np.median(storage):.4g} s; "
-              f"fraction exceeding 1 s: {(storage > 1.0).mean():.4f}")
+    target = rates._mean_time(p0, p_swap, slot, cfg.n_nest, 1.5**cfg.n_nest,
+                              "parallel").mean_time
+    print(mcsim.compare_with_analytic(mcsim.timing_stats(records, cfg),
+                                      target))
+    storage = mcsim.StorageHistogram.from_records(records)
+    if storage.values.size:
+        print(f"success fraction {storage.values.size / len(records):.4f}; "
+              f"max-storage median {storage.median():.4g} s; "
+              f"fraction exceeding 1 s: {storage.fraction_exceeding(1.0):.4f}")
     if args.out:
         lines = ["trial,total_time_s,swap_failures,max_storage_s"]
         for i, (t, failures, stored) in enumerate(zip(

@@ -8,8 +8,8 @@ composition of all components over a nested chain.
 
 Perturbative formulas (notably the gate) can leave their validity regime and
 return values outside [0, 1]; they are reported raw together with warnings
-rather than clamped.  The gate and the readout return their validity notes,
-and a budget carries them in ``warnings``.
+rather than clamped.  The gate and the readout return their validity notes
+as data, and a budget carries them in ``warnings``.
 
 F_ent is the heralding fidelity averaged over both dots' Gaussian spectral
 diffusion, a product Gauss-Hermite rule.  One kernel evaluates it for a whole
@@ -27,7 +27,6 @@ polarization.
 from __future__ import annotations
 
 import math
-import warnings as _warnings
 from dataclasses import dataclass, replace
 from functools import cache
 
@@ -44,12 +43,22 @@ MU_B_OVER_H = 13996244917.1
 
 
 class ConvergenceError(RuntimeError):
-    """Quadrature failed to converge; carries the last two estimates."""
+    """Quadrature failed to converge at one point.
 
-    def __init__(self, estimates: tuple[float, float]):
+    Carries the point's resonant Purcell factor ``F_res``, the node order
+    ``nodes`` of its last estimate, the ``rtol`` it missed and its last two
+    ``estimates``.
+    """
+
+    def __init__(self, F_res: float, nodes: int, rtol: float,
+                 estimates: tuple[float, float]):
+        self.F_res = F_res
+        self.nodes = nodes
+        self.rtol = rtol
         self.estimates = estimates
         super().__init__(
-            f"quadrature did not converge, last estimates {estimates}")
+            f"quadrature did not converge at F_res={F_res:g} ({nodes} nodes, "
+            f"rtol {rtol:g}), last estimates {estimates}")
 
 
 @dataclass(frozen=True)
@@ -67,6 +76,14 @@ class GateResult:
 
     fidelity: float
     gate_time: float
+    warnings: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class ReadoutResult:
+    """Spin readout fidelity with its validity notes."""
+
+    fidelity: float
     warnings: tuple[str, ...]
 
 
@@ -194,8 +211,8 @@ def _ent_adaptive(phys: PhysicalParams, F_res: np.ndarray, rtol: float,
     Only the points whose last two estimates still differ by more than
     ``rtol`` go on to the next doubling; each point keeps the estimate at
     which it converged.  Doubling stops early at an order whose node table
-    is not finite, and :class:`ConvergenceError` then carries the last two
-    finite estimates.
+    is not finite, and :class:`ConvergenceError` then carries the first
+    unconverged point and its last two finite estimates.
     """
     if phys.sigma_sd < 0:
         raise ValueError("sigma_sd must be non-negative")
@@ -207,16 +224,17 @@ def _ent_adaptive(phys: PhysicalParams, F_res: np.ndarray, rtol: float,
     last = np.full(F_res.size, math.nan)  # no estimate before the first
     out = np.empty(F_res.size)
     for _ in range(max_doublings):
-        nodes *= 2
-        if not _finite_rule(nodes):
+        if not _finite_rule(2 * nodes):
             break
+        nodes *= 2
         cur = _ent_product_rule(phys, F_res[todo], nodes)
         done = np.abs(cur - prev) <= rtol * np.abs(cur)
         out[todo[done]] = cur[done]
         if done.all():
             return out
         todo, last, prev = todo[~done], prev[~done], cur[~done]
-    raise ConvergenceError((float(last[0]), float(prev[0])))
+    raise ConvergenceError(float(F_res[todo[0]]), nodes, rtol,
+                           (float(last[0]), float(prev[0])))
 
 
 def entanglement_fidelity_fixed_nodes(phys: PhysicalParams, nodes: int) -> float:
@@ -375,11 +393,14 @@ def gate_fidelity(phys: PhysicalParams) -> GateResult:
     return GateResult(fidelity=value, gate_time=gate_time, warnings=tuple(warn))
 
 
-def _readout(T: float, D: float, eta_c: float, eta_d: float, Omega: float,
-             gamma_prime: float) -> tuple[float, tuple[str, ...]]:
-    """Readout fidelity and its validity notes; see :func:`readout_fidelity`.
+def readout_fidelity(T: float, D: float, eta_c: float, eta_d: float,
+                     Omega: float, gamma_prime: float) -> ReadoutResult:
+    """Spin readout fidelity with Poissonian signal and dark counts.
 
-    The emission-rate formula needs a weak drive, Omega <= gamma'/5.
+    F = 1/2 * [1 + exp(-T*D) - exp(-T*eta_c*eta_d*Omega**2/gamma')], with the
+    weak continuous drive emitting at rate Omega**2/gamma'.  The formula
+    needs a weak drive, Omega <= gamma'/5; a stronger one adds a note to
+    ``warnings``, which :func:`fidelity_budget` carries over.
     """
     if T < 0 or D < 0:
         raise ValueError("readout window and dark-count rate must be non-negative")
@@ -388,22 +409,9 @@ def _readout(T: float, D: float, eta_c: float, eta_d: float, Omega: float,
         notes = (f"readout drive {Omega / gamma_prime:.3g} x gamma' is not weak "
                  "(above 0.2 x gamma'); emission-rate formula degrades",)
     signal = T * eta_c * eta_d * Omega**2 / gamma_prime
-    return 0.5 * (1.0 + math.exp(-T * D) - math.exp(-signal)), notes
-
-
-def readout_fidelity(T: float, D: float, eta_c: float, eta_d: float,
-                     Omega: float, gamma_prime: float) -> float:
-    """Spin readout fidelity with Poissonian signal and dark counts.
-
-    F = 1/2 * [1 + exp(-T*D) - exp(-T*eta_c*eta_d*Omega**2/gamma')], with the
-    weak continuous drive emitting at rate Omega**2/gamma'.  A drive that is
-    not weak raises a ``UserWarning``; :func:`fidelity_budget` reports it in
-    its ``warnings`` instead.
-    """
-    value, notes = _readout(T, D, eta_c, eta_d, Omega, gamma_prime)
-    for note in notes:
-        _warnings.warn(note, stacklevel=2)
-    return value
+    return ReadoutResult(
+        fidelity=0.5 * (1.0 + math.exp(-T * D) - math.exp(-signal)),
+        warnings=notes)
 
 
 def invert_readout_drive(F_target: float, T: float, D: float, eta_c: float,
@@ -444,17 +452,19 @@ def pulse_spacing(omega_Z_nuclear: float, delta_m: int) -> float:
 # composition
 # ---------------------------------------------------------------------------
 
-def overall_fidelity(budget: FidelityBudget, n_nest: int) -> float:
+def overall_fidelity(n_nest: int, *, F_ent: float, F_transfer: float,
+                     F_gate: float, F_readout: float, F_e_init: float) -> float:
     """Multiplicative end-to-end fidelity over l = 2**n_nest links.
 
     F_total = F_e_init^(2l) * F_readout^(2(l-1)) * (F_ent*F_transfer^2)^l
-            * F_gate^(l-1).  Accurate only in the high-fidelity regime.
+            * F_gate^(l-1).  Accurate only in the high-fidelity regime.  The
+    components are named as :func:`qsim.chain_fidelity_oracle` names them.
     """
     l = 2**n_nest
-    return (budget.F_e_init ** (2 * l)
-            * budget.F_readout ** (2 * (l - 1))
-            * (budget.F_ent * budget.F_transfer**2) ** l
-            * budget.F_gate ** (l - 1))
+    return (F_e_init ** (2 * l)
+            * F_readout ** (2 * (l - 1))
+            * (F_ent * F_transfer**2) ** l
+            * F_gate ** (l - 1))
 
 
 def _budget_grid(params: ParameterSet, fp_grid, pol_grid, n_nest: int,
@@ -483,19 +493,20 @@ def _budget_grid(params: ParameterSet, fp_grid, pol_grid, n_nest: int,
     for F_res, f_ent_i, f_bk_i, gp_res in zip(fp.tolist(), f_ent, f_bk,
                                               gamma_prime_res):
         gate = gate_fidelity(replace(phys, F_res=F_res))
-        f_ro, ro_notes = _readout(phys.T_readout, phys.D_dark, link.eta_c,
-                                  link.eta_d, phys.Omega_readout, gp_res)
-        row = []
-        for f_n_j, f_tr_j in zip(f_n, f_tr):
-            budget = FidelityBudget(
+        readout = readout_fidelity(phys.T_readout, phys.D_dark, link.eta_c,
+                                   link.eta_d, phys.Omega_readout, gp_res)
+        budgets.append(tuple(
+            FidelityBudget(
                 F_e_init=f_e, F_n_init=f_n_j, F_quad=f_quad,
                 F_transfer=f_tr_j, F_BK_nominal=f_bk_i, F_ent=f_ent_i,
-                F_gate=gate.fidelity, F_readout=f_ro,
-                F_total=math.nan, gate_time=gate.gate_time, n_nest=n_nest,
-                warnings=gate.warnings + ro_notes)
-            row.append(replace(budget,
-                               F_total=overall_fidelity(budget, n_nest)))
-        budgets.append(tuple(row))
+                F_gate=gate.fidelity, F_readout=readout.fidelity,
+                F_total=overall_fidelity(
+                    n_nest, F_ent=f_ent_i, F_transfer=f_tr_j,
+                    F_gate=gate.fidelity, F_readout=readout.fidelity,
+                    F_e_init=f_e),
+                gate_time=gate.gate_time, n_nest=n_nest,
+                warnings=gate.warnings + readout.warnings)
+            for f_n_j, f_tr_j in zip(f_n, f_tr)))
     return tuple(budgets)
 
 

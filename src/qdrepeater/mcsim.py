@@ -32,16 +32,17 @@ would exceed it (see TrialRecords).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 # np.percentile loads numpy.ma on first use (through np.unique); load it here
 import numpy.ma  # noqa: F401
 
-from .rates import RateResult
-
 #: expected tree nodes sampled per chunk of trials
 CHUNK_NODES = 1 << 14
+
+#: bins of the storage-time histogram
+HISTOGRAM_BINS = 50
 
 _MASK = (1 << 64) - 1
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -77,15 +78,6 @@ class ProtocolConfig:
             raise ValueError("memory_cutoff must be non-negative")
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    total_time: float
-    attempts_per_link: tuple[int, ...]
-    swap_failures: int
-    max_storage_time: float
-    success: bool
-
-
 @dataclass(frozen=True, eq=False)
 class TrialRecords:
     """Columnar records of a campaign, one row per trial in trial order.
@@ -97,8 +89,8 @@ class TrialRecords:
     ``max_storage_time`` equal to the cutoff, and only the swap failures and
     attempts that ended by then.
 
-    Indexing gives a ``TrialRecord``, slicing gives ``TrialRecords``, and
-    ``==`` compares every column exactly.
+    Slicing gives the ``TrialRecords`` of a range of trials, and ``==``
+    compares every column exactly.  One trial is read from the columns.
     """
 
     total_time: np.ndarray          # seconds
@@ -110,19 +102,12 @@ class TrialRecords:
     def __len__(self) -> int:
         return self.total_time.size
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return TrialRecords(*(getattr(self, f.name)[index]
-                                  for f in fields(self)))
-        return TrialRecord(
-            total_time=float(self.total_time[index]),
-            attempts_per_link=tuple(int(a) for a in self.attempts[index]),
-            swap_failures=int(self.swap_failures[index]),
-            max_storage_time=float(self.max_storage_time[index]),
-            success=bool(self.success[index]))
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
+    def __getitem__(self, trials: slice) -> "TrialRecords":
+        if not isinstance(trials, slice):
+            raise TypeError("TrialRecords takes a slice; read one trial "
+                            "from the columns")
+        return TrialRecords(*(getattr(self, f.name)[trials]
+                              for f in fields(self)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TrialRecords):
@@ -164,14 +149,26 @@ class ComparisonReport:
 
 @dataclass
 class StorageHistogram:
-    """Distribution of the per-trial maximum memory storage time."""
+    """Distribution of the maximum memory storage time of successful trials."""
 
     values: np.ndarray
     bin_edges: np.ndarray
     counts: np.ndarray
-    slot_time: float = field(default=0.0)
+
+    @classmethod
+    def from_records(cls, records: TrialRecords) -> "StorageHistogram":
+        values = records.max_storage_time[records.success]
+        counts, edges = np.histogram(values, bins=HISTOGRAM_BINS)
+        return cls(values=values, bin_edges=edges, counts=counts)
+
+    def median(self) -> float:
+        """Median storage time; NaN when no trial succeeded."""
+        return float(np.median(self.values)) if self.values.size else math.nan
 
     def fraction_exceeding(self, threshold: float) -> float:
+        """Share of values above ``threshold``; NaN when there are none."""
+        if not self.values.size:
+            return math.nan
         return float((self.values > threshold).mean())
 
 
@@ -338,17 +335,13 @@ def simulate_chain(cfg: ProtocolConfig) -> TimingStats:
     return timing_stats(run_trials(cfg), cfg)
 
 
-def compare_with_analytic(cfg: ProtocolConfig, analytic: RateResult | float,
-                          tolerance: float = 0.15,
-                          stats: TimingStats | None = None) -> ComparisonReport:
+def compare_with_analytic(stats: TimingStats, target: float,
+                          tolerance: float = 0.15) -> ComparisonReport:
     """Monte Carlo mean against a closed-form mean time, with a pass band.
 
     Passes when |ratio - 1| <= tolerance or the gap is within three standard
     errors (whichever is looser), so tight statistics are not penalized.
     """
-    if stats is None:
-        stats = simulate_chain(cfg)
-    target = analytic.mean_time if isinstance(analytic, RateResult) else float(analytic)
     ratio = stats.mean / target
     within_band = abs(ratio - 1.0) <= tolerance
     within_noise = abs(stats.mean - target) <= 3.0 * stats.stderr
@@ -358,12 +351,6 @@ def compare_with_analytic(cfg: ProtocolConfig, analytic: RateResult | float,
                             passed=within_band or within_noise)
 
 
-def storage_time_histogram(cfg: ProtocolConfig, bins: int = 50) -> StorageHistogram:
-    """Distribution of each trial's maximum memory storage time."""
-    records = run_trials(cfg)
-    values = records.max_storage_time[records.success]
-    if values.size == 0:
-        values = np.zeros(1)
-    counts, edges = np.histogram(values, bins=bins)
-    return StorageHistogram(values=values, bin_edges=edges, counts=counts,
-                            slot_time=cfg.slot_time)
+def storage_time_histogram(cfg: ProtocolConfig) -> StorageHistogram:
+    """Storage-time distribution of the campaign's successful trials."""
+    return StorageHistogram.from_records(run_trials(cfg))

@@ -254,9 +254,6 @@ class DensityMatrix:
         amps = amps / np.linalg.norm(amps)
         return cls(np.outer(amps, amps.conj()), n)
 
-    def copy(self) -> "DensityMatrix":
-        return DensityMatrix(self.mat.copy(), self.n_qubits, check=False)
-
     def tensor(self, other: "DensityMatrix") -> "DensityMatrix":
         return DensityMatrix(np.kron(self.mat, other.mat),
                              self.n_qubits + other.n_qubits, check=False)
@@ -423,19 +420,6 @@ def swap_branches(rho: DensityMatrix, F_gate: float, F_readout: float):
                     pair = corrected.partial_trace([0, 3])
                     branches.append((p2 * p3 * p_flip, (r2, r3), pair))
     return branches
-
-
-def swap_entanglement(rho: DensityMatrix, F_gate: float, F_readout: float,
-                      rng: np.random.Generator):
-    """Sample one swap outcome; returns (corrected pair on D1/D4, record bits)."""
-    branches = swap_branches(rho, F_gate, F_readout)
-    u = rng.random()
-    acc = 0.0
-    for prob, record, pair in branches:
-        acc += prob
-        if u <= acc:
-            return pair, record
-    return branches[-1][2], branches[-1][1]
 
 
 def averaged_swap(pair_a: DensityMatrix, pair_b: DensityMatrix,

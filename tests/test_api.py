@@ -1,0 +1,57 @@
+"""The public names the benchmark calls, and names that must stay removed.
+
+``BENCH_NAMES`` mirrors the list in bench/README.md, "What the benchmark
+relies on": a change that deletes or renames one of them breaks the
+benchmark, so it must fail here first.
+"""
+
+import importlib
+from dataclasses import fields
+
+import pytest
+
+import qdrepeater
+from qdrepeater import acceptance, cli, mcsim, qsim
+
+BENCH_NAMES = [
+    "acceptance.CHECKS",
+    "mcsim.ProtocolConfig", "mcsim.run_trials", "mcsim.timing_stats",
+    "mcsim.simulate_chain", "mcsim.storage_time_histogram",
+    "rates.mean_time_parallel", "rates.mean_time_two_plus_two",
+    "rates.direct_transmission_rate", "rates.crossover_distance",
+    "fidelity.entanglement_fidelity",
+    "fidelity.entanglement_fidelity_fixed_nodes",
+    "fidelity.fidelity_budget", "fidelity.fidelity_contour",
+    "qsim.chain_fidelity_oracle", "qsim.swap_branches", "qsim.werner_pair",
+    "qsim.DensityMatrix.tensor", "qsim.TransferParams",
+    "qsim.collective_state", "qsim.embed_collective", "qsim.evolve_transfer",
+    "qsim.full_space_oracle", "qsim.build_full_space_hamiltonian",
+    "qsim.PureState.overlap",
+    "params.default_parameters", "params.with_link", "params.with_physical",
+    "cli.main",
+]
+
+
+@pytest.mark.parametrize("dotted", BENCH_NAMES)
+def test_benchmark_name_resolves(dotted):
+    module, *attrs = dotted.split(".")
+    obj = importlib.import_module(f"qdrepeater.{module}")
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    assert obj is not None
+
+
+def test_benchmark_attributes_and_registries():
+    assert {"values", "counts"} <= {f.name for f in
+                                    fields(mcsim.StorageHistogram)}
+    assert qsim.werner_pair(1.0).mat.shape == (4, 4)
+    assert all(len(entry) == 3 and callable(entry[2])
+               for entry in acceptance.CHECKS)
+    assert set(cli._COMMANDS) == {"rates", "contour", "validate", "mc",
+                                  "qsim"}
+
+
+@pytest.mark.parametrize("name", ["swap_entanglement", "TrialRecord"])
+def test_removed_names_stay_out_of_the_package(name):
+    assert name not in qdrepeater.__all__
+    assert not hasattr(qsim, name) and not hasattr(mcsim, name)

@@ -152,6 +152,7 @@ def test_contour_unconverged_quadrature_is_one_error_line():
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert "did not converge" in lines[0] and "nan" not in lines[0]
+    assert "F_res=10 " in lines[0] and "rtol 1e-06" in lines[0]
     assert "Traceback" not in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
 

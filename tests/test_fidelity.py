@@ -163,6 +163,8 @@ def test_grid_nonconvergence_carries_two_estimates(params):
         fidelity._ent_adaptive(params.physical, np.array([200.0, 500.0]),
                                rtol=1e-300, start_nodes=1, max_doublings=2)
     phys200 = replace(params.physical, F_res=200.0)
+    assert (err.value.F_res, err.value.nodes, err.value.rtol) == (200.0, 4,
+                                                                  1e-300)
     assert err.value.estimates == pytest.approx(
         (_reference_fixed_nodes(phys200, 2), _reference_fixed_nodes(phys200, 4)),
         rel=1e-15, abs=0.0)
@@ -182,6 +184,8 @@ def test_doubling_stops_at_the_last_finite_node_table(params):
     assert err.value.estimates == tuple(
         fidelity.entanglement_fidelity_fixed_nodes(phys, n)
         for n in finite[-2:])
+    assert (err.value.F_res, err.value.nodes, err.value.rtol) == (
+        10.0, finite[-1], 1e-6)
     with pytest.raises(ValueError, match="no finite Gauss-Hermite rule"):
         fidelity.entanglement_fidelity_fixed_nodes(phys, 2 * finite[-1])
 
@@ -318,24 +322,31 @@ def test_gate_validity_warning_out_of_regime(params):
 
 def test_readout_anchor():
     gamma_prime = 501 * TWO_PI * 0.59e9
-    f = fidelity.readout_fidelity(600e-9, 500.0, 0.9, 0.9, TWO_PI * 1e9,
-                                  gamma_prime)
+    readout = fidelity.readout_fidelity(600e-9, 500.0, 0.9, 0.9,
+                                        TWO_PI * 1e9, gamma_prime)
+    assert readout.warnings == ()
+    f = readout.fidelity
     assert f == pytest.approx(0.99983, abs=2e-5)
     assert f == pytest.approx(0.9998337131, abs=1e-9)
 
 
 def test_readout_no_window_is_coin_flip():
-    assert fidelity.readout_fidelity(0.0, 500.0, 0.9, 0.9, 1e9, 1e12) == 0.5
+    assert fidelity.readout_fidelity(0.0, 500.0, 0.9, 0.9, 1e9,
+                                     1e12).fidelity == 0.5
 
 
 def test_readout_dark_free_limit():
-    f = fidelity.readout_fidelity(1.0, 0.0, 0.9, 0.9, 1e9, 1e12)
+    f = fidelity.readout_fidelity(1.0, 0.0, 0.9, 0.9, 1e9, 1e12).fidelity
     assert f == pytest.approx(1.0, abs=1e-12)
 
 
 def test_readout_strong_drive_warns():
-    with pytest.warns(UserWarning, match="weak"):
-        fidelity.readout_fidelity(600e-9, 500.0, 0.9, 0.9, 1e12, 1e12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        readout = fidelity.readout_fidelity(600e-9, 500.0, 0.9, 0.9, 1e12,
+                                            1e12)
+    assert len(readout.warnings) == 1
+    assert "weak" in readout.warnings[0]
 
 
 def test_invert_readout_drive_round_trip():
@@ -344,7 +355,7 @@ def test_invert_readout_drive_round_trip():
                                           gamma_prime)
     assert abs(omega - TWO_PI * 1e9) / (TWO_PI * 1e9) < 0.05
     back = fidelity.readout_fidelity(600e-9, 500.0, 0.9, 0.9, omega,
-                                     gamma_prime)
+                                     gamma_prime).fidelity
     assert back == pytest.approx(0.99983, abs=1e-12)
 
 
@@ -375,16 +386,14 @@ def test_pulse_spacing():
 
 # ------------------------------------------------------------ composition
 
-def _budget(F_e, F_ro, F_ent, F_tr, F_gate):
-    return fidelity.FidelityBudget(
-        F_e_init=F_e, F_n_init=1.0, F_quad=1.0, F_transfer=F_tr,
-        F_BK_nominal=F_ent, F_ent=F_ent, F_gate=F_gate, F_readout=F_ro,
-        F_total=math.nan, gate_time=0.0, n_nest=0, warnings=())
+def _components(F_e, F_ro, F_ent, F_tr, F_gate):
+    return dict(F_e_init=F_e, F_readout=F_ro, F_ent=F_ent, F_transfer=F_tr,
+                F_gate=F_gate)
 
 
 def test_overall_fidelity_composition_value():
-    budget = _budget(0.99996, 0.99983, 0.995, 0.99397, 0.9948)
-    value = fidelity.overall_fidelity(budget, 3)
+    comp = _components(0.99996, 0.99983, 0.995, 0.99397, 0.9948)
+    value = fidelity.overall_fidelity(3, **comp)
     # independent arithmetic for l = 8
     expected = (0.99996**16 * 0.99983**14
                 * (0.995 * 0.99397**2) ** 8 * 0.9948**7)
@@ -393,10 +402,10 @@ def test_overall_fidelity_composition_value():
 
 
 def test_overall_fidelity_trivial_cases():
-    assert fidelity.overall_fidelity(_budget(1, 1, 1, 1, 1), 4) == 1.0
-    budget = _budget(0.9, 0.8, 0.7, 0.6, 0.5)
+    assert fidelity.overall_fidelity(4, **_components(1, 1, 1, 1, 1)) == 1.0
+    comp = _components(0.9, 0.8, 0.7, 0.6, 0.5)
     # l = 1: no readout or gate factors
-    assert fidelity.overall_fidelity(budget, 0) == \
+    assert fidelity.overall_fidelity(0, **comp) == \
         pytest.approx(0.9**2 * 0.7 * 0.6**2, rel=1e-12)
 
 
@@ -404,12 +413,13 @@ def test_overall_fidelity_trivial_cases():
 @given(st.floats(min_value=0.9, max_value=1.0),
        st.integers(min_value=0, max_value=4))
 def test_overall_fidelity_monotone(f, n):
-    lo = _budget(f, f, f, f, f)
-    hi = _budget(min(1.0, f + 1e-3), f, f, f, f)
-    assert fidelity.overall_fidelity(hi, n) >= fidelity.overall_fidelity(lo, n)
+    lo = _components(f, f, f, f, f)
+    hi = _components(min(1.0, f + 1e-3), f, f, f, f)
+    assert (fidelity.overall_fidelity(n, **hi)
+            >= fidelity.overall_fidelity(n, **lo))
     if f < 1.0 and n < 4:
-        assert fidelity.overall_fidelity(lo, n + 1) < \
-            fidelity.overall_fidelity(lo, n)
+        assert fidelity.overall_fidelity(n + 1, **lo) < \
+            fidelity.overall_fidelity(n, **lo)
 
 
 def test_electron_init_override_propagates_linearly(params):
@@ -436,8 +446,9 @@ def test_budget_pipeline_matches_components(params):
     assert b.F_BK_nominal == pytest.approx(F_BK_NOMINAL_500, abs=1e-9)
     assert b.F_transfer == pytest.approx(
         b.F_e_init * b.F_n_init * b.F_quad, rel=1e-12)
-    assert b.F_total == pytest.approx(
-        fidelity.overall_fidelity(b, params.link.n_nest), rel=1e-12)
+    assert b.F_total == fidelity.overall_fidelity(
+        params.link.n_nest, F_ent=b.F_ent, F_transfer=b.F_transfer,
+        F_gate=b.F_gate, F_readout=b.F_readout, F_e_init=b.F_e_init)
     assert b.in_regime
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,8 +54,9 @@ def test_three_levels_within_band_of_analytic():
     p0, ps = 0.02, 0.5832
     analytic = 1.5**3 / (p0 * ps**3)
     report = mcsim.compare_with_analytic(
-        cfg(n_nest=3, p0=p0, p_swap=ps, trials=5_000, seed=31), analytic,
-        tolerance=0.15)
+        mcsim.simulate_chain(cfg(n_nest=3, p0=p0, p_swap=ps, trials=5_000,
+                                 seed=31)),
+        analytic, tolerance=0.15)
     assert report.passed
     assert 0.85 <= report.ratio <= 1.15
 
@@ -78,10 +80,10 @@ def test_three_levels_curve_b_within_band():
     analytic = rates.mean_time_parallel(ps)
     slot = ps.link.L0 / ps.link.c_fiber + ps.link.tau_init
     report = mcsim.compare_with_analytic(
-        mcsim.ProtocolConfig(n_nest=3, p0=analytic.p0,
-                             p_swap=analytic.p_swap, slot_time=slot,
-                             trials=4_000, seed=23),
-        analytic, tolerance=0.15)
+        mcsim.simulate_chain(mcsim.ProtocolConfig(
+            n_nest=3, p0=analytic.p0, p_swap=analytic.p_swap, slot_time=slot,
+            trials=4_000, seed=23)),
+        analytic.mean_time, tolerance=0.15)
     assert report.passed
     assert 0.85 <= report.ratio <= 1.15
 
@@ -105,6 +107,8 @@ def test_trial_streams_are_independent_of_campaign_size():
     short = mcsim.run_trials(cfg(trials=100))
     long = mcsim.run_trials(cfg(trials=300))
     assert long[:100] == short
+    with pytest.raises(TypeError):
+        long[0]
 
 
 def test_different_seeds_differ():
@@ -116,7 +120,7 @@ def test_different_seeds_differ():
 def test_common_random_numbers_monotone_in_p0():
     lo = mcsim.run_trials(cfg(n_nest=2, p0=0.05, p_swap=0.5, trials=1_000))
     hi = mcsim.run_trials(cfg(n_nest=2, p0=0.10, p_swap=0.5, trials=1_000))
-    assert all(h.total_time <= l.total_time for h, l in zip(hi, lo))
+    assert (hi.total_time <= lo.total_time).all()
 
 
 def test_mean_monotone_in_p_swap_with_common_randoms():
@@ -137,17 +141,16 @@ def test_stats_invariants():
 
 def test_records_have_consistent_attempts():
     records = mcsim.run_trials(cfg(n_nest=1, p0=0.3, p_swap=0.5, trials=500))
-    for r in records:
-        assert len(r.attempts_per_link) == 2
-        assert all(a >= 1 for a in r.attempts_per_link)
-        assert r.total_time >= 1.0  # at least one slot
-        assert r.success
+    assert records.attempts.shape == (500, 2)
+    assert (records.attempts >= 1).all()
+    assert (records.total_time >= 1.0).all()  # at least one slot
+    assert records.success.all()
 
 
 def test_certain_success_takes_exactly_one_slot():
     records = mcsim.run_trials(cfg(p0=1.0, trials=50))
-    assert all(r.total_time == 1.0 for r in records)
-    assert all(r.attempts_per_link == (1,) for r in records)
+    assert (records.total_time == 1.0).all()
+    assert records.attempts.tolist() == [[1.0]] * 50
 
 
 def test_config_validation():
@@ -187,6 +190,20 @@ def test_storage_matches_enumeration_oracle():
         assert abs(observed - probs[d]) <= 4 * sigma + 1e-4
 
 
+def test_storage_histogram_without_successes_is_empty():
+    c = cfg(n_nest=2, p0=0.01, p_swap=0.5, trials=200, seed=1,
+            memory_cutoff=0.0)
+    records = mcsim.run_trials(c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hist = mcsim.storage_time_histogram(c)
+        assert math.isnan(hist.median())
+        assert math.isnan(hist.fraction_exceeding(1.0))
+    assert hist.values.size == records.success.sum() == 0
+    assert hist.counts.sum() == 0
+    assert hist.counts.size == mcsim.HISTOGRAM_BINS
+
+
 def test_storage_fraction_helper():
     hist = mcsim.storage_time_histogram(
         cfg(n_nest=1, p0=0.5, p_swap=1.0, trials=5_000, seed=3))
@@ -199,7 +216,7 @@ def test_storage_fraction_helper():
 def test_unlimited_cutoff_never_fails():
     records = mcsim.run_trials(cfg(n_nest=2, p0=0.05, p_swap=0.5,
                                    trials=2_000))
-    assert all(r.success for r in records)
+    assert records.success.all()
 
 
 def test_finite_cutoff_fails_trials_and_truncates_storage():
@@ -207,13 +224,11 @@ def test_finite_cutoff_fails_trials_and_truncates_storage():
     c = cfg(n_nest=1, p0=0.5, p_swap=1.0, trials=10_000, seed=21,
             memory_cutoff=0.5)
     records = mcsim.run_trials(c)
-    frac = sum(r.success for r in records) / len(records)
+    frac = records.success.mean()
     assert frac < 1.0
     # only same-slot completions survive: P(G1 == G2) = p/(2-p) = 1/3
     assert frac == pytest.approx(1.0 / 3.0, abs=0.02)
-    for r in records:
-        if not r.success:
-            assert r.max_storage_time == 0.5
+    assert (records.max_storage_time[~records.success] == 0.5).all()
     # conditioning on success selects tightly-matched (shorter) rounds
     uncut = mcsim.simulate_chain(cfg(n_nest=1, p0=0.5, p_swap=1.0,
                                      trials=10_000, seed=21))
@@ -225,14 +240,14 @@ def test_finite_cutoff_fails_trials_and_truncates_storage():
 def test_cutoff_only_source_of_failure():
     records = mcsim.run_trials(cfg(n_nest=1, p0=0.3, p_swap=0.5,
                                    trials=1_000, memory_cutoff=math.inf))
-    assert all(r.success for r in records)
+    assert records.success.all()
 
 
 # ------------------------------------------------------------ comparison
 
 def test_comparison_report_fields_and_str():
-    report = mcsim.compare_with_analytic(cfg(trials=20_000), 10.0,
-                                         tolerance=0.05)
+    report = mcsim.compare_with_analytic(
+        mcsim.simulate_chain(cfg(trials=20_000)), 10.0, tolerance=0.05)
     assert report.passed
     assert report.ratio == pytest.approx(1.0, abs=0.05)
     text = str(report)

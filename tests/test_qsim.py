@@ -402,33 +402,6 @@ def test_unitary_evolution_preserves_norm():
         assert abs(np.linalg.norm(evolved.amps) - 1.0) < 1e-12
 
 
-def test_sampled_swaps_average_to_the_exact_oracle():
-    pair = qsim.werner_pair(0.97)
-    joint = pair.tensor(pair)
-    exact = qsim.bell_fidelity(qsim.averaged_swap(pair, pair, 0.99, 0.999))
-    rng = np.random.default_rng(2024)
-    samples = [qsim.bell_fidelity(
-        qsim.swap_entanglement(joint, 0.99, 0.999, rng)[0])
-        for _ in range(400)]
-    stderr = np.std(samples, ddof=1) / math.sqrt(len(samples))
-    assert abs(np.mean(samples) - exact) <= 4 * stderr + 1e-6
-
-
-def test_sampled_swap_is_reproducible_and_consistent():
-    pair = qsim.werner_pair(0.98)
-    joint = pair.tensor(pair)
-    rng1 = np.random.default_rng(11)
-    rng2 = np.random.default_rng(11)
-    dm1, rec1 = qsim.swap_entanglement(joint, 0.995, 0.9998, rng1)
-    dm2, rec2 = qsim.swap_entanglement(joint, 0.995, 0.9998, rng2)
-    assert rec1 == rec2
-    assert np.array_equal(dm1.mat, dm2.mat)
-    matches = [np.allclose(dm1.mat, dm.mat, atol=1e-12)
-               for _, rec, dm in qsim.swap_branches(joint, 0.995, 0.9998)
-               if rec == rec1]
-    assert any(matches)
-
-
 # ------------------------------------------------------------ chain oracle
 
 def test_chain_oracle_perfect_components():
