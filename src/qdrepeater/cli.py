@@ -176,15 +176,18 @@ def cmd_contour(args, ps: ParameterSet, argv: list[str]) -> int:
             raise ValueError("F_p: sweep must start above zero")
         fp_grid = SweepSpec("F_p", args.fp_min, args.fp_max,
                             args.fp_points).grid()
-        if args.pol_min is not None:
-            if args.pol_min < 0.80 or (args.pol_max or 1.0) > 1.0:
-                raise ValueError("polarization grid must stay within "
-                                 "[0.80, 1.0] (tabulated transfer data)")
-            pol_grid = SweepSpec("polarization", args.pol_min, args.pol_max,
-                                 args.pol_points or 0).grid()
-        else:
+        pol = (args.pol_min, args.pol_max, args.pol_points)
+        if pol == (None, None, None):
             pol_grid = np.array(_default_pol_grid())
-    except (TypeError, ValueError) as exc:
+        elif None in pol:
+            raise ValueError("polarization: a sweep needs --pol-min, "
+                             "--pol-max and --pol-points")
+        elif args.pol_min < 0.80 or args.pol_max > 1.0:
+            raise ValueError("polarization grid must stay within "
+                             "[0.80, 1.0] (tabulated transfer data)")
+        else:
+            pol_grid = SweepSpec("polarization", *pol).grid()
+    except ValueError as exc:
         print(f"invalid sweep: {exc}", file=sys.stderr)
         return 2
 
@@ -246,10 +249,9 @@ def cmd_mc(args, ps: ParameterSet, argv: list[str]) -> int:
     print(mcsim.compare_with_analytic(mcsim.timing_stats(records, cfg),
                                       target))
     storage = mcsim.StorageHistogram.from_records(records)
-    if storage.values.size:
-        print(f"success fraction {storage.values.size / len(records):.4f}; "
-              f"max-storage median {storage.median():.4g} s; "
-              f"fraction exceeding 1 s: {storage.fraction_exceeding(1.0):.4f}")
+    print(f"success fraction {storage.values.size / len(records):.4f}; "
+          f"max-storage median {storage.median():.4g} s; "
+          f"fraction exceeding 1 s: {storage.fraction_exceeding(1.0):.4f}")
     if args.out:
         lines = ["trial,total_time_s,swap_failures,max_storage_s"]
         for i, (t, failures, stored) in enumerate(zip(

@@ -16,12 +16,12 @@ diffusion, a product Gauss-Hermite rule.  One kernel evaluates it for a whole
 array of resonant Purcell factors, broadcasting (points, nodes, nodes) and
 summing each point in the same order as a lone point.  Node doubling
 (21, 42, 84, ...) goes on only for the points whose last two estimates still
-differ by more than ``rtol``; each point keeps the estimate at which it
-converged.  Node tables are built on first use, once per order, and are
-read-only.  A single budget is the one-point case of the grid code, and
-:func:`fidelity_contour` evaluates each component once on the grid axis it
-depends on: F_ent, the gate and the readout per Purcell factor, F_n_init per
-polarization.
+differ by more than :data:`ENT_RTOL` (1e-6); each point keeps the estimate
+at which it converged.  Node tables are built on first use, once per order,
+and are read-only.  A single budget is the one-point case of the grid code,
+and :func:`fidelity_contour` evaluates each component once on the grid axis
+it depends on: F_ent, the gate and the readout per Purcell factor, F_n_init
+per polarization.
 """
 
 from __future__ import annotations
@@ -40,6 +40,9 @@ TWO_PI = 2.0 * math.pi
 
 #: Bohr magneton over Planck constant (Hz/T), CODATA 2022.
 MU_B_OVER_H = 13996244917.1
+
+#: Relative tolerance at which F_ent node doubling stops.
+ENT_RTOL = 1e-6
 
 
 class ConvergenceError(RuntimeError):
@@ -244,16 +247,14 @@ def entanglement_fidelity_fixed_nodes(phys: PhysicalParams, nodes: int) -> float
     return float(_ent_product_rule(phys, np.array([phys.F_res]), nodes)[0])
 
 
-def entanglement_fidelity(phys: PhysicalParams, rtol: float = 1e-6,
-                          start_nodes: int = 21, max_doublings: int = 6) -> float:
+def entanglement_fidelity(phys: PhysicalParams) -> float:
     """Spectral-diffusion-averaged entanglement-generation fidelity.
 
     Both dots are drawn from Gaussians of width ``sigma_sd`` around the
     configured mean detuning.  The product Gauss-Hermite rule is refined by
-    node doubling until successive estimates agree to ``rtol``.
+    node doubling until successive estimates agree to :data:`ENT_RTOL`.
     """
-    return float(_ent_adaptive(phys, np.array([phys.F_res]), rtol,
-                               start_nodes, max_doublings)[0])
+    return float(_ent_adaptive(phys, np.array([phys.F_res]), ENT_RTOL)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +468,8 @@ def overall_fidelity(n_nest: int, *, F_ent: float, F_transfer: float,
             * F_gate ** (l - 1))
 
 
-def _budget_grid(params: ParameterSet, fp_grid, pol_grid, n_nest: int,
-                 rtol: float) -> tuple[tuple[FidelityBudget, ...], ...]:
+def _budget_grid(params: ParameterSet, fp_grid, pol_grid,
+                 n_nest: int) -> tuple[tuple[FidelityBudget, ...], ...]:
     """Budgets on a (resonant Purcell factor, polarization) grid.
 
     Each component is evaluated once on the axis it depends on: F_ent,
@@ -480,7 +481,7 @@ def _budget_grid(params: ParameterSet, fp_grid, pol_grid, n_nest: int,
     fp = np.asarray(fp_grid, dtype=float)
     pol = np.asarray(pol_grid, dtype=float)
 
-    f_ent = _ent_adaptive(phys, fp, rtol).tolist()
+    f_ent = _ent_adaptive(phys, fp, ENT_RTOL).tolist()
     f_bk = _nominal_bk(phys, fp).tolist()
     gamma_prime_res = (phys.gamma_r * (1.0 + fp) + phys.gamma_nr).tolist()
 
@@ -510,8 +511,8 @@ def _budget_grid(params: ParameterSet, fp_grid, pol_grid, n_nest: int,
     return tuple(budgets)
 
 
-def fidelity_budget(params: ParameterSet, n_nest: int | None = None,
-                    rtol: float = 1e-6) -> FidelityBudget:
+def fidelity_budget(params: ParameterSet,
+                    n_nest: int | None = None) -> FidelityBudget:
     """Evaluate every component fidelity for one parameter set and compose.
 
     Entanglement generation runs detuned (Purcell suppressed); the gate and
@@ -522,7 +523,7 @@ def fidelity_budget(params: ParameterSet, n_nest: int | None = None,
         n_nest = params.link.n_nest
     phys = params.physical
     return _budget_grid(params, [phys.F_res], [phys.nuclear_polarization],
-                        n_nest, rtol)[0][0]
+                        n_nest)[0][0]
 
 
 @dataclass(frozen=True)
@@ -554,7 +555,7 @@ def fidelity_contour(params: ParameterSet, fp_grid, polarization_grid,
     pol_grid = tuple(float(v) for v in polarization_grid)
     if not fp_grid or not pol_grid:
         raise ValueError("grids must be non-empty")
-    budgets = _budget_grid(params, fp_grid, pol_grid, n_nest, rtol=1e-6)
+    budgets = _budget_grid(params, fp_grid, pol_grid, n_nest)
     total = np.array([[b.F_total for b in row] for row in budgets])
     return ContourResult(fp_grid=fp_grid, polarization_grid=pol_grid,
                          total=total, budgets=budgets)

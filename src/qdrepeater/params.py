@@ -175,8 +175,6 @@ _FREQ_UNITS = {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9}
 _TIME_UNITS = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9, "ps": 1e-12}
 _LEN_UNITS = {"m": 1.0, "km": 1e3}
 
-_UNITLESS_IN = {"dimensionless", "integer", "speed", "tesla"}
-
 _QUANTITY_RE = re.compile(
     r"^\s*(?P<prefix>2pi\*)?\s*(?P<num>[-+]?\d*\.?\d+(?:[eE][-+]?\d+)?)"
     r"\s*(?P<unit>[A-Za-z/]+)?\s*$"

@@ -12,7 +12,9 @@ Two layers:
   swap circuit and power-of-two chains with scalar-fidelity noise channels.
   A gate or Kraus channel on k qubits acts as its 4**k superoperator on
   the (2,)*2n tensor view of the matrix; no full-register operator is
-  ever built.
+  ever built.  The swap reads each Z-readout outcome of the two middle
+  qubits as one slice of that tensor view, which projects and traces them
+  out in one step; its trace is the outcome's probability.
 
 Conventions: qubit |0> is spin-down, |1> is spin-up; qubit 0 is the most
 significant bit of the register index.  The controlled-Z gate flips the sign
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -43,7 +44,8 @@ PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
 CZ_GATE = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 
-_BELL_LABELS = ("phi_plus", "phi_minus", "psi_plus", "psi_minus")
+#: The target Bell state |psi_plus> = (|01> + |10>)/sqrt(2).
+PSI_PLUS = np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +184,12 @@ def build_full_space_hamiltonian(p: TransferParams) -> np.ndarray:
     return H
 
 
+def _up_spins(n_qubits: int) -> np.ndarray:
+    """Number of up spins (set bits) of every index of an n-qubit register."""
+    idx = np.arange(2**n_qubits)
+    return sum((idx >> bit) & 1 for bit in range(n_qubits))
+
+
 def full_space_oracle(p: TransferParams, state: PureState, t: float) -> PureState:
     """Brute-force evolution in the full product space.
 
@@ -195,8 +203,7 @@ def full_space_oracle(p: TransferParams, state: PureState, t: float) -> PureStat
         raise ValueError("state and parameters disagree on the nucleus count")
     H = build_full_space_hamiltonian(p)
     n_qubits = p.n_nuclei + 1
-    idx = np.arange(2**n_qubits)
-    ups = sum((idx >> bit) & 1 for bit in range(n_qubits))
+    ups = _up_spins(n_qubits)
     amps = np.empty_like(state.amps)
     for count in range(n_qubits + 1):
         blk = np.flatnonzero(ups == count)
@@ -208,23 +215,14 @@ def embed_collective(state: PureState) -> PureState:
     """Lift a collective-basis state to the full product space.
 
     The k-excitation basis state maps to the symmetric Dicke state of k
-    raised nuclei.
+    raised nuclei: amplitude / sqrt(C(N, k)) on every nuclear bit string
+    with k set bits, below the electron's most significant bit.
     """
     if state.space != "collective":
         raise ValueError("expected a collective-basis state")
     n = state.n_nuclei
-    full = np.zeros(2 ** (n + 1), dtype=complex)
-    for e in (0, 1):
-        for k in range(n + 1):
-            amp = state.amps[collective_index(e, k, n)]
-            if amp == 0:
-                continue
-            weight = amp / math.sqrt(math.comb(n, k))
-            for raised in combinations(range(n), k):
-                idx = e << n
-                for pos in raised:
-                    idx |= 1 << (n - 1 - pos)
-                full[idx] += weight
+    norms = np.sqrt([math.comb(n, k) for k in range(n + 1)])
+    full = (state.amps.reshape(2, n + 1) / norms)[:, _up_spins(n)].reshape(-1)
     return PureState(full, n, "full")
 
 
@@ -287,70 +285,21 @@ class DensityMatrix:
         out = out.transpose(np.argsort(order)).reshape(self.mat.shape)
         return DensityMatrix(out, n, check=False)
 
-    def partial_trace(self, keep: list[int]) -> "DensityMatrix":
-        n = self.n_qubits
-        t = self._tensor()
-        remaining = list(range(n))
-        for q in sorted(set(range(n)) - set(keep), reverse=True):
-            pos = remaining.index(q)
-            m = len(remaining)
-            t = np.trace(t, axis1=pos, axis2=pos + m)
-            remaining.pop(pos)
-        d = 2 ** len(remaining)
-        return DensityMatrix(t.reshape(d, d), len(remaining), check=False)
 
-    def measure_z_branches(self, qubit: int):
-        """Projective Z-measurement branches [(prob, outcome, collapsed)]."""
-        before = 2**qubit
-        after = 2 ** (self.n_qubits - 1 - qubit)
-        blocks = self.mat.reshape(before, 2, after, before, 2, after)
-        branches = []
-        for outcome in (0, 1):
-            keep = (slice(None), outcome, slice(None)) * 2
-            sub = np.zeros_like(blocks)
-            sub[keep] = blocks[keep]
-            sub = sub.reshape(self.mat.shape)
-            prob = float(np.trace(sub).real)
-            if prob <= 1e-15:
-                continue
-            branches.append((prob, outcome,
-                             DensityMatrix(sub / prob, self.n_qubits,
-                                           check=False)))
-        return branches
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.mat).min())
-
-
-def bell_state(label: str) -> np.ndarray:
-    """Two-qubit Bell state vector; |psi_plus> = (|01>+|10>)/sqrt(2)."""
-    if label not in _BELL_LABELS:
-        raise ValueError(f"unknown Bell label {label!r}")
-    amps = np.zeros(4, dtype=complex)
-    s = math.sqrt(0.5)
-    if label.startswith("phi"):
-        amps[0b00], amps[0b11] = s, (s if label == "phi_plus" else -s)
-    else:
-        amps[0b01], amps[0b10] = s, (s if label == "psi_plus" else -s)
-    return amps
-
-
-def bell_fidelity(rho: DensityMatrix, target: str = "psi_plus") -> float:
-    """Overlap <B|rho|B> with the chosen Bell state."""
+def bell_fidelity(rho: DensityMatrix) -> float:
+    """Overlap <psi_plus|rho|psi_plus> with the target Bell state."""
     if rho.n_qubits != 2:
         raise ValueError("bell_fidelity expects a two-qubit state")
-    b = bell_state(target)
-    return float(np.real(b.conj() @ rho.mat @ b))
+    return float(np.real(PSI_PLUS.conj() @ rho.mat @ PSI_PLUS))
 
 
-def werner_pair(fidelity: float, label: str = "psi_plus") -> DensityMatrix:
-    """Depolarized Bell pair with the requested Bell fidelity.
+def werner_pair(fidelity: float) -> DensityMatrix:
+    """Depolarized |psi_plus> pair with the requested Bell fidelity.
 
     Werner parameter w = (4F-1)/3, so that bell_fidelity returns F exactly.
     """
     w = (4.0 * fidelity - 1.0) / 3.0
-    b = bell_state(label)
-    mat = w * np.outer(b, b.conj()) + (1.0 - w) * np.eye(4) / 4.0
+    mat = w * np.outer(PSI_PLUS, PSI_PLUS.conj()) + (1.0 - w) * np.eye(4) / 4.0
     return DensityMatrix(mat, 2)
 
 
@@ -395,9 +344,12 @@ def swap_branches(rho: DensityMatrix, F_gate: float, F_readout: float):
     ``rho`` holds the four communication qubits [D1, D2, D3, D4].  The swap is
     H(D2) CZ(D2,D3) H(D2), then H(D3); D2 and D3 are read out in Z with the
     record flipped with probability 1 - F_readout.  Returns a deterministic
-    ordered list of ``(probability, (record_D2, record_D3), pair_dm)`` with
-    the record-conditioned Pauli correction already applied to D4 and the
-    measured qubits traced out.
+    ordered list of ``(probability, (record_D2, record_D3), pair_dm)``, in
+    (m2, m3, f2, f3) order of true outcome and readout flip, with the
+    record-conditioned Pauli correction already applied to D4.  The slice
+    ``[:, m2, m3, :, :, m2, m3, :]`` of the tensor view is the unnormalized
+    [D1, D4] state of outcome (m2, m3): it projects D2 and D3 and traces
+    them out at once, and its trace is the joint probability.
     """
     if rho.n_qubits != 4:
         raise ValueError("swap expects a four-qubit register")
@@ -406,19 +358,24 @@ def swap_branches(rho: DensityMatrix, F_gate: float, F_readout: float):
     state = apply_cz(state, 1, 2, F_gate)
     state = state.apply_unitary(HADAMARD, [1])
     state = state.apply_unitary(HADAMARD, [2])
+    view = state._tensor()
 
     branches = []
-    for p2, m2, after2 in state.measure_z_branches(1):
-        for p3, m3, after3 in after2.measure_z_branches(2):
+    for m2 in (0, 1):
+        for m3 in (0, 1):
+            block = view[:, m2, m3, :, :, m2, m3, :].reshape(4, 4)
+            prob = float(np.trace(block).real)
+            if prob <= 1e-15:
+                continue
+            pair = DensityMatrix(block / prob, 2, check=False)
             for f2 in (0, 1):
                 for f3 in (0, 1):
                     p_flip = (eps if f2 else 1.0 - eps) * (eps if f3 else 1.0 - eps)
                     if p_flip == 0.0:
                         continue
                     r2, r3 = m2 ^ f2, m3 ^ f3
-                    corrected = after3.apply_unitary(_correction(r2, r3), [3])
-                    pair = corrected.partial_trace([0, 3])
-                    branches.append((p2 * p3 * p_flip, (r2, r3), pair))
+                    corrected = pair.apply_unitary(_correction(r2, r3), [1])
+                    branches.append((prob * p_flip, (r2, r3), corrected))
     return branches
 
 

@@ -51,7 +51,8 @@ def test_benchmark_attributes_and_registries():
                                   "qsim"}
 
 
-@pytest.mark.parametrize("name", ["swap_entanglement", "TrialRecord"])
+@pytest.mark.parametrize("name", ["swap_entanglement", "TrialRecord",
+                                  "bell_state"])
 def test_removed_names_stay_out_of_the_package(name):
     assert name not in qdrepeater.__all__
     assert not hasattr(qsim, name) and not hasattr(mcsim, name)

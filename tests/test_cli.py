@@ -127,6 +127,19 @@ def test_contour_rejects_polarization_below_table(capsys):
     assert "0.80" in err
 
 
+@pytest.mark.parametrize("partial", [
+    ["--pol-max", "0.9", "--pol-points", "3"],
+    ["--pol-min", "0.85", "--pol-points", "3"],
+])
+def test_contour_partial_polarization_sweep_is_usage_error(capsys, partial):
+    code, out, err = run(capsys, ["contour", "--fp-points", "2", *partial])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "invalid sweep: polarization: a sweep needs --pol-min, --pol-max "
+        "and --pol-points"]
+
+
 def test_contour_refuses_out_of_regime_without_force(capsys):
     code, _, err = run(capsys, ["contour", "--fp-min", "20", "--fp-max", "500",
                                 "--fp-points", "2",
@@ -250,6 +263,16 @@ def test_mc_default_config_reports_storage(capsys):
     code, out, _ = run(capsys, ["mc", "--trials", "300", "--seed", "5"])
     assert code == 0
     assert "fraction exceeding 1 s" in out
+
+
+def test_mc_without_successes_still_reports_success_fraction(capsys):
+    code, out, _ = run(capsys, ["mc", "--trials", "200", "--cutoff", "0",
+                                "--n", "2"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("MC mean nan")
+    assert lines[1] == ("success fraction 0.0000; max-storage median nan s; "
+                        "fraction exceeding 1 s: nan")
 
 
 def test_mc_cutoff_reduces_success_fraction(capsys):

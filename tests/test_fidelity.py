@@ -129,8 +129,9 @@ def test_entanglement_fidelity_quadrature_converges(params):
 def test_entanglement_fidelity_nonconvergence_raises(params):
     # a one-node start cannot resolve the integrand; force exhaustion
     with pytest.raises(fidelity.ConvergenceError) as err:
-        fidelity.entanglement_fidelity(params.physical, rtol=1e-300,
-                                       start_nodes=1, max_doublings=1)
+        fidelity._ent_adaptive(params.physical,
+                               np.array([params.physical.F_res]),
+                               rtol=1e-300, start_nodes=1, max_doublings=1)
     assert len(err.value.estimates) == 2
 
 

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -80,6 +81,54 @@ def measure_z_reference(mat, n_qubits, qubit):
         prob = float(np.trace(sub).real)
         branches.append((prob, outcome, sub / prob))
     return branches
+
+
+def swap_branches_reference(rho, F_gate, F_readout):
+    """The swap's branches by projector masks on the whole register.
+
+    Measures D2, then D3, applies the record's Pauli to D4 as a 4-qubit
+    operator (X unless D2 read 1, then Z if D3 read 1), and traces D2 and D3
+    out with an explicit einsum.
+    """
+    eps = 1.0 - F_readout
+    state = rho.apply_unitary(qsim.HADAMARD, [1])
+    state = qsim.apply_cz(state, 1, 2, F_gate)
+    state = state.apply_unitary(qsim.HADAMARD, [1])
+    state = state.apply_unitary(qsim.HADAMARD, [2])
+    branches = []
+    for p2, m2, after2 in measure_z_reference(state.mat, 4, 1):
+        for p3, m3, after3 in measure_z_reference(after2, 4, 2):
+            for f2 in (0, 1):
+                for f3 in (0, 1):
+                    p_flip = ((eps if f2 else 1 - eps)
+                              * (eps if f3 else 1 - eps))
+                    if p_flip == 0.0:
+                        continue
+                    r2, r3 = m2 ^ f2, m3 ^ f3
+                    pauli = (np.linalg.matrix_power(qsim.PAULI_Z, r3)
+                             @ np.linalg.matrix_power(qsim.PAULI_X, 1 - r2))
+                    U = embed_reference(pauli, [3], 4)
+                    corrected = (U @ after3 @ U.conj().T).reshape((2,) * 8)
+                    pair = np.einsum("abcdebcf->adef", corrected)
+                    branches.append((p2 * p3 * p_flip, (r2, r3),
+                                     pair.reshape(4, 4)))
+    return branches
+
+
+def embed_collective_reference(state):
+    """Dicke amplitudes written one raised-nuclei combination at a time."""
+    n = state.n_nuclei
+    full = np.zeros(2 ** (n + 1), dtype=complex)
+    for e in (0, 1):
+        for k in range(n + 1):
+            weight = (state.amps[qsim.collective_index(e, k, n)]
+                      / math.sqrt(math.comb(n, k)))
+            for raised in combinations(range(n), k):
+                idx = e << n
+                for pos in raised:
+                    idx |= 1 << (n - 1 - pos)
+                full[idx] += weight
+    return full
 
 
 def random_density_matrix(rng, n_qubits):
@@ -228,6 +277,15 @@ def test_collective_enhancement_scales_as_sqrt_n(n):
     assert fitted_g == pytest.approx(expected_g, rel=1e-9)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_embed_collective_equals_dicke_reference(n):
+    rng = np.random.default_rng(40 + n)
+    amps = rng.normal(size=2 * (n + 1)) + 1j * rng.normal(size=2 * (n + 1))
+    state = qsim.PureState(amps / np.linalg.norm(amps), n)
+    assert np.array_equal(qsim.embed_collective(state).amps,
+                          embed_collective_reference(state))
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 def test_full_space_hamiltonian_equals_loop_reference(n):
     p = qsim.TransferParams(n_nuclei=n, coupling=1.3)
@@ -295,12 +353,12 @@ def test_noisy_cz_preserves_trace_and_positivity():
     rho = qsim.werner_pair(0.97).tensor(qsim.werner_pair(0.9))
     out = qsim.apply_cz(rho, 1, 2, F_gate=0.95)
     assert np.trace(out.mat).real == pytest.approx(1.0, abs=1e-10)
-    assert out.min_eigenvalue() > -1e-10
+    assert np.linalg.eigvalsh(out.mat).min() > -1e-10
 
 
 def test_bell_fidelity_basics():
     psi = qsim.werner_pair(1.0)
-    assert qsim.bell_fidelity(psi, "psi_plus") == pytest.approx(1.0, abs=1e-12)
+    assert qsim.bell_fidelity(psi) == pytest.approx(1.0, abs=1e-12)
     mixed = qsim.DensityMatrix(np.eye(4) / 4, 2)
     assert qsim.bell_fidelity(mixed) == pytest.approx(0.25, abs=1e-12)
 
@@ -334,19 +392,6 @@ def test_apply_unitary_and_kraus_equal_embedded_operators(n_qubits, targets):
     assert np.max(np.abs(out.mat - expected)) < 1e-12
 
 
-@pytest.mark.parametrize("n_qubits", [4, 5])
-def test_measure_z_branches_equal_projector_masks(n_qubits):
-    rng = np.random.default_rng(n_qubits)
-    rho = random_density_matrix(rng, n_qubits)
-    for qubit in range(n_qubits):
-        got = rho.measure_z_branches(qubit)
-        want = measure_z_reference(rho.mat, n_qubits, qubit)
-        assert [o for _, o, _ in got] == [o for _, o, _ in want] == [0, 1]
-        for (p, _, dm), (p_ref, _, mat_ref) in zip(got, want):
-            assert p == pytest.approx(p_ref, abs=1e-12)
-            assert np.max(np.abs(dm.mat - mat_ref)) < 1e-12
-
-
 def test_channels_reject_repeated_targets():
     rho = qsim.werner_pair(0.9).tensor(qsim.werner_pair(0.9))
     with pytest.raises(ValueError, match="distinct"):
@@ -365,6 +410,19 @@ def test_ideal_swap_fidelity_one_on_every_branch():
         assert qsim.bell_fidelity(dm) == pytest.approx(1.0, abs=1e-10)
         records.add(record)
     assert records == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
+@pytest.mark.parametrize("F_gate,F_readout", [(0.97, 0.95), (0.99, 1.0)])
+def test_swap_branches_equal_projector_mask_reference(F_gate, F_readout):
+    rng = np.random.default_rng(11)
+    rho = random_density_matrix(rng, 4)
+    got = qsim.swap_branches(rho, F_gate, F_readout)
+    want = swap_branches_reference(rho, F_gate, F_readout)
+    assert len(got) == (16 if F_readout < 1 else 4)
+    assert [r for _, r, _ in got] == [r for _, r, _ in want]
+    for (p, _, dm), (p_ref, _, mat_ref) in zip(got, want):
+        assert abs(p - p_ref) < 1e-12
+        assert np.max(np.abs(dm.mat - mat_ref)) < 1e-12
 
 
 def test_swap_on_product_input_gives_no_entanglement():
@@ -464,26 +522,10 @@ def test_chain_oracle_eight_links_matches_werner_closed_form():
 
 # ------------------------------------------------------------ invariants
 
-def test_partial_trace_of_product_state():
-    a = qsim.werner_pair(0.9)
-    b = qsim.werner_pair(0.7)
-    joint = a.tensor(b)
-    assert np.allclose(joint.partial_trace([0, 1]).mat, a.mat, atol=1e-12)
-    assert np.allclose(joint.partial_trace([2, 3]).mat, b.mat, atol=1e-12)
-
-
-def test_measure_branches_probabilities_sum_to_one():
-    rho = qsim.werner_pair(0.85)
-    branches = rho.measure_z_branches(0)
-    assert sum(p for p, _, _ in branches) == pytest.approx(1.0, abs=1e-12)
-    for _, _, dm in branches:
-        assert np.trace(dm.mat).real == pytest.approx(1.0, abs=1e-10)
-
-
 def test_swap_branch_probabilities_sum_to_one():
     joint = qsim.werner_pair(0.95).tensor(qsim.werner_pair(0.9))
     branches = qsim.swap_branches(joint, 0.99, 0.999)
     assert len(branches) == 16
     assert sum(p for p, _, _ in branches) == pytest.approx(1.0, abs=1e-10)
     for _, _, dm in branches:
-        assert dm.min_eigenvalue() > -1e-10
+        assert np.linalg.eigvalsh(dm.mat).min() > -1e-10
