@@ -1,8 +1,9 @@
 """End-to-end validation checks against the model's anchor values.
 
-Each check pins its own parameters and tolerances; `run_all` prints one
-PASS/FAIL line per criterion.  The same registry backs the test suite and the
-``validate`` CLI command.
+Each check pins its own parameters and returns its sub-checks as a tuple of
+`Measure` records: value, target and tolerance.  A `CheckResult` passes when
+every measure does and renders the one PASS/FAIL line per criterion.  The
+same registry backs the test suite and the ``validate`` CLI command.
 """
 
 from __future__ import annotations
@@ -18,15 +19,54 @@ from .params import TWO_PI, default_parameters, with_link, with_physical
 
 
 @dataclass(frozen=True)
+class Measure:
+    """One sub-check of a criterion: ``value`` against ``target`` and ``tol``.
+
+    ``op`` "+-" passes when |value - target| <= tol + 1e-12, and only on exact
+    equality when tol is 0.  "<" and "<=" compare |value - target| with tol
+    and allow no rounding slack; they bound a non-negative value (a deviation,
+    a z-score) and are written with target 0.  Yes/no predicates are recorded
+    as a count of violations against 0 +- 0.
+    """
+
+    label: str
+    value: float
+    target: float
+    tol: float
+    op: str = "+-"
+
+    @property
+    def passed(self) -> bool:
+        gap = abs(self.value - self.target)
+        if self.op == "<":
+            return gap < self.tol
+        if self.op == "<=":
+            return gap <= self.tol
+        if self.tol == 0:
+            return self.value == self.target
+        return gap <= self.tol + 1e-12
+
+    def __str__(self) -> str:
+        bound = (f"{self.target:.6g} +- {self.tol:.6g}" if self.op == "+-"
+                 else f"{self.op} {self.tol:.6g}")
+        text = f"{self.label} = {self.value:.6g} ({bound})"
+        return text if self.passed else text + " FAIL"
+
+
+@dataclass(frozen=True)
 class CheckResult:
     criterion: int
     name: str
-    passed: bool
-    detail: str
+    measures: tuple[Measure, ...]
 
+    @property
+    def passed(self) -> bool:
+        return all(m.passed for m in self.measures)
 
-def _within(value: float, target: float, tol: float) -> bool:
-    return abs(value - target) <= tol + 1e-12
+    def __str__(self) -> str:
+        status = "PASS" if self.passed else "FAIL"
+        return (f"[{status}] criterion {self.criterion}: {self.name} -- "
+                + "; ".join(map(str, self.measures)))
 
 
 # --------------------------------------------------------------------------
@@ -36,8 +76,8 @@ def _within(value: float, target: float, tol: float) -> bool:
 def check_purcell_detuning():
     f1 = fidelity.purcell_at_detuning(500.0, TWO_PI * 100e9, TWO_PI * 275e9)
     f2 = fidelity.purcell_at_detuning(200.0, TWO_PI * 100e9, TWO_PI * 200e9)
-    ok = _within(f1, 16.0, 0.1) and _within(f2, 11.8, 0.2)
-    return ok, f"F_p = {f1:.3f} (16 +- 0.1), {f2:.3f} (11.8 +- 0.2)"
+    return (Measure("F_p(500, 275 GHz)", f1, 16.0, 0.1),
+            Measure("F_p(200, 200 GHz)", f2, 11.8, 0.2))
 
 
 def check_entanglement_generation():
@@ -49,10 +89,9 @@ def check_entanglement_generation():
     nodes_final = 42  # first doubling of the 21-node start rule
     delta = abs(fidelity.entanglement_fidelity_fixed_nodes(phys500, 2 * nodes_final)
                 - fidelity.entanglement_fidelity_fixed_nodes(phys500, nodes_final))
-    ok = (_within(f500, 0.995, 0.002) and _within(f200, 0.993, 0.002)
-          and delta < 1e-6)
-    return ok, (f"F_ent = {f500:.5f} (0.995 +- 0.002), {f200:.5f} "
-                f"(0.993 +- 0.002); node-doubling delta {delta:.2e} < 1e-6")
+    return (Measure("F_ent(500)", f500, 0.995, 0.002),
+            Measure("F_ent(200)", f200, 0.993, 0.002),
+            Measure("node-doubling delta", delta, 0.0, 1e-6, "<"))
 
 
 def check_state_transfer():
@@ -60,10 +99,9 @@ def check_state_transfer():
     fe = 0.99996
     f95 = fidelity.transfer_fidelity(fe, fidelity.nuclear_init_fidelity(0.95), fq)
     f80 = fidelity.transfer_fidelity(fe, fidelity.nuclear_init_fidelity(0.80), fq)
-    ok = (_within(fq, 0.996, 0.001) and _within(f95, 0.993, 0.002)
-          and _within(f80, 0.973, 0.002))
-    return ok, (f"F_quad = {fq:.5f} (0.996 +- 0.001); F_transfer = {f95:.5f} "
-                f"(0.993 +- 0.002), {f80:.5f} (0.973 +- 0.002)")
+    return (Measure("F_quad", fq, 0.996, 0.001),
+            Measure("F_transfer(0.95)", f95, 0.993, 0.002),
+            Measure("F_transfer(0.8)", f80, 0.973, 0.002))
 
 
 def check_gate():
@@ -73,12 +111,9 @@ def check_gate():
     shift = TWO_PI * 5e9
     sym = fidelity.gate_fidelity(
         with_physical(ps, delta_eps1=shift, delta_eps2=shift).physical)
-    ok = (_within(g500.fidelity, 0.995, 0.001)
-          and _within(g200.fidelity, 0.986, 0.001)
-          and sym.fidelity == g500.fidelity)
-    return ok, (f"F_gate = {g500.fidelity:.5f} (0.995 +- 0.001), "
-                f"{g200.fidelity:.5f} (0.986 +- 0.001); "
-                f"equal-detuning term exactly zero: {sym.fidelity == g500.fidelity}")
+    return (Measure("F_gate(500)", g500.fidelity, 0.995, 0.001),
+            Measure("F_gate(200)", g200.fidelity, 0.986, 0.001),
+            Measure("equal-detuning F_gate", sym.fidelity, g500.fidelity, 0.0))
 
 
 def check_readout():
@@ -88,16 +123,14 @@ def check_readout():
     omega = fidelity.invert_readout_drive(0.99983, 600e-9, 500.0, 0.9, 0.9,
                                           gamma_prime)
     rel = abs(omega - TWO_PI * 1e9) / (TWO_PI * 1e9)
-    ok = _within(f, 0.99983, 2e-5) and rel < 0.05
-    return ok, (f"F_readout = {f:.6f} (0.99983 +- 2e-5); inverted drive "
-                f"{omega / TWO_PI / 1e9:.4f} GHz x 2pi (within 5% of 1)")
+    return (Measure("F_readout", f, 0.99983, 2e-5),
+            Measure("inverted drive relative error", rel, 0.0, 0.05, "<"))
 
 
 def check_splittings():
     s = fidelity.zeeman_splittings(6.6, -0.076, 1.309, 0.80, 31e9)
-    ok = (_within(s.dE_g / 1e9, 32.0, 0.5) and _within(s.dE_e / 1e9, 146.0, 1.0))
-    return ok, (f"dE_g = {s.dE_g / 1e9:.2f} GHz (32 +- 0.5), "
-                f"dE_e = {s.dE_e / 1e9:.2f} GHz (146 +- 1)")
+    return (Measure("dE_g GHz", s.dE_g / 1e9, 32.0, 0.5),
+            Measure("dE_e GHz", s.dE_e / 1e9, 146.0, 1.0))
 
 
 def check_overall_fidelity_anchors():
@@ -107,33 +140,26 @@ def check_overall_fidelity_anchors():
     targets = {(500.0, 0.95): 0.831, (200.0, 0.95): 0.734,
                (500.0, 0.80): 0.596, (200.0, 0.80): 0.526,
                (500.0, 0.999): 0.858}
-    details = []
-    ok = True
-    for (fp, pol), target in targets.items():
-        i = contour.fp_grid.index(fp)
-        j = contour.polarization_grid.index(pol)
-        value = contour.total[i, j]
-        good = _within(value, target, 0.01)
-        ok = ok and good
-        details.append(f"({fp:.0f},{pol:g})={value:.4f}~{target}")
-    return ok, "F_total " + ", ".join(details) + " (all +- 0.01)"
+    return tuple(
+        Measure(f"F_total({fp:.0f},{pol:g})",
+                contour.total[contour.fp_grid.index(fp),
+                              contour.polarization_grid.index(pol)],
+                target, 0.01)
+        for (fp, pol), target in targets.items())
 
 
 def check_rates():
     ps = default_parameters()
-    details = []
-    ok = True
+    measures = []
     for product, target in ((0.72, 0.58), (0.5, 0.41), (0.4, 0.32)):
         link = with_link(ps, p_emit=product, eta_c=1.0, eta_s=product).link
-        pg = rates.swap_success_probability(link)
-        ok = ok and _within(pg, target, 0.005)
-        details.append(f"p_gate({product})={pg:.4f}~{target}")
+        measures.append(Measure(f"p_gate({product})",
+                                rates.swap_success_probability(link),
+                                target, 0.005))
 
     base = rates.mean_time_parallel(ps)
     scaled = rates.mean_time_parallel(with_link(ps, eta_fc=0.4))
     ratio = scaled.rate / base.rate
-    ok = ok and math.isclose(ratio, 0.16, rel_tol=1e-9)
-    details.append(f"eta_fc rate ratio {ratio:.6f} (exactly 0.16)")
 
     def curve(product, L):
         return rates.mean_time_parallel(
@@ -144,27 +170,27 @@ def check_rates():
     rate_b = [curve(0.72, L) for L in grid]
     rate_c = [curve(0.5, L) for L in grid]
     rate_d = [curve(0.4, L) for L in grid]
-    mono = all(b1 > b2 for b1, b2 in zip(rate_b, rate_b[1:]))
-    order = all(b > c > d for b, c, d in zip(rate_b, rate_c, rate_d))
-    ok = ok and mono and order
-    details.append(f"monotone decrease {mono}, B>C>D {order}")
+    rises = sum(not b1 > b2 for b1, b2 in zip(rate_b, rate_b[1:]))
+    disorder = sum(not b > c > d for b, c, d in zip(rate_b, rate_c, rate_d))
 
     curve_b = with_link(ps, p_emit=0.72, eta_c=1.0, eta_s=0.72)
     crossover = rates.crossover_distance(curve_b)
-    good = crossover is not None and crossover < 1000e3
-    ok = ok and good
-    details.append(f"crossover at {crossover / 1e3:.0f} km < 1000 km"
-                   if crossover else "no crossover found")
-    return ok, "; ".join(details)
+    return (*measures,
+            # the rate scales as eta_fc**2, so eta_fc = 0.4 gives 0.16
+            Measure("eta_fc rate-ratio misses",
+                    int(not math.isclose(ratio, 0.16, rel_tol=1e-9)), 0, 0),
+            Measure("curve B non-decreasing steps", rises, 0, 0),
+            Measure("grid points not B>C>D", disorder, 0, 0),
+            Measure("crossover km",
+                    math.nan if crossover is None else crossover / 1e3,
+                    0.0, 1000.0, "<"))
 
 
 def check_monte_carlo():
-    details = []
     cfg0 = mcsim.ProtocolConfig(n_nest=0, p0=0.1, p_swap=1.0, slot_time=1.0,
                                 trials=100_000, seed=20240801)
     stats0 = mcsim.simulate_chain(cfg0)
     z0 = abs(stats0.mean - 10.0) / stats0.stderr
-    details.append(f"n=0 mean {stats0.mean:.3f} vs 10 (z={z0:.2f})")
 
     p0 = 0.01
     exact = (2.0 / p0 - 1.0 / (p0 * (2.0 - p0))) / 0.5
@@ -172,27 +198,24 @@ def check_monte_carlo():
                                 trials=100_000, seed=20240802)
     stats1 = mcsim.simulate_chain(cfg1)
     z1 = abs(stats1.mean - exact) / stats1.stderr
-    details.append(f"n=1 mean {stats1.mean:.2f} vs exact {exact:.2f} (z={z1:.2f})")
 
-    analytic3 = rates._mean_time(0.01, 0.5832, 1.0, 3, 1.5**3,
-                                 "parallel").mean_time
+    analytic3 = rates.parallel_closed_form(0.01, 0.5832, 1.0, 3).mean_time
     cfg3 = mcsim.ProtocolConfig(n_nest=3, p0=0.01, p_swap=0.5832,
                                 slot_time=1.0, trials=20_000, seed=20240803)
     report3 = mcsim.compare_with_analytic(mcsim.simulate_chain(cfg3),
                                           analytic3, tolerance=0.15)
-    details.append(f"n=3 ratio {report3.ratio:.3f} (within 15%)")
 
     cfg_d = mcsim.ProtocolConfig(n_nest=1, p0=0.05, p_swap=0.6, slot_time=1.0,
                                  trials=2_000, seed=7)
     identical = mcsim.run_trials(cfg_d) == mcsim.run_trials(cfg_d)
-    details.append(f"bit-identical rerun {identical}")
-
-    ok = z0 <= 3.0 and z1 <= 3.0 and report3.passed and identical
-    return ok, "; ".join(details)
+    return (Measure("n=0 mean z-score", z0, 0.0, 3.0, "<="),
+            Measure("n=1 mean z-score", z1, 0.0, 3.0, "<="),
+            Measure("n=3 closed-form mismatches", int(not report3.passed),
+                    0, 0),
+            Measure("rerun mismatches", int(not identical), 0, 0))
 
 
 def check_quantum_oracle():
-    details = []
     p = qsim.TransferParams(n_nuclei=5, coupling=1.0e6)
     g = p.rabi_rate
     state = qsim.collective_state(1.0, 0.0, 5)
@@ -202,26 +225,21 @@ def check_quantum_oracle():
         evolved = qsim.evolve_transfer(state, p, t)
         prob = abs(evolved.amps[idx]) ** 2
         worst = max(worst, abs(prob - math.sin(g * t) ** 2))
-    details.append(f"Rabi-law max deviation {worst:.2e} (< 1e-9)")
-    ok = worst < 1e-9
 
-    cz_ok = bool(np.array_equal(qsim.CZ_GATE,
-                                np.diag([1.0, 1.0, 1.0, -1.0])))
     kick = qsim.DensityMatrix.from_pure(
         np.array([0, 1, 0, -1], dtype=complex) / math.sqrt(2))
     plus = qsim.DensityMatrix.from_pure(
         np.array([0, 1, 0, 1], dtype=complex) / math.sqrt(2))
     kicked = qsim.apply_cz(plus, 0, 1, 1.0)
-    cz_ok = cz_ok and np.allclose(kicked.mat, kick.mat, atol=1e-12)
-    details.append(f"CZ truth table exact {cz_ok}")
-    ok = ok and cz_ok
+    cz_misses = (
+        int(not np.array_equal(qsim.CZ_GATE, np.diag([1.0, 1.0, 1.0, -1.0])))
+        + int(not np.allclose(kicked.mat, kick.mat, atol=1e-12)))
 
     pair = qsim.werner_pair(1.0)
     branches = qsim.swap_branches(pair.tensor(pair), 1.0, 1.0)
-    fids = [qsim.bell_fidelity(dm) for _, _, dm in branches]
-    swap_ok = len(fids) == 4 and all(abs(f - 1.0) < 1e-10 for f in fids)
-    details.append(f"ideal swap fidelity 1 on {len(fids)} branches {swap_ok}")
-    ok = ok and swap_ok
+    fids = np.array([qsim.bell_fidelity(dm) for _, _, dm in branches])
+    # np.max propagates NaN, so this is "every branch within the bound"
+    swap_dev = float(np.max(np.abs(fids - 1.0), initial=0.0))
 
     worst_overlap = 0.0
     for n in (1, 2, 3, 4):
@@ -232,20 +250,21 @@ def check_quantum_oracle():
         via_full = qsim.full_space_oracle(tp, qsim.embed_collective(coll), t)
         worst_overlap = max(worst_overlap,
                             abs(1.0 - abs(via_coll.overlap(via_full))))
-    details.append(f"full-vs-collective deviation {worst_overlap:.2e} (< 1e-8)")
-    ok = ok and worst_overlap < 1e-8
 
     comp = dict(F_ent=0.995, F_transfer=0.993, F_gate=0.995,
                 F_readout=0.99983, F_e_init=0.99996)
-    gaps = []
-    for l, n in ((2, 1), (4, 2)):
-        oracle = qsim.chain_fidelity_oracle(l, **comp)
-        gaps.append(abs(oracle - fidelity.overall_fidelity(n, **comp)))
-    chain_ok = all(gap <= 0.02 for gap in gaps)
-    details.append(f"chain oracle vs product formula gaps "
-                   f"{gaps[0]:.4f}, {gaps[1]:.4f} (<= 0.02)")
-    ok = ok and chain_ok
-    return ok, "; ".join(details)
+    gaps = [Measure(f"chain oracle vs product formula gap (l={l})",
+                    abs(qsim.chain_fidelity_oracle(l, **comp)
+                        - fidelity.overall_fidelity(n, **comp)),
+                    0.0, 0.02, "<=")
+            for l, n in ((2, 1), (4, 2))]
+    return (Measure("Rabi-law max deviation", worst, 0.0, 1e-9, "<"),
+            Measure("CZ truth table mismatches", cz_misses, 0, 0),
+            Measure("ideal swap branches", len(fids), 4, 0),
+            Measure("ideal swap max |F - 1|", swap_dev, 0.0, 1e-10, "<"),
+            Measure("full-vs-collective deviation", worst_overlap, 0.0, 1e-8,
+                    "<"),
+            *gaps)
 
 
 CHECKS: list[tuple[int, str, Callable]] = [
@@ -262,13 +281,6 @@ CHECKS: list[tuple[int, str, Callable]] = [
 ]
 
 
-def run_all(print_fn: Callable[[str], None] | None = print) -> list[CheckResult]:
-    """Run every criterion; one PASS/FAIL line each via ``print_fn``."""
-    results = []
-    for criterion, name, fn in CHECKS:
-        passed, detail = fn()
-        results.append(CheckResult(criterion, name, passed, detail))
-        if print_fn is not None:
-            status = "PASS" if passed else "FAIL"
-            print_fn(f"[{status}] criterion {criterion}: {name} -- {detail}")
-    return results
+def run_all() -> list[CheckResult]:
+    """Run every criterion, in registry order."""
+    return [CheckResult(criterion, name, fn()) for criterion, name, fn in CHECKS]

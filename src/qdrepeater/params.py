@@ -104,7 +104,6 @@ class ParameterSet:
 @dataclass
 class ValidationReport:
     violations: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -397,16 +396,6 @@ def validate(ps: ParameterSet) -> ValidationReport:
     check(l.tau_init >= 0, "tau_init must be non-negative")
     check(l.n_nest >= 0, "n_nest must be non-negative")
 
-    if report.ok:
-        # cooperativity via the resonant-Purcell identification F_p = C
-        report.notes.append(
-            f"cooperativity C = {p.F_res:g} (resonant-Purcell identification)")
-        if p.gamma_r > 0 and p.kappa > 0:
-            raw_c = 4 * p.g_cav**2 / (p.kappa * p.gamma_r)
-            report.notes.append(f"4g^2/(kappa*gamma_r) = {raw_c:.3g}")
-        report.notes.append(
-            f"elementary link L0 = {l.L0 / 1e3:.6g} km over "
-            f"{2**l.n_nest} links")
     return report
 
 

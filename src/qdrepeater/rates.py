@@ -8,7 +8,7 @@ probability) are flagged rather than raised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .params import LinkParams, ParameterSet, with_link
 
@@ -62,6 +62,11 @@ def swap_success_probability(link: LinkParams) -> float:
     return link.eta_s * link.eta_c * link.eta_cav * link.eta_d
 
 
+def slot_time(link: LinkParams) -> float:
+    """Duration of one heralded attempt, L0/c + tau_init, in seconds."""
+    return link.L0 / link.c_fiber + link.tau_init
+
+
 def _mean_time(p0: float, p_swap: float, slot: float, n: int,
                prefactor: float, tag: str) -> RateResult:
     """<T> = prefactor * slot / (p0 * p_swap**n), or unreachable."""
@@ -75,24 +80,28 @@ def _mean_time(p0: float, p_swap: float, slot: float, n: int,
                       scheme_tag=tag)
 
 
-def _heralded_mean_time(params: ParameterSet, prefactor: float,
-                        tag: str) -> RateResult:
-    """The closed form for the heralded-link scheme of ``params``."""
-    link = params.link
-    return _mean_time(link_success_probability(link),
-                      swap_success_probability(link),
-                      link.L0 / link.c_fiber + link.tau_init, link.n_nest,
-                      prefactor, tag)
+def parallel_closed_form(p0: float, p_swap: float, slot: float,
+                         n: int) -> RateResult:
+    """<T> = (3/2)**n * slot / (p0 * p_swap**n), all links generated in parallel.
+
+    The n = 0 case is the plain geometric mean slot/p0.  This is the closed
+    form the Monte Carlo is checked against.
+    """
+    return _mean_time(p0, p_swap, slot, n, 1.5**n, "parallel")
+
+
+def _heralded(link: LinkParams) -> tuple[float, float, float, int]:
+    """(p0, p_swap, slot, n) of the heralded-link scheme."""
+    return (link_success_probability(link), swap_success_probability(link),
+            slot_time(link), link.n_nest)
 
 
 def mean_time_parallel(params: ParameterSet) -> RateResult:
     """Mean distribution time with all links generated in parallel.
 
-    <T> = (3/2)**n * (L0/c + tau_init) / (p0 * p_s**n); the n = 0 case is the
-    plain geometric mean (L0/c + tau_init)/p0.
+    ``parallel_closed_form`` at the chain's own p0, p_swap and slot time.
     """
-    n = params.link.n_nest
-    return _heralded_mean_time(params, 1.5**n, "parallel")
+    return parallel_closed_form(*_heralded(params.link))
 
 
 def mean_time_sequential(params: ParameterSet) -> RateResult:
@@ -103,7 +112,7 @@ def mean_time_sequential(params: ParameterSet) -> RateResult:
     """
     n = params.link.n_nest
     prefactor = 2.0 * 1.5 ** (n - 1) if n else 1.0
-    return _heralded_mean_time(params, prefactor, "sequential")
+    return _mean_time(*_heralded(params.link), prefactor, "sequential")
 
 
 def mean_time_two_plus_two(params: ParameterSet) -> RateResult:
@@ -114,12 +123,12 @@ def mean_time_two_plus_two(params: ParameterSet) -> RateResult:
     decay are negligible, so no tau_init term appears.
     """
     link = params.link
-    n = link.n_nest
     eta_t = transmission_probability(link.L0, link.L_att)
     p0 = 0.5 * (eta_t * link.eta_s * link.eta_d) ** 2
     p_swap = 0.5 * link.eta_d**2 * link.eta_m**4
-    return _mean_time(p0, p_swap, link.L0 / link.c_fiber, n, 1.5**n,
-                      "two_plus_two")
+    return replace(parallel_closed_form(p0, p_swap, link.L0 / link.c_fiber,
+                                        link.n_nest),
+                   scheme_tag="two_plus_two")
 
 
 def direct_transmission_rate(L: float, source_rate: float, L_att: float) -> float:
@@ -128,6 +137,9 @@ def direct_transmission_rate(L: float, source_rate: float, L_att: float) -> floa
         raise ValueError("distance must be non-negative")
     if L_att <= 0:
         raise ValueError("attenuation length must be positive")
+    if not (math.isfinite(source_rate) and source_rate > 0):
+        raise ValueError(f"source rate must be positive and finite, "
+                         f"got {source_rate:g}")
     return source_rate * math.exp(-L / L_att)
 
 

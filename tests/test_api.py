@@ -6,12 +6,14 @@ benchmark, so it must fail here first.
 """
 
 import importlib
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 import qdrepeater
-from qdrepeater import acceptance, cli, mcsim, qsim
+from qdrepeater import acceptance, cli, mcsim, params, qsim
 
 BENCH_NAMES = [
     "acceptance.CHECKS",
@@ -52,7 +54,17 @@ def test_benchmark_attributes_and_registries():
 
 
 @pytest.mark.parametrize("name", ["swap_entanglement", "TrialRecord",
-                                  "bell_state"])
+                                  "bell_state", "_within"])
 def test_removed_names_stay_out_of_the_package(name):
     assert name not in qdrepeater.__all__
-    assert not hasattr(qsim, name) and not hasattr(mcsim, name)
+    assert not any(hasattr(mod, name) for mod in (qsim, mcsim, acceptance))
+
+
+def test_validation_report_has_no_notes():
+    assert [f.name for f in fields(params.ValidationReport)] == ["violations"]
+
+
+def test_no_module_reaches_into_private_rates_names():
+    src = Path(qdrepeater.__file__).parent
+    for path in src.glob("*.py"):
+        assert not re.search(r"\brates\._", path.read_text()), path.name

@@ -12,6 +12,8 @@ from qdrepeater import acceptance
 from qdrepeater.cli import main
 
 NUMBER = re.compile(r"^(-?\d\.\d{6}e[+-]\d{2,3}|inf)$")
+FINE = acceptance.Measure("fine", 1.0, 1.0, 0.0)
+BROKEN = acceptance.Measure("broken", 2.0, 1.0, 0.5)
 
 
 def run(capsys, argv):
@@ -198,22 +200,23 @@ def test_contour_refuses_strong_readout_drive_without_force(capsys):
 
 def test_validate_stubbed_pass_and_fail(capsys, monkeypatch):
     monkeypatch.setattr(acceptance, "CHECKS",
-                        [(1, "stub", lambda: (True, "fine"))])
+                        [(1, "stub", lambda: (FINE,))])
     code, out, _ = run(capsys, ["validate"])
     assert code == 0
-    assert "[PASS] criterion 1" in out
+    assert "[PASS] criterion 1: stub -- fine = 1 (1 +- 0)\n" in out
     assert "1/1 criteria passed" in out
 
     monkeypatch.setattr(acceptance, "CHECKS",
-                        [(1, "stub", lambda: (False, "broken"))])
+                        [(1, "stub", lambda: (FINE, BROKEN))])
     code, out, _ = run(capsys, ["validate"])
     assert code == 1
-    assert "[FAIL] criterion 1" in out
+    assert "[FAIL] criterion 1: stub -- " in out
+    assert "0/1 criteria passed" in out
 
 
 def test_validate_surfaces_gate_regime_warning(capsys, monkeypatch):
     monkeypatch.setattr(acceptance, "CHECKS",
-                        [(1, "stub", lambda: (True, "fine"))])
+                        [(1, "stub", lambda: (FINE,))])
     code, out, _ = run(capsys, ["validate", "--param", "F_res=20"])
     assert code == 0
     assert "config warning" in out
@@ -293,6 +296,13 @@ def test_qsim_command(capsys):
     assert "PASS" in out
 
 
+def test_qsim_prints_criterion_10_measures_in_order(capsys):
+    code, out, _ = run(capsys, ["qsim"])
+    assert code == 0
+    expected = [str(m) for m in acceptance.check_quantum_oracle()]
+    assert out.splitlines() == expected + ["quantum oracle: PASS"]
+
+
 def test_bad_param_is_config_error(capsys):
     code, _, err = run(capsys, ["rates", "--param", "eta_d=1.7"])
     assert code == 3
@@ -358,6 +368,74 @@ def test_mc_direct_link_at_defaults_keeps_huge_slot_counts(capsys, tmp_path):
     times = [float(r["total_time_s"]) for r in rows]
     assert len(times) == 10000
     assert min(times) > 0.0
+
+
+# ------------------------------------------------------------ options
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--seed", "3"], ["validate", "--trials", "5"],
+    ["qsim", "--seed", "3"], ["qsim", "--out", "x.csv"],
+    ["rates", "--trials", "5"], ["rates", "--seed", "3"],
+    ["contour", "--seed", "3"], ["contour", "--trials", "5"],
+])
+def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+def test_validate_out_is_usage_error_and_writes_nothing(capsys, tmp_path):
+    target = tmp_path / "v.csv"
+    code, out, _ = run(capsys, ["validate", "--out", str(target)])
+    assert code == 2
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_only_mc_meta_records_a_seed(capsys, tmp_path):
+    argv = {"rates": ["rates", "--l-points", "2"],
+            "contour": ["contour", "--fp-points", "2", "--pol-min", "0.9",
+                        "--pol-max", "0.95", "--pol-points", "2"],
+            "mc": ["mc", "--n", "0", "--p0", "0.5", "--trials", "10",
+                   "--seed", "4"]}
+    for name, args in argv.items():
+        path = tmp_path / f"{name}.csv"
+        assert run(capsys, args + ["--out", str(path)])[0] == 0
+        meta = json.loads((tmp_path / f"{name}.csv.meta.json").read_text())
+        assert meta.get("seed") == (4 if name == "mc" else None)
+
+
+_FINITE = "sweep bounds must be finite"
+_SOURCE = "invalid rates input: source rate must be positive and finite, got "
+BAD_SWEEPS = [
+    (["rates", "--l-max-km", "inf"], f"invalid distance sweep: L_km: {_FINITE}"),
+    (["rates", "--l-min-km=-inf"], f"invalid distance sweep: L_km: {_FINITE}"),
+    (["rates", "--l-min-km", "nan"], f"invalid distance sweep: L_km: {_FINITE}"),
+    (["contour", "--fp-max", "inf"], f"invalid sweep: F_p: {_FINITE}"),
+    (["contour", "--fp-max", "1e400"], f"invalid sweep: F_p: {_FINITE}"),
+    (["contour", "--pol-min", "nan", "--pol-max", "0.9", "--pol-points", "3"],
+     f"invalid sweep: polarization: {_FINITE}"),
+    (["rates", "--source-rate", "-1"], _SOURCE + "-1"),
+    (["rates", "--source-rate", "0"], _SOURCE + "0"),
+    (["rates", "--source-rate", "inf"], _SOURCE + "inf"),
+    (["rates", "--source-rate", "nan"], _SOURCE + "nan"),
+    (["rates", "--l-min-km", "-100"],
+     "invalid rates input: distance must be non-negative"),
+]
+
+
+@pytest.mark.parametrize("argv,message", BAD_SWEEPS,
+                         ids=[" ".join(argv) for argv, _ in BAD_SWEEPS])
+def test_non_finite_or_negative_sweep_input_is_one_usage_error(capsys, argv,
+                                                               message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, argv)
+    assert caught == []
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [message]
 
 
 # ------------------------------------------------------------ start-up

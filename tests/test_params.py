@@ -180,11 +180,6 @@ def test_negative_polarization_is_one_violation(params):
     assert "nuclear_polarization" in report.violations[0]
 
 
-def test_cooperativity_reported_via_purcell_identification(params):
-    report = validate(params)
-    assert any("C = 500" in note for note in report.notes)
-
-
 def test_inconsistent_linewidth_flagged(params):
     bad = with_physical(params, Gamma=params.physical.gamma_r * 0.5)
     report = validate(bad)

@@ -187,6 +187,26 @@ def test_direct_transmission_values():
         pytest.approx(4.25e-8, rel=1e-2)
 
 
+@pytest.mark.parametrize("source_rate", [0.0, -1.0, math.inf, math.nan])
+def test_direct_transmission_rejects_bad_source_rate(source_rate):
+    with pytest.raises(ValueError, match="source rate"):
+        rates.direct_transmission_rate(100e3, source_rate, 25e3)
+
+
+def test_parallel_closed_form_is_what_the_chain_forms_use(curve_b):
+    link = curve_b.link
+    slot = rates.slot_time(link)
+    assert slot == link.L0 / link.c_fiber + link.tau_init
+    p0 = rates.link_success_probability(link)
+    p_swap = rates.swap_success_probability(link)
+    assert rates.mean_time_parallel(curve_b) == rates.parallel_closed_form(
+        p0, p_swap, slot, link.n_nest)
+    pair = rates.mean_time_two_plus_two(curve_b)
+    assert pair.scheme_tag == "two_plus_two"
+    assert pair.mean_time == rates.parallel_closed_form(
+        pair.p0, pair.p_swap, link.L0 / link.c_fiber, link.n_nest).mean_time
+
+
 def test_unreachable_flagged_not_raised():
     dead = with_link(default_parameters(), eta_d=0.0)
     result = rates.mean_time_parallel(dead)
