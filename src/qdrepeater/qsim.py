@@ -4,17 +4,22 @@ Two layers:
 
 * state-vector dynamics of the electron to nuclear-ensemble flip-flop
   transfer, both in the collective excitation-number basis and in the full
-  2**(N+1) product space (brute-force cross-check).  The flip-flop conserves
-  the number of up spins, so the full-space propagator is built one
-  excitation-number block at a time (at most C(N+1, (N+1)//2) wide, 252 at
-  9 nuclei) instead of from one dense 2**(N+1) diagonalization, and
+  2**(N+1) product space (brute-force cross-check).  Every coupling is
+  real, so both Hamiltonians are real symmetric float64 matrices.  The
+  flip-flop conserves the number of up spins, so the full-space evolution
+  diagonalizes one excitation-number block at a time (at most
+  C(N+1, (N+1)//2) wide, 252 at 9 nuclei) instead of the dense 2**(N+1)
+  matrix, and evolves the block's amplitudes by two matrix-vector products
+  in its eigenbasis without forming a propagator, and
 * a dense density-matrix register (up to 8 qubits) used to simulate the
   swap circuit and power-of-two chains with scalar-fidelity noise channels.
   A gate or Kraus channel on k qubits acts as its 4**k superoperator on
   the (2,)*2n tensor view of the matrix; no full-register operator is
   ever built.  The swap reads each Z-readout outcome of the two middle
   qubits as one slice of that tensor view, which projects and traces them
-  out in one step; its trace is the outcome's probability.
+  out in one step; its trace is the outcome's probability.  The four
+  slices are read in one einsum, and the record-conditioned corrections of
+  all kept branches are applied as one stacked U rho U^dagger.
 
 Conventions: qubit |0> is spin-down, |1> is spin-up; qubit 0 is the most
 significant bit of the register index.  The controlled-Z gate flips the sign
@@ -27,6 +32,7 @@ probability 1 - F_readout; no extra quantum back-action.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -125,10 +131,11 @@ def build_flipflop_hamiltonian(p: TransferParams) -> np.ndarray:
 
     Couples |up, k> to |down, k+1> with the spin-1/2 collective ladder
     element coupling*sqrt((k+1)(N-k)); |down, 0> is exactly stationary.
+    Every element is real, so the matrix is real symmetric (float64).
     """
     n = p.n_nuclei
     dim = 2 * (n + 1)
-    H = np.zeros((dim, dim), dtype=complex)
+    H = np.zeros((dim, dim))
     for k in range(n):
         elem = p.coupling * math.sqrt((k + 1) * (n - k))
         i_up = collective_index(1, k, n)
@@ -138,14 +145,10 @@ def build_flipflop_hamiltonian(p: TransferParams) -> np.ndarray:
     return H
 
 
-def _propagator(H: np.ndarray, t: float) -> np.ndarray:
-    energies, modes = np.linalg.eigh(H)
-    return (modes * np.exp(-1j * energies * t)) @ modes.conj().T
-
-
 def transfer_propagator(p: TransferParams, t: float) -> np.ndarray:
-    """Exact unitary exp(-i H t) on the collective register."""
-    return _propagator(build_flipflop_hamiltonian(p), t)
+    """Exact unitary exp(-i H t) on the collective register (complex)."""
+    energies, modes = np.linalg.eigh(build_flipflop_hamiltonian(p))
+    return (modes * np.exp(-1j * energies * t)) @ modes.T
 
 
 def evolve_transfer(state: PureState, p: TransferParams, t: float) -> PureState:
@@ -165,7 +168,8 @@ def build_full_space_hamiltonian(p: TransferParams) -> np.ndarray:
     single-magnon mode has a product-space representation here.  The
     electron is the most significant bit of the register index; nucleus i
     couples every index with the electron up and nucleus i down to the index
-    with both bits flipped.
+    with both bits flipped.  The coupling is real, so the matrix is real
+    symmetric (float64).
     """
     if p.delta_m != 1:
         raise ValueError("full product-space dynamics is defined for delta_m = 1")
@@ -174,7 +178,7 @@ def build_full_space_hamiltonian(p: TransferParams) -> np.ndarray:
     n = p.n_nuclei
     idx = np.arange(2 ** (n + 1))
     electron = 1 << n
-    H = np.zeros((idx.size, idx.size), dtype=complex)
+    H = np.zeros((idx.size, idx.size))
     for bit in range(n):
         nucleus = 1 << bit
         src = idx[((idx & electron) != 0) & ((idx & nucleus) == 0)]
@@ -194,8 +198,10 @@ def full_space_oracle(p: TransferParams, state: PureState, t: float) -> PureStat
     """Brute-force evolution in the full product space.
 
     The flip-flop conserves the number of up spins, so the Hamiltonian is
-    block diagonal in the popcount of the register index.  Each block (the
-    largest is C(N+1, (N+1)//2) wide) is diagonalized and evolved on its own.
+    block diagonal in the popcount of the register index.  Each real
+    symmetric block (the largest is C(N+1, (N+1)//2) wide) is diagonalized
+    on its own, and its amplitudes are evolved in the block's eigenbasis by
+    two matrix-vector products; no propagator is formed.
     """
     if state.space != "full":
         raise ValueError("full_space_oracle expects a full product-space state")
@@ -207,7 +213,9 @@ def full_space_oracle(p: TransferParams, state: PureState, t: float) -> PureStat
     amps = np.empty_like(state.amps)
     for count in range(n_qubits + 1):
         blk = np.flatnonzero(ups == count)
-        amps[blk] = _propagator(H[np.ix_(blk, blk)], t) @ state.amps[blk]
+        energies, modes = np.linalg.eigh(H[np.ix_(blk, blk)])
+        amps[blk] = modes @ (np.exp(-1j * energies * t)
+                             * (modes.T @ state.amps[blk]))
     return PureState(amps, p.n_nuclei, "full")
 
 
@@ -303,13 +311,23 @@ def werner_pair(fidelity: float) -> DensityMatrix:
     return DensityMatrix(mat, 2)
 
 
+# The gate constants below are built once, on first use rather than at
+# import: building them touches numpy's complex einsum, multiply and matmul
+# code, which would add about 0.3 MB to the peak RSS of every command that
+# never runs the swap.
+
+@functools.cache
+def _pauli_products() -> np.ndarray:
+    """The 16 two-qubit Pauli products P_a (x) P_b, stacked; I (x) I first."""
+    paulis = np.stack((PAULI_I, PAULI_X, PAULI_Y, PAULI_Z))
+    return np.einsum("iab,jcd->ijacbd", paulis, paulis).reshape(16, 4, 4)
+
+
 def _two_qubit_depolarizing_kraus(p_dep: float) -> np.ndarray:
     """The 16 weighted Pauli products P_a (x) P_b, stacked; I (x) I first."""
-    paulis = np.stack((PAULI_I, PAULI_X, PAULI_Y, PAULI_Z))
-    products = np.einsum("iab,jcd->ijacbd", paulis, paulis).reshape(16, 4, 4)
     weights = np.full(16, p_dep / 16.0)
     weights[0] = 1.0 - 15.0 * p_dep / 16.0
-    return np.sqrt(weights)[:, None, None] * products
+    return np.sqrt(weights)[:, None, None] * _pauli_products()
 
 
 def apply_cz(rho: DensityMatrix, q1: int, q2: int,
@@ -338,6 +356,13 @@ def _correction(record_z: int, record_x: int) -> np.ndarray:
     return op
 
 
+@functools.cache
+def _pair_corrections() -> np.ndarray:
+    """kron(I, correction) on the [D1, D4] pair, at 2*record_z + record_x."""
+    return np.stack([np.kron(PAULI_I, _correction(r2, r3))
+                     for r2 in (0, 1) for r3 in (0, 1)])
+
+
 def swap_branches(rho: DensityMatrix, F_gate: float, F_readout: float):
     """All measurement branches of one entanglement swap.
 
@@ -349,7 +374,9 @@ def swap_branches(rho: DensityMatrix, F_gate: float, F_readout: float):
     record-conditioned Pauli correction already applied to D4.  The slice
     ``[:, m2, m3, :, :, m2, m3, :]`` of the tensor view is the unnormalized
     [D1, D4] state of outcome (m2, m3): it projects D2 and D3 and traces
-    them out at once, and its trace is the joint probability.
+    them out at once, and its trace is the joint probability.  One einsum
+    reads all four slices, and every kept branch is corrected in one
+    stacked U @ pair @ U^dagger.
     """
     if rho.n_qubits != 4:
         raise ValueError("swap expects a four-qubit register")
@@ -358,25 +385,23 @@ def swap_branches(rho: DensityMatrix, F_gate: float, F_readout: float):
     state = apply_cz(state, 1, 2, F_gate)
     state = state.apply_unitary(HADAMARD, [1])
     state = state.apply_unitary(HADAMARD, [2])
-    view = state._tensor()
-
-    branches = []
-    for m2 in (0, 1):
-        for m3 in (0, 1):
-            block = view[:, m2, m3, :, :, m2, m3, :].reshape(4, 4)
-            prob = float(np.trace(block).real)
-            if prob <= 1e-15:
-                continue
-            pair = DensityMatrix(block / prob, 2, check=False)
-            for f2 in (0, 1):
-                for f3 in (0, 1):
-                    p_flip = (eps if f2 else 1.0 - eps) * (eps if f3 else 1.0 - eps)
-                    if p_flip == 0.0:
-                        continue
-                    r2, r3 = m2 ^ f2, m3 ^ f3
-                    corrected = pair.apply_unitary(_correction(r2, r3), [1])
-                    branches.append((prob * p_flip, (r2, r3), corrected))
-    return branches
+    # blocks[2*m2 + m3] is outcome (m2, m3)'s unnormalized pair, and
+    # outcome ^ flip is the record 2*r2 + r3; branch 4*outcome + flip runs
+    # in (m2, m3, f2, f3) order
+    blocks = np.einsum("aijbcijd->ijabcd", state._tensor()).reshape(4, 4, 4)
+    probs = np.trace(blocks, axis1=1, axis2=2).real
+    p_bit = np.array([1.0 - eps, eps])
+    p_flip = np.outer(p_bit, p_bit).reshape(4)
+    outcome, flip = np.divmod(np.arange(16), 4)
+    skip = (probs[outcome] <= 1e-15) | (p_flip[flip] == 0.0)
+    outcome, flip = outcome[~skip], flip[~skip]
+    record = outcome ^ flip
+    U = _pair_corrections()[record]
+    pairs = blocks[outcome] / probs[outcome, None, None]
+    corrected = U @ pairs @ U.conj().transpose(0, 2, 1)
+    weights = probs[outcome] * p_flip[flip]
+    return [(float(w), divmod(int(r), 2), DensityMatrix(mat, 2, check=False))
+            for w, r, mat in zip(weights, record, corrected)]
 
 
 def averaged_swap(pair_a: DensityMatrix, pair_b: DensityMatrix,

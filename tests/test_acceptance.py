@@ -6,9 +6,10 @@ or equivalently ``qdrepeater validate``.
 
 import math
 
+import numpy as np
 import pytest
 
-from qdrepeater import acceptance
+from qdrepeater import acceptance, qsim
 from qdrepeater.acceptance import CheckResult, Measure
 from qdrepeater.cli import main
 
@@ -34,6 +35,38 @@ def test_cli_validate_runs_the_full_gate(capsys):
 def test_nan_measure_fails(op):
     assert not Measure("x", math.nan, 0.0, 1.0, op).passed
     assert not Measure("x", math.nan, 0.0, 0.0, op).passed
+
+
+def _nan_rabi_evolution(monkeypatch):
+    # the Rabi-law loop is the only caller at 5 nuclei
+    evolve = qsim.evolve_transfer
+
+    def patched(state, p, t):
+        out = evolve(state, p, t)
+        if p.n_nuclei != 5:
+            return out
+        return qsim.PureState(np.full_like(out.amps, np.nan), 5)
+
+    monkeypatch.setattr(qsim, "evolve_transfer", patched)
+
+
+def _nan_overlap(monkeypatch):
+    monkeypatch.setattr(qsim.PureState, "overlap",
+                        lambda self, other: complex(math.nan))
+
+
+@pytest.mark.parametrize("label,inject", [
+    ("Rabi-law max deviation", _nan_rabi_evolution),
+    ("full-vs-collective deviation", _nan_overlap)], ids=["rabi", "overlap"])
+def test_nan_deviation_fails_criterion_10(monkeypatch, label, inject):
+    inject(monkeypatch)
+    result = CheckResult(10, "quantum oracle consistency",
+                         acceptance.check_quantum_oracle())
+    (measure,) = [m for m in result.measures if m.label == label]
+    assert math.isnan(measure.value)
+    assert not measure.passed
+    assert not result.passed
+    assert all(m.passed for m in result.measures if m.label != label)
 
 
 def test_zero_tolerance_is_exact_equality():

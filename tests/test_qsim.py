@@ -295,7 +295,17 @@ def test_full_space_hamiltonian_equals_loop_reference(n):
     assert np.array_equal(H * ups[None, :], ups[:, None] * H)
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 10))
+def test_hamiltonians_are_real_symmetric(n):
+    # every coupling is real, so eigh can take the real-symmetric driver
+    p = qsim.TransferParams(n_nuclei=n, coupling=1.3)
+    for H in (qsim.build_flipflop_hamiltonian(p),
+              qsim.build_full_space_hamiltonian(p)):
+        assert H.dtype == np.float64
+        assert np.array_equal(H, H.T)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
 def test_block_evolution_equals_dense_propagator(n):
     rng = np.random.default_rng(100 + n)
     p = qsim.TransferParams(n_nuclei=n, coupling=1.9)
@@ -412,7 +422,8 @@ def test_ideal_swap_fidelity_one_on_every_branch():
     assert records == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
-@pytest.mark.parametrize("F_gate,F_readout", [(0.97, 0.95), (0.99, 1.0)])
+@pytest.mark.parametrize("F_gate,F_readout",
+                         [(0.97, 0.95), (0.99, 1.0), (1.0, 1.0)])
 def test_swap_branches_equal_projector_mask_reference(F_gate, F_readout):
     rng = np.random.default_rng(11)
     rho = random_density_matrix(rng, 4)
@@ -432,6 +443,10 @@ def test_swap_on_product_input_gives_no_entanglement():
     branches = qsim.swap_branches(product.tensor(product), 1.0, 1.0)
     for _, _, dm in branches:
         assert qsim.bell_fidelity(dm) <= 0.5 + 1e-10
+    # D2 always reads 0, so both m2 = 1 outcomes have zero weight and are
+    # skipped; D3 reads 0 or 1 with equal probability
+    assert [r for _, r, _ in branches] == [(0, 0), (0, 1)]
+    assert [p for p, _, _ in branches] == pytest.approx([0.5, 0.5], abs=1e-15)
 
 
 def test_noisy_swap_matches_depolarizing_algebra():
