@@ -6,20 +6,22 @@ Two layers:
   transfer, both in the collective excitation-number basis and in the full
   2**(N+1) product space (brute-force cross-check).  Every coupling is
   real, so both Hamiltonians are real symmetric float64 matrices.  The
-  flip-flop conserves the number of up spins, so the full-space evolution
-  diagonalizes one excitation-number block at a time (at most
-  C(N+1, (N+1)//2) wide, 252 at 9 nuclei) instead of the dense 2**(N+1)
-  matrix, and evolves the block's amplitudes by two matrix-vector products
-  in its eigenbasis without forming a propagator, and
+  collective register (2*(N+1) wide) is diagonalized.  The full-space
+  evolution never forms a matrix: each register index has at most N
+  flip-flop partners, so H acts on a state vector as one gather over a
+  partner table, and exp(-iHt) acts as a truncated Taylor series in steps
+  short enough that the truncation error stays below float64 rounding
+  (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)), and
 * a dense density-matrix register (up to 8 qubits) used to simulate the
   swap circuit and power-of-two chains with scalar-fidelity noise channels.
   A gate or Kraus channel on k qubits acts as its 4**k superoperator on
   the (2,)*2n tensor view of the matrix; no full-register operator is
-  ever built.  The swap reads each Z-readout outcome of the two middle
-  qubits as one slice of that tensor view, which projects and traces them
-  out in one step; its trace is the outcome's probability.  The four
-  slices are read in one einsum, and the record-conditioned corrections of
-  all kept branches are applied as one stacked U rho U^dagger.
+  ever built.  The swap's gates and gate noise act as one fused channel on
+  the two middle qubits.  Each Z-readout outcome of those qubits is one
+  slice of the tensor view, which projects and traces them out in one
+  step; its trace is the outcome's probability.  The four slices are read
+  in one einsum, and the record-conditioned corrections of all kept
+  branches are applied as one stacked U rho U^dagger.
 
 Conventions: qubit |0> is spin-down, |1> is spin-up; qubit 0 is the most
 significant bit of the register index.  The controlled-Z gate flips the sign
@@ -33,6 +35,7 @@ probability 1 - F_readout; no extra quantum back-action.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -42,6 +45,15 @@ _NORM_TOL = 1e-9
 _TRACE_TOL = 1e-10
 
 MAX_FULL_SPACE_NUCLEI = 10
+
+#: Largest ||H dt|| of one Taylor step of the full-space exp(-iHt).
+_TAYLOR_STEP_NORM = 3.0
+#: Lowest Taylor order whose a-priori remainder at that norm x,
+#: x**(m+1)/(m+1)! * (m+2)/(m+2-x), is below the float64 unit roundoff.
+_TAYLOR_ORDER = next(
+    m for m in itertools.count(math.ceil(_TAYLOR_STEP_NORM))
+    if _TAYLOR_STEP_NORM ** (m + 1) / math.factorial(m + 1)
+    * (m + 2) / (m + 2 - _TAYLOR_STEP_NORM) <= np.finfo(float).eps / 2)
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -145,10 +157,16 @@ def build_flipflop_hamiltonian(p: TransferParams) -> np.ndarray:
     return H
 
 
-def transfer_propagator(p: TransferParams, t: float) -> np.ndarray:
-    """Exact unitary exp(-i H t) on the collective register (complex)."""
+def transfer_propagator(p: TransferParams,
+                        t: float | np.ndarray) -> np.ndarray:
+    """Exact unitary exp(-i H t) on the collective register (complex).
+
+    ``t`` may be an array of times; the result then stacks one unitary per
+    time, from a single diagonalization.
+    """
     energies, modes = np.linalg.eigh(build_flipflop_hamiltonian(p))
-    return (modes * np.exp(-1j * energies * t)) @ modes.T
+    phases = np.exp(-1j * energies * np.asarray(t)[..., None])
+    return (modes * phases[..., None, :]) @ modes.T
 
 
 def evolve_transfer(state: PureState, p: TransferParams, t: float) -> PureState:
@@ -161,15 +179,14 @@ def evolve_transfer(state: PureState, p: TransferParams, t: float) -> PureState:
     return PureState(amps, p.n_nuclei, "collective")
 
 
-def build_full_space_hamiltonian(p: TransferParams) -> np.ndarray:
-    """Per-nucleus flip-flop Hamiltonian on the 2**(N+1) product register.
+def _flipflop_partners(p: TransferParams) -> np.ndarray:
+    """Flip-flop partner table of the 2**(N+1) product register.
 
-    coupling * sum_i (sigma+_i S-_e + sigma-_i S+_e); only the delta_m = 1
-    single-magnon mode has a product-space representation here.  The
-    electron is the most significant bit of the register index; nucleus i
-    couples every index with the electron up and nucleus i down to the index
-    with both bits flipped.  The coupling is real, so the matrix is real
-    symmetric (float64).
+    The electron is the most significant bit of the register index.  Row i
+    holds, for every index, the index with the electron and nucleus i
+    (bit i) both flipped; the two are coupled when those bits differ.
+    Where they agree the entry is 2**(N+1), one past the register, so a
+    gather from the amplitudes padded with one zero skips it.
     """
     if p.delta_m != 1:
         raise ValueError("full product-space dynamics is defined for delta_m = 1")
@@ -178,13 +195,32 @@ def build_full_space_hamiltonian(p: TransferParams) -> np.ndarray:
     n = p.n_nuclei
     idx = np.arange(2 ** (n + 1))
     electron = 1 << n
-    H = np.zeros((idx.size, idx.size))
-    for bit in range(n):
-        nucleus = 1 << bit
-        src = idx[((idx & electron) != 0) & ((idx & nucleus) == 0)]
-        dst = src ^ (electron | nucleus)
-        H[dst, src] = p.coupling
-        H[src, dst] = p.coupling
+    nucleus = 1 << np.arange(n)[:, None]
+    coupled = ((idx & electron) == 0) != ((idx & nucleus) == 0)
+    return np.where(coupled, idx ^ (electron | nucleus), idx.size)
+
+
+def _flipflop_action(p: TransferParams, partners: np.ndarray,
+                     psi: np.ndarray) -> np.ndarray:
+    """H psi for the full-space Hamiltonian, from its partner table."""
+    return p.coupling * np.append(psi, 0.0)[partners].sum(axis=0)
+
+
+def build_full_space_hamiltonian(p: TransferParams) -> np.ndarray:
+    """Per-nucleus flip-flop Hamiltonian on the 2**(N+1) product register.
+
+    coupling * sum_i (sigma+_i S-_e + sigma-_i S+_e); only the delta_m = 1
+    single-magnon mode has a product-space representation here.  Each index
+    with the electron up and nucleus i down couples to the index with both
+    bits flipped (see ``_flipflop_partners``).  The coupling is real, so
+    the matrix is real symmetric (float64).  The oracle only applies H to
+    vectors; the dense matrix is the definition they are checked against.
+    """
+    partners = _flipflop_partners(p)
+    dim = partners.shape[1]
+    coupled = partners < dim
+    H = np.zeros((dim, dim))
+    H[np.nonzero(coupled)[1], partners[coupled]] = p.coupling
     return H
 
 
@@ -197,25 +233,28 @@ def _up_spins(n_qubits: int) -> np.ndarray:
 def full_space_oracle(p: TransferParams, state: PureState, t: float) -> PureState:
     """Brute-force evolution in the full product space.
 
-    The flip-flop conserves the number of up spins, so the Hamiltonian is
-    block diagonal in the popcount of the register index.  Each real
-    symmetric block (the largest is C(N+1, (N+1)//2) wide) is diagonalized
-    on its own, and its amplitudes are evolved in the block's eigenbasis by
-    two matrix-vector products; no propagator is formed.
+    exp(-iHt) acts on the amplitudes as ceil(N |coupling| |t| / 3) Taylor
+    steps, each summed to the fixed order ``_TAYLOR_ORDER`` (27).
+    N |coupling| bounds ||H|| (Gershgorin: at most N couplings per row), so
+    every step has ||H dt|| <= ``_TAYLOR_STEP_NORM`` = 3 and its truncation
+    error is below the float64 unit roundoff.  H is applied through the
+    partner table; no matrix and no decomposition is formed.  The cost
+    grows linearly with N |coupling| |t|: the oracle is meant for times of
+    the order of a Rabi period.
     """
     if state.space != "full":
         raise ValueError("full_space_oracle expects a full product-space state")
     if state.n_nuclei != p.n_nuclei:
         raise ValueError("state and parameters disagree on the nucleus count")
-    H = build_full_space_hamiltonian(p)
-    n_qubits = p.n_nuclei + 1
-    ups = _up_spins(n_qubits)
-    amps = np.empty_like(state.amps)
-    for count in range(n_qubits + 1):
-        blk = np.flatnonzero(ups == count)
-        energies, modes = np.linalg.eigh(H[np.ix_(blk, blk)])
-        amps[blk] = modes @ (np.exp(-1j * energies * t)
-                             * (modes.T @ state.amps[blk]))
+    partners = _flipflop_partners(p)
+    steps = math.ceil(p.n_nuclei * abs(p.coupling * t) / _TAYLOR_STEP_NORM)
+    dt = t / max(steps, 1)
+    amps = state.amps
+    for _ in range(steps):
+        term = amps
+        for k in range(1, _TAYLOR_ORDER + 1):
+            term = (-1j * dt / k) * _flipflop_action(p, partners, term)
+            amps = amps + term
     return PureState(amps, p.n_nuclei, "full")
 
 
@@ -248,7 +287,9 @@ class DensityMatrix:
         if check:
             if abs(np.trace(mat).real - 1.0) > _TRACE_TOL:
                 raise ValueError("density matrix trace differs from 1")
-            if not np.allclose(mat, mat.conj().T, atol=1e-9):
+            # np.allclose(mat, adj, atol=1e-9) in one pass: NaN fails
+            adj = mat.conj().T
+            if not (np.abs(mat - adj) <= 1e-9 + 1e-5 * np.abs(adj)).all():
                 raise ValueError("density matrix is not Hermitian")
         self.mat = mat
         self.n_qubits = n_qubits
@@ -323,8 +364,13 @@ def _pauli_products() -> np.ndarray:
     return np.einsum("iab,jcd->ijacbd", paulis, paulis).reshape(16, 4, 4)
 
 
-def _two_qubit_depolarizing_kraus(p_dep: float) -> np.ndarray:
-    """The 16 weighted Pauli products P_a (x) P_b, stacked; I (x) I first."""
+def _two_qubit_depolarizing_kraus(F_gate: float) -> np.ndarray:
+    """The 16 weighted Pauli products P_a (x) P_b, stacked; I (x) I first.
+
+    The depolarizing strength p = 4*(1-F)/3 makes the channel's average gate
+    fidelity equal ``F_gate``.
+    """
+    p_dep = 4.0 * (1.0 - F_gate) / 3.0
     weights = np.full(16, p_dep / 16.0)
     weights[0] = 1.0 - 15.0 * p_dep / 16.0
     return np.sqrt(weights)[:, None, None] * _pauli_products()
@@ -342,8 +388,7 @@ def apply_cz(rho: DensityMatrix, q1: int, q2: int,
     out = rho.apply_unitary(CZ_GATE, [q1, q2])
     if F_gate >= 1.0:
         return out
-    p_dep = 4.0 * (1.0 - F_gate) / 3.0
-    return out.apply_kraus(_two_qubit_depolarizing_kraus(p_dep), [q1, q2])
+    return out.apply_kraus(_two_qubit_depolarizing_kraus(F_gate), [q1, q2])
 
 
 def _correction(record_z: int, record_x: int) -> np.ndarray:
@@ -354,6 +399,13 @@ def _correction(record_z: int, record_x: int) -> np.ndarray:
     if record_x == 1:
         op = PAULI_Z @ op
     return op
+
+
+@functools.cache
+def _swap_unitary() -> np.ndarray:
+    """(H (x) H) CZ (H (x) I) on [D2, D3]: the swap's gates as one unitary."""
+    return (np.kron(HADAMARD, HADAMARD) @ CZ_GATE
+            @ np.kron(HADAMARD, PAULI_I))
 
 
 @functools.cache
@@ -368,7 +420,11 @@ def swap_branches(rho: DensityMatrix, F_gate: float, F_readout: float):
 
     ``rho`` holds the four communication qubits [D1, D2, D3, D4].  The swap is
     H(D2) CZ(D2,D3) H(D2), then H(D3); D2 and D3 are read out in Z with the
-    record flipped with probability 1 - F_readout.  Returns a deterministic
+    record flipped with probability 1 - F_readout.  The gates and the CZ's
+    depolarizing noise act as one channel on (D2, D3), with Kraus operators
+    K_m S for the circuit's unitary S = (H (x) H) CZ (H (x) I): the
+    depolarizing channel commutes with every unitary on the qubits it acts
+    on.  Returns a deterministic
     ordered list of ``(probability, (record_D2, record_D3), pair_dm)``, in
     (m2, m3, f2, f3) order of true outcome and readout flip, with the
     record-conditioned Pauli correction already applied to D4.  The slice
@@ -381,10 +437,10 @@ def swap_branches(rho: DensityMatrix, F_gate: float, F_readout: float):
     if rho.n_qubits != 4:
         raise ValueError("swap expects a four-qubit register")
     eps = 1.0 - F_readout
-    state = rho.apply_unitary(HADAMARD, [1])
-    state = apply_cz(state, 1, 2, F_gate)
-    state = state.apply_unitary(HADAMARD, [1])
-    state = state.apply_unitary(HADAMARD, [2])
+    kraus = _swap_unitary()[None]
+    if F_gate < 1.0:
+        kraus = _two_qubit_depolarizing_kraus(F_gate) @ _swap_unitary()
+    state = rho.apply_kraus(kraus, [1, 2])
     # blocks[2*m2 + m3] is outcome (m2, m3)'s unnormalized pair, and
     # outcome ^ flip is the record 2*r2 + r3; branch 4*outcome + flip runs
     # in (m2, m3, f2, f3) order

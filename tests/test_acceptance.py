@@ -38,16 +38,14 @@ def test_nan_measure_fails(op):
 
 
 def _nan_rabi_evolution(monkeypatch):
-    # the Rabi-law loop is the only caller at 5 nuclei
-    evolve = qsim.evolve_transfer
+    # the Rabi-law sweep is the only caller at 5 nuclei
+    propagator = qsim.transfer_propagator
 
-    def patched(state, p, t):
-        out = evolve(state, p, t)
-        if p.n_nuclei != 5:
-            return out
-        return qsim.PureState(np.full_like(out.amps, np.nan), 5)
+    def patched(p, t):
+        out = propagator(p, t)
+        return out if p.n_nuclei != 5 else np.full_like(out, np.nan)
 
-    monkeypatch.setattr(qsim, "evolve_transfer", patched)
+    monkeypatch.setattr(qsim, "transfer_propagator", patched)
 
 
 def _nan_overlap(monkeypatch):

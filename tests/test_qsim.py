@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -66,10 +67,11 @@ def full_space_hamiltonian_reference(p):
     return p.coupling * H
 
 
-def full_space_evolution_reference(p, amps, t):
-    """One dense eigh of the whole 2**(N+1) Hamiltonian."""
+def full_space_evolution_reference(p, amps, times):
+    """One dense eigh of the whole 2**(N+1) Hamiltonian; a state per time."""
     energies, modes = np.linalg.eigh(full_space_hamiltonian_reference(p))
-    return (modes * np.exp(-1j * energies * t)) @ modes.conj().T @ amps
+    coeffs = modes.conj().T @ amps
+    return [modes @ (np.exp(-1j * energies * t) * coeffs) for t in times]
 
 
 def measure_z_reference(mat, n_qubits, qubit):
@@ -86,7 +88,8 @@ def measure_z_reference(mat, n_qubits, qubit):
 def swap_branches_reference(rho, F_gate, F_readout):
     """The swap's branches by projector masks on the whole register.
 
-    Measures D2, then D3, applies the record's Pauli to D4 as a 4-qubit
+    Runs the circuit gate by gate (H(D2), noisy CZ, H(D2), H(D3)), measures
+    D2, then D3, applies the record's Pauli to D4 as a 4-qubit
     operator (X unless D2 read 1, then Z if D3 read 1), and traces D2 and D3
     out with an explicit einsum.
     """
@@ -221,6 +224,15 @@ def test_rabi_law_to_machine_precision():
     assert worst < 1e-9
 
 
+def test_transfer_propagator_broadcasts_over_times():
+    p = qsim.TransferParams(n_nuclei=4, coupling=1.3)
+    times = np.array([0.0, 0.21, 1.7, 5.3])
+    stacked = qsim.transfer_propagator(p, times)
+    assert stacked.shape == (4, 10, 10)
+    for t, U in zip(times, stacked):
+        assert np.max(np.abs(U - qsim.transfer_propagator(p, t))) < 1e-15
+
+
 def test_entangled_pair_transfers_jointly():
     # (|up,down> + |down,up>)/sqrt(2) over two dots -> -i |down,down> (|10>+|01>)/sqrt(2)
     p = qsim.TransferParams(n_nuclei=3, coupling=1.3)
@@ -305,26 +317,74 @@ def test_hamiltonians_are_real_symmetric(n):
         assert np.array_equal(H, H.T)
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 11))
+def test_partner_table_action_equals_dense_hamiltonian(n):
+    rng = np.random.default_rng(200 + n)
+    p = qsim.TransferParams(n_nuclei=n, coupling=1.3)
+    psi = rng.normal(size=2 ** (n + 1)) + 1j * rng.normal(size=2 ** (n + 1))
+    got = qsim._flipflop_action(p, qsim._flipflop_partners(p), psi)
+    want = qsim.build_full_space_hamiltonian(p) @ psi
+    assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
 def test_block_evolution_equals_dense_propagator(n):
     rng = np.random.default_rng(100 + n)
     p = qsim.TransferParams(n_nuclei=n, coupling=1.9)
     amps = rng.normal(size=2 ** (n + 1)) + 1j * rng.normal(size=2 ** (n + 1))
     amps /= np.linalg.norm(amps)
     state = qsim.PureState(amps, n, "full")
-    for t in (0.0, 0.37, 2.9):
+    times = (0.0, 0.37, 2.9)
+    for t, expected in zip(times,
+                           full_space_evolution_reference(p, amps, times)):
         evolved = qsim.full_space_oracle(p, state, t)
-        expected = full_space_evolution_reference(p, amps, t)
         assert np.max(np.abs(evolved.amps - expected)) < 1e-12
 
 
+def test_full_space_oracle_builds_no_dense_matrix():
+    # the dense 2**10-square float64 Hamiltonian alone is 8 MB
+    p = qsim.TransferParams(n_nuclei=9, coupling=2.0e6)
+    state = qsim.embed_collective(qsim.collective_state(0.6, 0.8, 9))
+    t = 0.9 * math.pi / (2.0 * p.rabi_rate)
+    qsim.full_space_oracle(p, state, t)
+    tracemalloc.start()
+    try:
+        qsim.full_space_oracle(p, state, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
 def test_full_space_size_and_mode_guards():
+    too_big = qsim.TransferParams(n_nuclei=11, coupling=1.0)
+    wrong_mode = qsim.TransferParams(n_nuclei=2, coupling=1.0, delta_m=2)
     with pytest.raises(ValueError, match="full space"):
-        qsim.build_full_space_hamiltonian(
-            qsim.TransferParams(n_nuclei=11, coupling=1.0))
+        qsim.build_full_space_hamiltonian(too_big)
     with pytest.raises(ValueError, match="delta_m"):
-        qsim.build_full_space_hamiltonian(
-            qsim.TransferParams(n_nuclei=2, coupling=1.0, delta_m=2))
+        qsim.build_full_space_hamiltonian(wrong_mode)
+    for p, match in ((too_big, "full space"), (wrong_mode, "delta_m")):
+        state = qsim.embed_collective(
+            qsim.collective_state(1.0, 0.0, p.n_nuclei))
+        with pytest.raises(ValueError, match=match):
+            qsim.full_space_oracle(p, state, 0.1)
+
+
+@pytest.mark.parametrize("entry,mirror,hermitian", [
+    (0.99e-9, 0.0, True), (1.01e-9, 0.0, False),
+    (1e-9, 0.0, True), (math.nextafter(1e-9, 1.0), 0.0, False),
+    (0.3 + 2.9e-6, 0.3, True), (0.3 + 3.1e-6, 0.3, False),
+    (0.25j, -0.25j, True), (0.25j, 0.25j, False),
+    (math.nan, 0.0, False)])
+def test_hermiticity_check_accepts_what_allclose_accepts(entry, mirror,
+                                                         hermitian):
+    mat = np.array([[0.5, entry], [mirror, 0.5]], dtype=complex)
+    assert np.allclose(mat, mat.conj().T, atol=1e-9) == hermitian
+    if hermitian:
+        qsim.DensityMatrix(mat, 1)
+    else:
+        with pytest.raises(ValueError, match="Hermitian"):
+            qsim.DensityMatrix(mat, 1)
 
 
 def test_pure_state_must_be_normalized():
@@ -422,18 +482,20 @@ def test_ideal_swap_fidelity_one_on_every_branch():
     assert records == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
-@pytest.mark.parametrize("F_gate,F_readout",
-                         [(0.97, 0.95), (0.99, 1.0), (1.0, 1.0)])
+@pytest.mark.parametrize("F_gate,F_readout", [
+    (0.97, 0.95), (0.99, 1.0), (1.0, 1.0), (1.0, 0.999), (0.99, 0.999),
+    (0.9, 1.0), (0.9, 0.999)])
 def test_swap_branches_equal_projector_mask_reference(F_gate, F_readout):
-    rng = np.random.default_rng(11)
-    rho = random_density_matrix(rng, 4)
-    got = qsim.swap_branches(rho, F_gate, F_readout)
-    want = swap_branches_reference(rho, F_gate, F_readout)
-    assert len(got) == (16 if F_readout < 1 else 4)
-    assert [r for _, r, _ in got] == [r for _, r, _ in want]
-    for (p, _, dm), (p_ref, _, mat_ref) in zip(got, want):
-        assert abs(p - p_ref) < 1e-12
-        assert np.max(np.abs(dm.mat - mat_ref)) < 1e-12
+    # the fused channel against the gate-by-gate circuit, branch by branch
+    for seed in (11, 12, 13):
+        rho = random_density_matrix(np.random.default_rng(seed), 4)
+        got = qsim.swap_branches(rho, F_gate, F_readout)
+        want = swap_branches_reference(rho, F_gate, F_readout)
+        assert len(got) == (16 if F_readout < 1 else 4)
+        assert [r for _, r, _ in got] == [r for _, r, _ in want]
+        for (p, _, dm), (p_ref, _, mat_ref) in zip(got, want):
+            assert abs(p - p_ref) < 1e-14
+            assert np.max(np.abs(dm.mat - mat_ref)) < 1e-14
 
 
 def test_swap_on_product_input_gives_no_entanglement():
