@@ -8,8 +8,8 @@ subtrees starting from the failure time.
 A subtree's duration does not depend on when it starts, so trials are
 sampled whole arrays at a time, one nesting level at a time.  A level-0
 subtree (one link) takes Geometric(p0) slots.  A level-k subtree runs
-Geometric(p_swap) rounds; each round lasts max(A, B) + swap_time for two
-fresh level-(k-1) subtrees A and B started together, and only the last swap
+Geometric(p_swap) rounds; each round lasts max(A, B) for two fresh
+level-(k-1) subtrees A and B started together, and only the last swap
 succeeds.  Each count is drawn by inverse transform from one uniform: the
 SplitMix64 hash of its address, (seed, trial, the (round, side) path down
 the tree).  A draw therefore depends on its address alone, never on the
@@ -19,10 +19,11 @@ and campaigns that differ only in p0 or p_swap share their random numbers
 (common random numbers, monotone pathwise).  Trials run in chunks of about
 ``CHUNK_NODES`` tree nodes, which bounds the working memory.
 
-Times are held as counts of slots and of swaps, whole numbers in float64:
-exact below 2**53, and wide enough for the slot counts of a link with tiny
-p0 (a direct 1000 km link draws counts beyond the int64 range).  They are
-converted to seconds only to compare and to report them.
+Times are held as slot counts, whole numbers in float64: exact below 2**53,
+and wide enough for the counts of a link with tiny p0 (a direct 1000 km link
+draws counts beyond the int64 range).  They are converted to seconds
+(times ``slot_time``) only to compare them with the cutoff and to report
+them.
 
 A finite ``memory_cutoff`` bounds how long any nuclear memory may hold a
 state; a trial aborts unsuccessfully at the earliest moment a stored state
@@ -60,7 +61,6 @@ class ProtocolConfig:
     slot_time: float
     trials: int
     seed: int
-    swap_time: float = 0.0
     memory_cutoff: float = math.inf
 
     def __post_init__(self):
@@ -68,8 +68,8 @@ class ProtocolConfig:
             raise ValueError("p0 must lie in (0, 1]")
         if not 0.0 < self.p_swap <= 1.0:
             raise ValueError("p_swap must lie in (0, 1]")
-        if self.slot_time <= 0.0:
-            raise ValueError("slot_time must be positive")
+        if not 0.0 < self.slot_time < math.inf:
+            raise ValueError("slot_time must be finite and positive")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.n_nest < 0:
@@ -82,12 +82,11 @@ class ProtocolConfig:
 class TrialRecords:
     """Columnar records of a campaign, one row per trial in trial order.
 
-    A successful trial reports its delivery time, every swap failure and
-    link attempt, and the longest time any memory held a state.  A trial in
-    which some memory would hold a state longer than the cutoff aborts at
-    the earliest such expiry (write time + cutoff): it reports that time,
-    ``max_storage_time`` equal to the cutoff, and only the swap failures and
-    attempts that ended by then.
+    A successful trial reports its delivery time, every swap failure, and
+    the longest time any memory held a state.  A trial in which some memory
+    would hold a state longer than the cutoff aborts at the earliest such
+    expiry (write time + cutoff): it reports that time, ``max_storage_time``
+    equal to the cutoff, and only the swap failures that ended by then.
 
     Slicing gives the ``TrialRecords`` of a range of trials, and ``==``
     compares every column exactly.  One trial is read from the columns.
@@ -97,7 +96,6 @@ class TrialRecords:
     success: np.ndarray             # bool
     swap_failures: np.ndarray       # int
     max_storage_time: np.ndarray    # seconds
-    attempts: np.ndarray            # whole numbers in float64, (trials, links)
 
     def __len__(self) -> int:
         return self.total_time.size
@@ -200,20 +198,14 @@ def _trials_per_chunk(cfg: ProtocolConfig) -> int:
 
 def _sample_chunk(cfg: ProtocolConfig, first: int, count: int):
     """TrialRecords columns of trials ``first`` .. ``first + count - 1``."""
-    # times are stacked along axis 0 as (slots, swaps)
-    one_swap = np.array([[0.0], [1.0]])
-
-    def seconds(t):
-        return t[0] * cfg.slot_time + t[1] * cfg.swap_time
-
+    slot = cfg.slot_time
     # top-down: draw each level's round counts and address its subtrees;
     # the two subtrees of round i of a level sit at 2i and 2i + 1 below it
     root = _mix(np.array([cfg.seed & _MASK], dtype=np.uint64))
     keys = _mix(root ^ np.arange(first, first + count, dtype=np.uint64))
     trial = np.arange(count)
-    link = np.zeros(count, dtype=np.int64)
     levels = []
-    for k in range(cfg.n_nest, 0, -1):
+    for _ in range(cfg.n_nest):
         rounds = _geometric(keys, cfg.p_swap).astype(np.int64)
         owner = np.repeat(np.arange(rounds.size), rounds)
         last = np.cumsum(rounds) - 1
@@ -225,27 +217,21 @@ def _sample_chunk(cfg: ProtocolConfig, first: int, count: int):
         keys = _mix(keys[below]
                     ^ (2 * np.repeat(index, 2) + side + 1).astype(np.uint64))
         trial = trial[below]
-        link = link[below] + (side << (k - 1))
-    slots = _geometric(keys, cfg.p0)
 
     # bottom-up: each subtree's duration, the write offsets of its outer
     # memories and its largest internal storage, relative to its own start
-    dur = np.stack([slots, np.zeros(slots.size)])
-    left = right = dur
-    inner = np.zeros(slots.size)
+    dur = left = right = _geometric(keys, cfg.p0)
+    inner = np.zeros(dur.size)
     rounds_up = []
     failures = []       # trial of each failed swap, per level
     for owner, head, last, trial_of in reversed(levels):
-        dur_s = seconds(dur)
-        d = np.where(dur_s[0::2] >= dur_s[1::2],
-                     dur[:, 0::2], dur[:, 1::2]) + one_swap
+        d = np.maximum(dur[0::2], dur[1::2])
         # the swap consumes the mid memories; a failure also empties the
         # outer ones
-        failed = np.ones(d.shape[1], dtype=bool)
+        failed = np.ones(d.size, dtype=bool)
         failed[last] = False
-        writes = (right[:, 0::2], left[:, 1::2],
-                  left[:, 0::2], right[:, 1::2])
-        stored = [seconds(d - w) for w in writes]
+        writes = (right[0::2], left[1::2], left[0::2], right[1::2])
+        stored = [d - w for w in writes]
         for s in stored[2:]:
             s[~failed] = -math.inf
         rounds_up.append((d, failed, writes, stored))
@@ -253,58 +239,51 @@ def _sample_chunk(cfg: ProtocolConfig, first: int, count: int):
         round_inner = np.maximum(inner[0::2], inner[1::2])
         for s in stored:
             np.maximum(round_inner, s, out=round_inner)
-        dur = np.add.reduceat(d, head, axis=1)
-        before_last = dur - d[:, last]
-        left = before_last + left[:, 0::2][:, last]
-        right = before_last + right[:, 1::2][:, last]
+        dur = np.add.reduceat(d, head)
+        before_last = dur - d[last]
+        left = before_last + left[0::2][last]
+        right = before_last + right[1::2][last]
         inner = np.maximum.reduceat(round_inner, head)
     # the end memories hold until delivery (nothing is stored at n_nest 0)
-    top = ((seconds(dur - left), left), (seconds(dur - right), right))
-    max_storage = np.maximum(inner, np.maximum(top[0][0], top[1][0]))
+    top = ((dur - left, left), (dur - right, right))
+    max_storage = np.maximum(inner, np.maximum(top[0][0], top[1][0])) * slot
     success = ~(max_storage > cfg.memory_cutoff)
 
-    attempted = slots
     abort = np.full(count, math.inf)
     if not success.all():
         # abort time: the earliest expiry (write + cutoff) of any hold
         # exceeding the cutoff, from absolute write times found top-down;
-        # events count when they end by then
+        # swap failures count when they end by then
         def expire(trial_of, stored, write):
-            over = stored > cfg.memory_cutoff
+            over = stored * slot > cfg.memory_cutoff
             np.minimum.at(abort, trial_of[over],
-                          seconds(write[:, over]) + cfg.memory_cutoff)
+                          write[over] * slot + cfg.memory_cutoff)
 
         for stored, write in top:
             expire(np.arange(count), stored, write)
-        start = np.zeros((2, count))
+        start = np.zeros(count)
         ends = []     # seconds at which each failed swap happened, top-down
         for (owner, head, _, trial_of), (d, failed, writes, stored) in zip(
                 levels, reversed(rounds_up)):
-            elapsed = np.cumsum(d, axis=1) - d
-            round_start = start[:, owner] + elapsed - elapsed[:, head][:, owner]
+            elapsed = np.cumsum(d) - d
+            round_start = start[owner] + elapsed - elapsed[head][owner]
             for s, w in zip(stored, writes):
                 expire(trial_of, s, round_start + w)
-            ends.append(seconds(round_start + d)[failed])
-            start = np.repeat(round_start, 2, axis=1)
+            ends.append(((round_start + d) * slot)[failed])
+            start = np.repeat(round_start, 2)
         failures = [t[end <= abort[t]]
                     for t, end in zip(failures, reversed(ends))]
-        attempted = np.clip(np.floor((abort[trial] - seconds(start))
-                                     / cfg.slot_time), 0.0, slots)
     swap_failures = sum((np.bincount(t, minlength=count) for t in failures),
                         np.zeros(count, dtype=np.int64))
-    n_links = 2**cfg.n_nest
-    attempts = np.bincount(trial * n_links + link, weights=attempted,
-                           minlength=count * n_links)
-    return (np.where(success, seconds(dur), abort), success, swap_failures,
-            np.where(success, max_storage, cfg.memory_cutoff),
-            attempts.reshape(count, n_links))
+    return (np.where(success, dur * slot, abort), success, swap_failures,
+            np.where(success, max_storage, cfg.memory_cutoff))
 
 
 def run_trials(cfg: ProtocolConfig) -> TrialRecords:
     """All trial records, in trial order (deterministic for a given cfg)."""
     n = cfg.trials
     columns = (np.empty(n), np.empty(n, dtype=bool), np.empty(n, dtype=np.int64),
-               np.empty(n), np.empty((n, 2**cfg.n_nest)))
+               np.empty(n))
     step = _trials_per_chunk(cfg)
     for lo in range(0, n, step):
         chunk = _sample_chunk(cfg, lo, min(step, n - lo))

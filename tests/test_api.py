@@ -53,6 +53,24 @@ def test_benchmark_attributes_and_registries():
                                   "qsim"}
 
 
+def test_trial_records_hold_the_columns_mc_out_writes():
+    assert [f.name for f in fields(mcsim.TrialRecords)] == [
+        "total_time", "success", "swap_failures", "max_storage_time"]
+    assert "swap_time" not in {f.name for f in fields(mcsim.ProtocolConfig)}
+
+
+def test_benchmark_builds_configs_and_reads_no_removed_column(monkeypatch):
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    workloads = importlib.import_module("workloads")
+    cfg = workloads.cutoff_config(params.default_parameters(), 10, 1)
+    assert isinstance(cfg, mcsim.ProtocolConfig)
+    assert len(mcsim.run_trials(cfg)) == 10
+    for name in ("workloads.py", "probes.py"):
+        text = (bench / name).read_text()
+        assert "swap_time" not in text and "attempts" not in text, name
+
+
 @pytest.mark.parametrize("name", ["swap_entanglement", "TrialRecord",
                                   "bell_state", "_within"])
 def test_removed_names_stay_out_of_the_package(name):

@@ -88,14 +88,6 @@ def test_three_levels_curve_b_within_band():
     assert 0.85 <= report.ratio <= 1.15
 
 
-def test_swap_time_adds_to_the_mean():
-    base = mcsim.simulate_chain(cfg(n_nest=2, p0=0.2, p_swap=0.5, seed=8,
-                                    trials=4_000))
-    slow = mcsim.simulate_chain(cfg(n_nest=2, p0=0.2, p_swap=0.5, seed=8,
-                                    trials=4_000, swap_time=0.5))
-    assert slow.mean > base.mean
-
-
 # ------------------------------------------------------------ determinism
 
 def test_rerun_is_bit_identical():
@@ -141,16 +133,21 @@ def test_stats_invariants():
 
 def test_records_have_consistent_attempts():
     records = mcsim.run_trials(cfg(n_nest=1, p0=0.3, p_swap=0.5, trials=500))
-    assert records.attempts.shape == (500, 2)
-    assert (records.attempts >= 1).all()
-    assert (records.total_time >= 1.0).all()  # at least one slot
     assert records.success.all()
+    slots = records.total_time       # at a one-second slot
+    assert (slots == np.floor(slots)).all()
+    # every swap round, the failed ones and the last, takes an attempt
+    assert (slots >= records.swap_failures + 1).all()
+    assert (records.max_storage_time < records.total_time).all()
 
 
 def test_certain_success_takes_exactly_one_slot():
-    records = mcsim.run_trials(cfg(p0=1.0, trials=50))
-    assert (records.total_time == 1.0).all()
-    assert records.attempts.tolist() == [[1.0]] * 50
+    for n_nest in (0, 2):
+        records = mcsim.run_trials(cfg(n_nest=n_nest, p0=1.0, trials=50))
+        assert (records.total_time == 1.0).all()
+        assert records.success.all()
+        assert (records.swap_failures == 0).all()
+        assert (records.max_storage_time == 0.0).all()
 
 
 def test_config_validation():
@@ -162,6 +159,14 @@ def test_config_validation():
         cfg(trials=0)
     with pytest.raises(ValueError):
         cfg(slot_time=0.0)
+
+
+@pytest.mark.parametrize("slot", [math.nan, math.inf, -math.inf, -1.0])
+def test_slot_time_must_be_finite_and_positive(slot):
+    with pytest.raises(ValueError, match="slot_time"):
+        cfg(slot_time=slot)
+    with pytest.raises(ValueError, match="slot_time"):
+        cfg(slot_time=slot, memory_cutoff=4.0)
 
 
 # ------------------------------------------------------------ storage
@@ -241,6 +246,47 @@ def test_cutoff_only_source_of_failure():
     records = mcsim.run_trials(cfg(n_nest=1, p0=0.3, p_swap=0.5,
                                    trials=1_000, memory_cutoff=math.inf))
     assert records.success.all()
+
+
+@pytest.mark.parametrize("n_nest", [1, 2, 3])
+@pytest.mark.parametrize("slot, cutoff", [(1.0, 6.0), (0.37, 2.9)])
+def test_cutoff_aborts_exactly_the_trials_that_store_too_long(n_nest, slot,
+                                                             cutoff):
+    # common random numbers: the cut campaign draws the uncut one's trees
+    uncut = mcsim.run_trials(cfg(n_nest=n_nest, p0=0.3, p_swap=0.6,
+                                 slot_time=slot, trials=3_000, seed=13))
+    cut = mcsim.run_trials(cfg(n_nest=n_nest, p0=0.3, p_swap=0.6,
+                               slot_time=slot, trials=3_000, seed=13,
+                               memory_cutoff=cutoff))
+    ok = cut.success
+    assert 0 < ok.sum() < ok.size
+    np.testing.assert_array_equal(ok, uncut.max_storage_time <= cutoff)
+    np.testing.assert_array_equal(cut.total_time[ok], uncut.total_time[ok])
+    np.testing.assert_array_equal(cut.max_storage_time[ok],
+                                  uncut.max_storage_time[ok])
+    np.testing.assert_array_equal(cut.swap_failures[ok],
+                                  uncut.swap_failures[ok])
+    # an abort comes before the stored state's consumption, so before delivery
+    assert (cut.total_time[~ok] < uncut.total_time[~ok]).all()
+    assert (cut.swap_failures[~ok] <= uncut.swap_failures[~ok]).all()
+
+
+@pytest.mark.parametrize("cutoff", [0.0, 10.0, 30.0])
+def test_one_level_cutoff_matches_exact_success_probability(cutoff):
+    # n = 1, slot 1: a round stores |A - B| slots for iid Geometric(p0) A, B,
+    # q = P(|A - B| <= c) = 1 - 2 (1 - p0)^(c+1) / (2 - p0), and a trial keeps
+    # every round of its Geometric(p_swap) count within the cutoff with
+    # probability p_swap q / (1 - (1 - p_swap) q)
+    p0, ps, trials = 0.05, 0.6, 200_000
+    q = 1.0 - 2.0 * (1.0 - p0)**(cutoff + 1) / (2.0 - p0)
+    exact = ps * q / (1.0 - (1.0 - ps) * q)
+    sigma = math.sqrt(exact * (1.0 - exact) / trials)
+    cut = mcsim.run_trials(cfg(n_nest=1, p0=p0, p_swap=ps, trials=trials,
+                               seed=5, memory_cutoff=cutoff))
+    uncut = mcsim.run_trials(cfg(n_nest=1, p0=p0, p_swap=ps, trials=trials,
+                                 seed=5))
+    assert abs(cut.success.mean() - exact) <= 3 * sigma
+    assert abs((uncut.max_storage_time <= cutoff).mean() - exact) <= 3 * sigma
 
 
 # ------------------------------------------------------------ comparison

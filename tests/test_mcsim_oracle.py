@@ -3,9 +3,9 @@
 ``Trial`` runs one trial as the plain recursion the protocol describes, in
 absolute time, drawing from the same address-keyed uniforms as
 ``qdrepeater.mcsim``: the SplitMix64 hash of (seed, trial, the (round, side)
-path down the tree).  Times are exact (slots, swaps) pairs, converted to
-seconds only to compare and report them, so the batched records must match
-the replay bit for bit, column by column.
+path down the tree).  Times are exact slot counts, converted to seconds only
+to compare and report them, so the batched records must match the replay
+bit for bit, column by column.
 """
 
 import math
@@ -35,85 +35,67 @@ def geometric(key, p):
     return max(1, math.ceil(math.log1p(-u) / log_q))
 
 
-def add(t, u):
-    return (t[0] + u[0], t[1] + u[1])
-
-
-def sub(t, u):
-    return (t[0] - u[0], t[1] - u[1])
-
-
 class Trial:
     """One trial replayed by recursion."""
 
     def __init__(self, cfg, trial):
         self.cfg = cfg
-        self.holds = []          # (seconds stored, absolute write time)
-        self.failed_swaps = []   # absolute times
-        self.links = []          # (link, absolute start, slots)
+        self.holds = []          # (slots stored, absolute write slot)
+        self.failed_swaps = []   # absolute slots
         key = mix(mix(cfg.seed & MASK) ^ trial)
-        self.delivery, left, right = self.subtree(cfg.n_nest, key, (0, 0), 0)
+        self.delivery, left, right = self.subtree(cfg.n_nest, key, 0)
         if cfg.n_nest:
             # the end memories hold until delivery
-            self.hold(self.delivery, left, (0, 0))
-            self.hold(self.delivery, right, (0, 0))
+            self.hold(self.delivery, left, 0)
+            self.hold(self.delivery, right, 0)
 
-    def seconds(self, t):
-        return t[0] * self.cfg.slot_time + t[1] * self.cfg.swap_time
+    def seconds(self, slots):
+        return slots * self.cfg.slot_time
 
     def hold(self, consumed, written, origin):
         """A memory written and consumed at these offsets from ``origin``."""
-        self.holds.append((self.seconds(sub(consumed, written)),
-                           add(origin, written)))
+        self.holds.append((consumed - written, origin + written))
 
-    def subtree(self, level, key, start, link):
+    def subtree(self, level, key, start):
         """(duration, left memory write, right memory write), from ``start``."""
         if level == 0:
             slots = geometric(key, self.cfg.p0)
-            self.links.append((link, start, slots))
-            return (slots, 0), (slots, 0), (slots, 0)
+            return slots, slots, slots
         rounds = geometric(key, self.cfg.p_swap)
-        elapsed = (0, 0)
+        elapsed = 0
         for r in range(rounds):
-            at = add(start, elapsed)
+            at = start + elapsed
             dur_a, left_a, right_a = self.subtree(
-                level - 1, mix(key ^ (2 * r + 1)), at, link)
+                level - 1, mix(key ^ (2 * r + 1)), at)
             dur_b, left_b, right_b = self.subtree(
-                level - 1, mix(key ^ (2 * r + 2)), at, link + 2**(level - 1))
-            longer = (dur_a if self.seconds(dur_a) >= self.seconds(dur_b)
-                      else dur_b)
-            d = (longer[0], longer[1] + 1)
+                level - 1, mix(key ^ (2 * r + 2)), at)
+            d = max(dur_a, dur_b)
             self.hold(d, right_a, at)       # the swap consumes the mid pair
             self.hold(d, left_b, at)
             if r < rounds - 1:
                 self.hold(d, left_a, at)    # a failure empties the outer pair
                 self.hold(d, right_b, at)
-                self.failed_swaps.append(add(at, d))
+                self.failed_swaps.append(at + d)
             else:
-                left, right = add(elapsed, left_a), add(elapsed, right_b)
-            elapsed = add(elapsed, d)
+                left, right = elapsed + left_a, elapsed + right_b
+            elapsed += d
         return elapsed, left, right
 
     def expiries(self):
         cutoff = self.cfg.memory_cutoff
-        return [self.seconds(w) + cutoff for s, w in self.holds if s > cutoff]
+        return [self.seconds(w) + cutoff for s, w in self.holds
+                if self.seconds(s) > cutoff]
 
     def record(self):
         """The trial's value in each of ``COLUMNS``, in that order."""
-        attempts = [0] * 2**self.cfg.n_nest
         expiries = self.expiries()
         if not expiries:
-            for link, _, slots in self.links:
-                attempts[link] += slots
             return (self.seconds(self.delivery), True, len(self.failed_swaps),
-                    max([0.0] + [s for s, _ in self.holds]), attempts)
+                    max([0.0] + [self.seconds(s) for s, _ in self.holds]))
         abort = min(expiries)
-        for link, start, slots in self.links:
-            done = math.floor((abort - self.seconds(start)) / self.cfg.slot_time)
-            attempts[link] += min(slots, max(0, done))
         return (abort, False,
                 sum(self.seconds(t) <= abort for t in self.failed_swaps),
-                self.cfg.memory_cutoff, attempts)
+                self.cfg.memory_cutoff)
 
 
 def first_mismatch(records, cfg):
@@ -127,12 +109,14 @@ def first_mismatch(records, cfg):
 
 
 @pytest.mark.parametrize("n_nest", [0, 1, 2, 3])
-@pytest.mark.parametrize("slot, swap, cutoff", [
-    (1.0, 0.0, math.inf), (1.0, 0.5, 6.0), (0.37, 0.11, 2.9)])
-def test_batched_records_match_scalar_replay(n_nest, slot, swap, cutoff):
-    cfg = mcsim.ProtocolConfig(n_nest=n_nest, p0=0.3, p_swap=0.6,
+@pytest.mark.parametrize("slot, swap_loss, cutoff", [
+    (1.0, 0.0, math.inf), (1.0, 0.4, math.inf),
+    (1.0, 0.5, 6.0), (0.37, 0.11, 2.9)])
+def test_batched_records_match_scalar_replay(n_nest, slot, swap_loss, cutoff):
+    # swap_loss = 1 - p_swap: 0 means every swap succeeds at once
+    cfg = mcsim.ProtocolConfig(n_nest=n_nest, p0=0.3, p_swap=1.0 - swap_loss,
                                slot_time=slot, trials=300, seed=11,
-                               swap_time=swap, memory_cutoff=cutoff)
+                               memory_cutoff=cutoff)
     records = mcsim.run_trials(cfg)
     assert len(records) == cfg.trials
     assert first_mismatch(records, cfg) is None
@@ -142,17 +126,20 @@ def test_batched_records_match_scalar_replay(n_nest, slot, swap, cutoff):
 
 
 def test_slot_counts_beyond_int64_stay_exact_and_positive():
-    # a direct 1000 km link at the default parameters: p0 ~ 7.9e-19
+    # a direct 1000 km link at the default parameters: p0 ~ 7.9e-19; at
+    # n_nest 0 and a one-second slot the delivery time is the slot count
     p0 = 0.5 * (0.94 * math.exp(-20) * 0.8 * 0.9 * 0.9)**2
     cfg = mcsim.ProtocolConfig(n_nest=0, p0=p0, p_swap=0.58, slot_time=1.0,
                                trials=10_000, seed=7)
     records = mcsim.run_trials(cfg)
-    assert (records.attempts > 2.0**63).any()
-    assert (records.total_time > 0.0).all()
+    assert (records.total_time > 2.0**63).any()
+    assert (records.total_time >= 1.0).all()
+    assert (records.total_time == np.floor(records.total_time)).all()
     mean_slots = records.total_time.mean() / cfg.slot_time
     assert abs(mean_slots * p0 - 1.0) < 5 / math.sqrt(cfg.trials)
-    big = int(np.argmax(records.attempts[:, 0]))
-    assert records.attempts[big, 0] == records.total_time[big] > 2**63
+    big = int(np.argmax(records.total_time))
+    key = mix(mix(cfg.seed & MASK) ^ big)
+    assert records.total_time[big] == geometric(key, p0) > 2**63
 
 
 def test_cutoff_abort_is_the_earliest_expiry():
@@ -180,8 +167,7 @@ def test_prefix_stable_across_a_chunk_boundary():
 
 def test_records_do_not_depend_on_chunk_size(monkeypatch):
     cfg = mcsim.ProtocolConfig(n_nest=2, p0=0.2, p_swap=0.5, slot_time=1.0,
-                               trials=500, seed=9, swap_time=0.25,
-                               memory_cutoff=12.0)
+                               trials=500, seed=9, memory_cutoff=12.0)
     whole = mcsim.run_trials(cfg)
     monkeypatch.setattr(mcsim, "CHUNK_NODES", 64)
     assert mcsim._trials_per_chunk(cfg) < 10

@@ -413,6 +413,17 @@ def test_cz_phase_kickback():
     assert np.allclose(out.mat, np.outer(kicked, kicked.conj()), atol=1e-12)
 
 
+@pytest.mark.parametrize("n_a, n_b", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_tensor_is_bit_identical_to_kron(n_a, n_b):
+    rng = np.random.default_rng(10 * n_a + n_b)
+    a = random_density_matrix(rng, n_a)
+    b = random_density_matrix(rng, n_b)
+    joint = a.tensor(b)
+    assert joint.n_qubits == n_a + n_b
+    assert joint.mat.shape == (2**(n_a + n_b),) * 2
+    assert joint.mat.tobytes() == np.kron(a.mat, b.mat).tobytes()
+
+
 def test_cz_rejects_same_qubit():
     rho = qsim.werner_pair(1.0)
     with pytest.raises(ValueError):
