@@ -13,6 +13,7 @@ contour and an F_ent quadrature that does not converge), 2 usage error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 # argparse's gettext loads locale on the first parse; load it with the CLI
 import locale  # noqa: F401
@@ -58,8 +59,13 @@ class SweepSpec:
         return np.linspace(self.start, self.stop, self.points)
 
 
-def _fmt(value: float) -> str:
-    return _FMT % value
+def _csv(header: str, row_format: str, columns) -> str:
+    """CSV text: ``header``, then one ``row_format`` line per row of the
+    equal-length ``columns``, all rendered by one ``%``."""
+    columns = tuple(columns)
+    values = tuple(itertools.chain.from_iterable(zip(*columns)))
+    rows = len(values) // len(columns)
+    return f"{header}\n" + (row_format + "\n") * rows % values
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -151,25 +157,24 @@ def cmd_rates(args, ps: ParameterSet, argv: list[str]) -> int:
         return 2
     grid = sweep.grid()
 
-    lines = ["L_km,rate_direct,rate_B,rate_C,rate_D,rate_2plus2"]
+    distances = grid * 1e3
+    try:
+        direct = [rates.direct_transmission_rate(L, args.source_rate,
+                                                 ps.link.L_att)
+                  for L in distances]
+    except ValueError as exc:
+        print(f"invalid rates input: {exc}", file=sys.stderr)
+        return 2
+    curves = [[rates.mean_time_parallel(
+                  with_link(ps, L_total=L, p_emit=product, eta_c=1.0,
+                            eta_s=product)).rate for L in distances]
+              for product in _CURVE_PRODUCTS.values()]
     pair_scheme = with_link(ps, eta_s=0.65)
-    for l_km in grid:
-        L = l_km * 1e3
-        try:
-            direct = rates.direct_transmission_rate(L, args.source_rate,
-                                                    ps.link.L_att)
-        except ValueError as exc:
-            print(f"invalid rates input: {exc}", file=sys.stderr)
-            return 2
-        row = [_fmt(l_km), _fmt(direct)]
-        for product in _CURVE_PRODUCTS.values():
-            cfg = with_link(ps, L_total=L, p_emit=product, eta_c=1.0,
-                            eta_s=product)
-            row.append(_fmt(rates.mean_time_parallel(cfg).rate))
-        row.append(_fmt(rates.mean_time_two_plus_two(
-            with_link(pair_scheme, L_total=L)).rate))
-        lines.append(",".join(row))
-    _emit("\n".join(lines) + "\n", args, ps, argv)
+    pairs = [rates.mean_time_two_plus_two(
+                 with_link(pair_scheme, L_total=L)).rate for L in distances]
+    _emit(_csv("L_km,rate_direct,rate_B,rate_C,rate_D,rate_2plus2",
+               ",".join([_FMT] * 6), (grid, direct, *curves, pairs)),
+          args, ps, argv)
     return 0
 
 
@@ -213,12 +218,10 @@ def cmd_contour(args, ps: ParameterSet, argv: list[str]) -> int:
         for note in notes:
             print(f"warning: F_p={fp:g} pol={pol:g}: {note}", file=sys.stderr)
 
-    lines = ["F_p,polarization,F_ent,F_transfer,F_gate,F_readout,F_total"]
-    for fp, pol, b in contour.rows():
-        lines.append(",".join([_fmt(fp), _fmt(pol), _fmt(b.F_ent),
-                               _fmt(b.F_transfer), _fmt(b.F_gate),
-                               _fmt(b.F_readout), _fmt(b.F_total)]))
-    _emit("\n".join(lines) + "\n", args, ps, argv)
+    rows = [(fp, pol, b.F_ent, b.F_transfer, b.F_gate, b.F_readout,
+             b.F_total) for fp, pol, b in contour.rows()]
+    _emit(_csv("F_p,polarization,F_ent,F_transfer,F_gate,F_readout,F_total",
+               ",".join([_FMT] * 7), zip(*rows)), args, ps, argv)
     return 0
 
 
@@ -262,12 +265,11 @@ def cmd_mc(args, ps: ParameterSet, argv: list[str]) -> int:
           f"max-storage median {storage.median():.4g} s; "
           f"fraction exceeding 1 s: {storage.fraction_exceeding(1.0):.4f}")
     if args.out:
-        lines = ["trial,total_time_s,swap_failures,max_storage_s"]
-        for i, (t, failures, stored) in enumerate(zip(
-                records.total_time.tolist(), records.swap_failures.tolist(),
-                records.max_storage_time.tolist())):
-            lines.append(f"{i},{_fmt(t)},{failures},{_fmt(stored)}")
-        _emit("\n".join(lines) + "\n", args, ps, argv)
+        _emit(_csv("trial,total_time_s,swap_failures,max_storage_s",
+                   f"%d,{_FMT},%d,{_FMT}",
+                   (range(len(records)), records.total_time.tolist(),
+                    records.swap_failures.tolist(),
+                    records.max_storage_time.tolist())), args, ps, argv)
     return 0
 
 

@@ -27,13 +27,20 @@ them.
 
 A finite ``memory_cutoff`` bounds how long any nuclear memory may hold a
 state; a trial aborts unsuccessfully at the earliest moment a stored state
-would exceed it (see TrialRecords).
+would exceed it (see TrialRecords).  Each swap round carries one hold: its
+swap consumes the mid pair of memories, and a failed swap also empties the
+outer pair, all at the same moment, so the round's longest hold is that of
+its earliest-written memory among those.  That one hold decides both the
+round's share of the storage time and, as subtraction and the conversion to
+seconds are monotone, whether and when the round's memories first expire.
+The end memories of a trial add one more hold, until delivery.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from numbers import Integral
 
 import numpy as np
 # np.percentile loads numpy.ma on first use (through np.unique); load it here
@@ -53,7 +60,11 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Inputs of one simulation campaign."""
+    """Inputs of one simulation campaign.
+
+    ``n_nest``, ``trials`` and ``seed`` must be integers; numpy integers are
+    stored as Python ints.
+    """
 
     n_nest: int
     p0: float
@@ -64,6 +75,12 @@ class ProtocolConfig:
     memory_cutoff: float = math.inf
 
     def __post_init__(self):
+        for name in ("n_nest", "trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, "
+                                 f"not {type(value).__name__}")
+            object.__setattr__(self, name, int(value))
         if not 0.0 < self.p0 <= 1.0:
             raise ValueError("p0 must lie in (0, 1]")
         if not 0.0 < self.p_swap <= 1.0:
@@ -87,6 +104,9 @@ class TrialRecords:
     would hold a state longer than the cutoff aborts at the earliest such
     expiry (write time + cutoff): it reports that time, ``max_storage_time``
     equal to the cutoff, and only the swap failures that ended by then.
+    Both are read from one hold per swap round, that of the round's
+    earliest-written memory (the mid pair, and the outer pair when the swap
+    fails), and one for the end memories.
 
     Slicing gives the ``TrialRecords`` of a range of trials, and ``==``
     compares every column exactly.  One trial is read from the columns.
@@ -170,12 +190,16 @@ class StorageHistogram:
         return float((self.values > threshold).mean())
 
 
-def _mix(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 step on a uint64 array: a bijection with full avalanche."""
-    z = x + _GOLDEN
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 step on a uint64 array, in place: a bijection with full
+    avalanche."""
+    z += _GOLDEN
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _geometric(keys: np.ndarray, p: float) -> np.ndarray:
@@ -184,9 +208,12 @@ def _geometric(keys: np.ndarray, p: float) -> np.ndarray:
     Inverse transform of one uniform, the key's top 53 bits, so the draw at
     a given address can only shrink as ``p`` grows.
     """
-    u = (keys >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    log_q = -math.inf if p >= 1.0 else math.log1p(-p)
-    return np.maximum(np.ceil(np.log1p(-u) / log_q), 1.0)
+    # ceil(log1p(-uniform) / log1p(-p)), at least 1
+    u = np.multiply(keys >> np.uint64(11), -(2.0**-53))
+    np.log1p(u, out=u)
+    u /= -math.inf if p >= 1.0 else math.log1p(-p)
+    np.ceil(u, out=u)
+    return np.maximum(u, 1.0, out=u)
 
 
 def _trials_per_chunk(cfg: ProtocolConfig) -> int:
@@ -198,9 +225,11 @@ def _trials_per_chunk(cfg: ProtocolConfig) -> int:
 
 def _sample_chunk(cfg: ProtocolConfig, first: int, count: int):
     """TrialRecords columns of trials ``first`` .. ``first + count - 1``."""
-    slot = cfg.slot_time
-    # top-down: draw each level's round counts and address its subtrees;
-    # the two subtrees of round i of a level sit at 2i and 2i + 1 below it
+    slot, cutoff = cfg.slot_time, cfg.memory_cutoff
+    # top-down: draw each level's round counts and address its subtrees.
+    # The two subtrees of the j-th of a level's r rounds sit side-major in
+    # the level below, at j (side 0) and r + j (side 1); their addresses are
+    # 2i + 1 and 2i + 2, where i numbers the round among its parent's.
     root = _mix(np.array([cfg.seed & _MASK], dtype=np.uint64))
     keys = _mix(root ^ np.arange(first, first + count, dtype=np.uint64))
     trial = np.arange(count)
@@ -210,73 +239,73 @@ def _sample_chunk(cfg: ProtocolConfig, first: int, count: int):
         owner = np.repeat(np.arange(rounds.size), rounds)
         last = np.cumsum(rounds) - 1
         head = last - rounds + 1
-        index = np.arange(owner.size) - head[owner]
-        levels.append((owner, head, last, trial[owner]))
-        below = np.repeat(owner, 2)
-        side = np.tile([0, 1], owner.size)
-        keys = _mix(keys[below]
-                    ^ (2 * np.repeat(index, 2) + side + 1).astype(np.uint64))
-        trial = trial[below]
+        trial_of = trial[owner]
+        levels.append((owner, head, last, trial_of))
+        r = owner.size
+        address = np.arange(1, 2 * r, 2, dtype=np.uint64)
+        address -= (2 * head).astype(np.uint64)[owner]
+        parent = keys[owner]
+        keys = np.empty(2 * r, dtype=np.uint64)
+        np.bitwise_xor(parent, address, out=keys[:r])
+        address += np.uint64(1)
+        np.bitwise_xor(parent, address, out=keys[r:])
+        _mix(keys)
+        trial = np.concatenate((trial_of, trial_of))
 
-    # bottom-up: each subtree's duration, the write offsets of its outer
-    # memories and its largest internal storage, relative to its own start
+    # bottom-up: each subtree's duration and the write offsets of its outer
+    # memories, relative to its own start, and each trial's longest hold.
+    # A round holds the mid pair until its swap, and the outer pair too when
+    # the swap fails; its longest hold is the one written first.
     dur = left = right = _geometric(keys, cfg.p0)
-    inner = np.zeros(dur.size)
+    longest = np.zeros(count)
     rounds_up = []
     failures = []       # trial of each failed swap, per level
     for owner, head, last, trial_of in reversed(levels):
-        d = np.maximum(dur[0::2], dur[1::2])
-        # the swap consumes the mid memories; a failure also empties the
-        # outer ones
-        failed = np.ones(d.size, dtype=bool)
+        r = owner.size
+        d = np.maximum(dur[:r], dur[r:])
+        failed = np.ones(r, dtype=bool)
         failed[last] = False
-        writes = (right[0::2], left[1::2], left[0::2], right[1::2])
-        stored = [d - w for w in writes]
-        for s in stored[2:]:
-            s[~failed] = -math.inf
-        rounds_up.append((d, failed, writes, stored))
+        mid = np.minimum(right[:r], left[r:])
+        first_write = np.minimum(mid, np.minimum(left[:r], right[r:]))
+        first_write[last] = mid[last]
+        hold = d - first_write
+        rounds_up.append((d, failed, first_write, hold))
         failures.append(trial_of[failed])
-        round_inner = np.maximum(inner[0::2], inner[1::2])
-        for s in stored:
-            np.maximum(round_inner, s, out=round_inner)
+        np.maximum.at(longest, trial_of, hold)
         dur = np.add.reduceat(d, head)
         before_last = dur - d[last]
-        left = before_last + left[0::2][last]
-        right = before_last + right[1::2][last]
-        inner = np.maximum.reduceat(round_inner, head)
+        left = before_last + left[:r][last]
+        right = before_last + right[r:][last]
     # the end memories hold until delivery (nothing is stored at n_nest 0)
-    top = ((dur - left, left), (dur - right, right))
-    max_storage = np.maximum(inner, np.maximum(top[0][0], top[1][0])) * slot
-    success = ~(max_storage > cfg.memory_cutoff)
+    first_write = np.minimum(left, right)
+    hold = dur - first_write
+    max_storage = np.maximum(longest, hold) * slot
+    success = ~(max_storage > cutoff)
 
     abort = np.full(count, math.inf)
     if not success.all():
         # abort time: the earliest expiry (write + cutoff) of any hold
         # exceeding the cutoff, from absolute write times found top-down;
         # swap failures count when they end by then
-        def expire(trial_of, stored, write):
-            over = stored * slot > cfg.memory_cutoff
-            np.minimum.at(abort, trial_of[over],
-                          write[over] * slot + cfg.memory_cutoff)
-
-        for stored, write in top:
-            expire(np.arange(count), stored, write)
+        over = hold * slot > cutoff
+        abort[over] = first_write[over] * slot + cutoff
         start = np.zeros(count)
         ends = []     # seconds at which each failed swap happened, top-down
-        for (owner, head, _, trial_of), (d, failed, writes, stored) in zip(
+        for (owner, head, _, trial_of), (d, failed, first_write, hold) in zip(
                 levels, reversed(rounds_up)):
             elapsed = np.cumsum(d) - d
             round_start = start[owner] + elapsed - elapsed[head][owner]
-            for s, w in zip(stored, writes):
-                expire(trial_of, s, round_start + w)
+            over = hold * slot > cutoff
+            np.minimum.at(abort, trial_of[over],
+                          (round_start + first_write)[over] * slot + cutoff)
             ends.append(((round_start + d) * slot)[failed])
-            start = np.repeat(round_start, 2)
+            start = np.concatenate((round_start, round_start))
         failures = [t[end <= abort[t]]
                     for t, end in zip(failures, reversed(ends))]
     swap_failures = sum((np.bincount(t, minlength=count) for t in failures),
                         np.zeros(count, dtype=np.int64))
     return (np.where(success, dur * slot, abort), success, swap_failures,
-            np.where(success, max_storage, cfg.memory_cutoff))
+            np.where(success, max_storage, cutoff))
 
 
 def run_trials(cfg: ProtocolConfig) -> TrialRecords:

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from qdrepeater import acceptance
+from qdrepeater import acceptance, mcsim, rates
 from qdrepeater.cli import main
+from qdrepeater.params import default_parameters, with_link
 
 NUMBER = re.compile(r"^(-?\d\.\d{6}e[+-]\d{2,3}|inf)$")
 FINE = acceptance.Measure("fine", 1.0, 1.0, 0.0)
@@ -240,6 +241,37 @@ def test_mc_report_csv_and_determinism(capsys, tmp_path):
                       "max_storage_s"]
     assert len(rows) == 2000
     assert rows[0]["trial"] == "0"
+
+
+@pytest.mark.parametrize("n_nest, p0, trials, seed", [
+    (3, None, 400, 2),      # the default chain: some trials abort
+    (0, 1e-19, 200, 7),     # a bare link: slot counts beyond 2**63
+], ids=["default-cutoff", "beyond-int64"])
+def test_mc_out_csv_matches_per_row_rendering(capsys, tmp_path, n_nest, p0,
+                                              trials, seed):
+    link = with_link(default_parameters(), n_nest=n_nest).link
+    cfg = mcsim.ProtocolConfig(
+        n_nest=n_nest, p0=p0 or rates.link_success_probability(link),
+        p_swap=rates.swap_success_probability(link),
+        slot_time=rates.slot_time(link), trials=trials, seed=seed,
+        memory_cutoff=4.0)
+    records = mcsim.run_trials(cfg)
+    if n_nest:
+        assert 0 < records.success.sum() < trials
+    else:
+        assert (records.total_time > 2.0**63 * cfg.slot_time).any()
+    lines = ["trial,total_time_s,swap_failures,max_storage_s"]
+    for i, (t, failures, stored) in enumerate(zip(
+            records.total_time.tolist(), records.swap_failures.tolist(),
+            records.max_storage_time.tolist())):
+        lines.append(f"{i},{'%.6e' % t},{failures},{'%.6e' % stored}")
+
+    out_csv = tmp_path / "trials.csv"
+    argv = ["mc", "--n", str(n_nest), "--cutoff", "4", "--trials",
+            str(trials), "--seed", str(seed), "--out", str(out_csv)]
+    code, _, _ = run(capsys, argv + (["--p0", repr(p0)] if p0 else []))
+    assert code == 0
+    assert out_csv.read_text() == "\n".join(lines) + "\n"
 
 
 def test_mc_seed_change_moves_numbers_but_still_passes(capsys):

@@ -169,6 +169,23 @@ def test_slot_time_must_be_finite_and_positive(slot):
         cfg(slot_time=slot, memory_cutoff=4.0)
 
 
+@pytest.mark.parametrize("field", ["trials", "n_nest", "seed"])
+@pytest.mark.parametrize("value", [10.5, 2.0, True, "3"])
+def test_counts_and_seed_must_be_integers(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        cfg(**{field: value})
+
+
+def test_numpy_integers_are_accepted_as_python_ints():
+    plain = cfg(n_nest=1, p0=0.3, p_swap=0.6, trials=200, seed=42)
+    numpy_ints = cfg(n_nest=np.int8(1), p0=0.3, p_swap=0.6,
+                     trials=np.int64(200), seed=np.uint64(42))
+    assert numpy_ints == plain
+    assert all(type(getattr(numpy_ints, f)) is int
+               for f in ("n_nest", "trials", "seed"))
+    assert mcsim.run_trials(numpy_ints) == mcsim.run_trials(plain)
+
+
 # ------------------------------------------------------------ storage
 
 def test_no_storage_without_siblings():

@@ -14,7 +14,8 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from qdrepeater import mcsim
+from qdrepeater import mcsim, rates
+from qdrepeater.params import default_parameters
 
 MASK = (1 << 64) - 1
 COLUMNS = [f.name for f in fields(mcsim.TrialRecords)]
@@ -123,6 +124,40 @@ def test_batched_records_match_scalar_replay(n_nest, slot, swap_loss, cutoff):
     if n_nest and math.isfinite(cutoff):
         # the abort path is exercised, and so is the delivery path
         assert 0 < records.success.sum() < cfg.trials
+
+
+def test_mc_cutoff_default_configuration_matches_scalar_replay():
+    # `qdrepeater mc --cutoff 4` at the default parameters: n_nest 3,
+    # p0 ~ 1.25e-3 and a 0.625 ms slot, so the cutoff is 6400 slots and the
+    # holds run to thousands of slots
+    link = default_parameters().link
+    cfg = mcsim.ProtocolConfig(
+        n_nest=link.n_nest, p0=rates.link_success_probability(link),
+        p_swap=rates.swap_success_probability(link),
+        slot_time=rates.slot_time(link), trials=300, seed=1,
+        memory_cutoff=4.0)
+    assert cfg.n_nest == 3
+    assert cfg.p0 == pytest.approx(1.25e-3, rel=1e-3)
+    assert cfg.slot_time == pytest.approx(6.25e-4, rel=1e-3)
+    records = mcsim.run_trials(cfg)
+    assert first_mismatch(records, cfg) is None
+    assert 0 < records.success.sum() < cfg.trials
+    longest = max(s for i in range(cfg.trials) for s, _ in Trial(cfg, i).holds)
+    assert longest * cfg.slot_time > cfg.memory_cutoff
+
+
+@pytest.mark.parametrize("n_nest", [2, 3])
+def test_tied_write_times_match_scalar_replay(n_nest):
+    # at p0 = 1 every link takes one slot, so both outer memories of a
+    # subtree are written together and sibling subtrees often tie
+    cfg = mcsim.ProtocolConfig(n_nest=n_nest, p0=1.0, p_swap=0.5,
+                               slot_time=1.0, trials=300, seed=11,
+                               memory_cutoff=2.0)
+    records = mcsim.run_trials(cfg)
+    assert first_mismatch(records, cfg) is None
+    assert 0 < records.success.sum() < cfg.trials
+    holds = [Trial(cfg, i).holds for i in range(cfg.trials)]
+    assert any(len({w for _, w in trial}) < len(trial) for trial in holds)
 
 
 def test_slot_counts_beyond_int64_stay_exact_and_positive():
