@@ -16,14 +16,19 @@ the tree).  A draw therefore depends on its address alone, never on the
 other trials or on how trials are split into chunks, so records are
 bit-reproducible per (seed, trial), a longer campaign extends a shorter one,
 and campaigns that differ only in p0 or p_swap share their random numbers
-(common random numbers, monotone pathwise).  Trials run in chunks of about
-``CHUNK_NODES`` tree nodes, which bounds the working memory.
+(common random numbers, monotone pathwise).  Bit-reproducible means on a
+given numpy build and CPU dispatch: numpy's ``log1p`` can differ by one ulp
+between dispatch targets, and that can move a draw by one slot once counts
+reach about 1e13 slots.  Trials run in chunks of about ``CHUNK_NODES`` tree
+nodes, which bounds the working memory; a configuration whose trial alone is
+expected to grow more than ``MAX_TRIAL_NODES`` is refused.
 
 Times are held as slot counts, whole numbers in float64: exact below 2**53,
 and wide enough for the counts of a link with tiny p0 (a direct 1000 km link
-draws counts beyond the int64 range).  They are converted to seconds
-(times ``slot_time``) only to compare them with the cutoff and to report
-them.
+draws counts beyond the int64 range).  Every sum is taken within one trial,
+so records do not depend on the chunks while each trial's own times stay
+below 2**53 slots.  Times are converted to seconds (times ``slot_time``)
+only to compare them with the cutoff and to report them.
 
 A finite ``memory_cutoff`` bounds how long any nuclear memory may hold a
 state; a trial aborts unsuccessfully at the earliest moment a stored state
@@ -48,6 +53,12 @@ import numpy.ma  # noqa: F401
 
 #: expected tree nodes sampled per chunk of trials
 CHUNK_NODES = 1 << 14
+
+#: most tree nodes a trial may be expected to grow.  Sampling takes about
+#: 60-80 bytes of working memory per node (peak traced allocations over
+#: chunks of 16k to 256k nodes, n_nest 1-8), so an expected trial stays
+#: below about 80 MB, and one ten times its expected size below 1 GB.
+MAX_TRIAL_NODES = 1 << 20
 
 #: bins of the storage-time histogram
 HISTOGRAM_BINS = 50
@@ -93,6 +104,10 @@ class ProtocolConfig:
             raise ValueError("n_nest must be non-negative")
         if not self.memory_cutoff >= 0.0:
             raise ValueError("memory_cutoff must be non-negative")
+        if _expected_nodes(self.n_nest, self.p_swap) > MAX_TRIAL_NODES:
+            raise ValueError(f"n_nest {self.n_nest} at p_swap {self.p_swap:.3g} "
+                             f"expects more than {MAX_TRIAL_NODES} tree nodes "
+                             f"per trial")
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,11 +231,25 @@ def _geometric(keys: np.ndarray, p: float) -> np.ndarray:
     return np.maximum(u, 1.0, out=u)
 
 
+def _expected_nodes(n_nest: int, p_swap: float) -> float:
+    """Expected tree nodes of one trial: the sum over k of (2/p_swap)**k.
+
+    The sum stops once it passes MAX_TRIAL_NODES, which ProtocolConfig
+    refuses; as each term at least doubles the last, that takes few terms
+    however large ``n_nest`` is.
+    """
+    branching = 2.0 / p_swap    # subtrees started per parent
+    nodes = 0.0
+    for k in range(n_nest + 1):
+        nodes += branching**k
+        if nodes > MAX_TRIAL_NODES:
+            break
+    return nodes
+
+
 def _trials_per_chunk(cfg: ProtocolConfig) -> int:
     """Trials whose trees hold about CHUNK_NODES nodes on average."""
-    branching = 2.0 / cfg.p_swap    # subtrees started per parent
-    nodes = sum(branching**k for k in range(cfg.n_nest + 1))
-    return max(1, int(CHUNK_NODES // nodes))
+    return max(1, int(CHUNK_NODES // _expected_nodes(cfg.n_nest, cfg.p_swap)))
 
 
 def _sample_chunk(cfg: ProtocolConfig, first: int, count: int):
@@ -230,12 +259,17 @@ def _sample_chunk(cfg: ProtocolConfig, first: int, count: int):
     # The two subtrees of the j-th of a level's r rounds sit side-major in
     # the level below, at j (side 0) and r + j (side 1); their addresses are
     # 2i + 1 and 2i + 2, where i numbers the round among its parent's.
+    # Every round but a subtree's last ends in a failed swap, so a trial's
+    # swap failures are its rounds less its subtrees, summed per level.
     root = _mix(np.array([cfg.seed & _MASK], dtype=np.uint64))
     keys = _mix(root ^ np.arange(first, first + count, dtype=np.uint64))
     trial = np.arange(count)
+    failures = np.zeros(count)
     levels = []
     for _ in range(cfg.n_nest):
-        rounds = _geometric(keys, cfg.p_swap).astype(np.int64)
+        rounds = _geometric(keys, cfg.p_swap)
+        failures += np.bincount(trial, weights=rounds - 1.0, minlength=count)
+        rounds = rounds.astype(np.int64)
         owner = np.repeat(np.arange(rounds.size), rounds)
         last = np.cumsum(rounds) - 1
         head = last - rounds + 1
@@ -255,25 +289,27 @@ def _sample_chunk(cfg: ProtocolConfig, first: int, count: int):
     # bottom-up: each subtree's duration and the write offsets of its outer
     # memories, relative to its own start, and each trial's longest hold.
     # A round holds the mid pair until its swap, and the outer pair too when
-    # the swap fails; its longest hold is the one written first.
+    # the swap fails; its longest hold is the one written first.  A link
+    # writes both its memories as it completes, so on the bottom level the
+    # outer pair is never written before the mid pair.  A subtree's duration
+    # is the sum of its rounds', added in round order by one bincount over
+    # the rounds' owners.
     dur = left = right = _geometric(keys, cfg.p0)
     longest = np.zeros(count)
     rounds_up = []
-    failures = []       # trial of each failed swap, per level
-    for owner, head, last, trial_of in reversed(levels):
+    for depth, (owner, head, last, trial_of) in enumerate(reversed(levels)):
         r = owner.size
         d = np.maximum(dur[:r], dur[r:])
-        failed = np.ones(r, dtype=bool)
-        failed[last] = False
-        mid = np.minimum(right[:r], left[r:])
-        first_write = np.minimum(mid, np.minimum(left[:r], right[r:]))
-        first_write[last] = mid[last]
+        first_write = np.minimum(right[:r], left[r:])
+        if depth:       # above the links
+            outer = np.minimum(left[:r], right[r:])
+            outer[last] = first_write[last]
+            np.minimum(first_write, outer, out=first_write)
         hold = d - first_write
-        rounds_up.append((d, failed, first_write, hold))
-        failures.append(trial_of[failed])
         np.maximum.at(longest, trial_of, hold)
-        dur = np.add.reduceat(d, head)
+        dur = np.bincount(owner, weights=d, minlength=head.size)
         before_last = dur - d[last]
+        rounds_up.append((d, first_write, hold, before_last))
         left = before_last + left[:r][last]
         right = before_last + right[r:][last]
     # the end memories hold until delivery (nothing is stored at n_nest 0)
@@ -286,26 +322,37 @@ def _sample_chunk(cfg: ProtocolConfig, first: int, count: int):
     if not success.all():
         # abort time: the earliest expiry (write + cutoff) of any hold
         # exceeding the cutoff, from absolute write times found top-down;
-        # swap failures count when they end by then
+        # the swap failures that end after it do not count
         over = hold * slot > cutoff
         abort[over] = first_write[over] * slot + cutoff
         start = np.zeros(count)
-        ends = []     # seconds at which each failed swap happened, top-down
-        for (owner, head, _, trial_of), (d, failed, first_write, hold) in zip(
-                levels, reversed(rounds_up)):
-            elapsed = np.cumsum(d) - d
-            round_start = start[owner] + elapsed - elapsed[head][owner]
+        ends = []     # seconds at which each round's swap happened, top-down
+        for level, up in zip(levels, reversed(rounds_up)):
+            owner, head, _, trial_of = level
+            d, first_write, hold, before_last = up
+            # a round's offset in its subtree: the running sum of the rounds
+            # before it, which restarts at zero at each head, where it adds
+            # minus the previous subtree's time before its last round.  The
+            # sum thus holds one subtree's offsets at a time and is exact
+            # while each trial's own times stay below 2**53 slots.
+            offset = np.empty(owner.size)
+            offset[0] = 0.0
+            offset[1:] = d[:-1]
+            offset[head[1:]] = -before_last[:-1]
+            round_start = start[owner]
+            round_start += np.cumsum(offset, out=offset)
             over = hold * slot > cutoff
             np.minimum.at(abort, trial_of[over],
-                          (round_start + first_write)[over] * slot + cutoff)
-            ends.append(((round_start + d) * slot)[failed])
+                          (round_start[over] + first_write[over]) * slot
+                          + cutoff)
+            ends.append((round_start + d) * slot)
             start = np.concatenate((round_start, round_start))
-        failures = [t[end <= abort[t]]
-                    for t, end in zip(failures, reversed(ends))]
-    swap_failures = sum((np.bincount(t, minlength=count) for t in failures),
-                        np.zeros(count, dtype=np.int64))
-    return (np.where(success, dur * slot, abort), success, swap_failures,
-            np.where(success, max_storage, cutoff))
+        for (_, _, last, trial_of), end in zip(levels, ends):
+            late = end > abort[trial_of]
+            late[last] = False
+            failures -= np.bincount(trial_of[late], minlength=count)
+    return (np.where(success, dur * slot, abort), success,
+            failures.astype(np.int64), np.where(success, max_storage, cutoff))
 
 
 def run_trials(cfg: ProtocolConfig) -> TrialRecords:

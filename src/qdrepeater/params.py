@@ -88,8 +88,9 @@ class LinkParams:
 
     @property
     def L0(self) -> float:
-        """Elementary link length (m)."""
-        return self.L_total / 2**self.n_nest
+        """Elementary link length (m): L_total / 2**n_nest, scaled by ldexp
+        so that a huge n_nest gives 0 rather than an OverflowError."""
+        return math.ldexp(self.L_total, -self.n_nest)
 
 
 @dataclass(frozen=True)

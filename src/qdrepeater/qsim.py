@@ -331,7 +331,8 @@ class DensityMatrix:
         order = (list(qubits) + [q + n for q in qubits]
                  + rest + [q + n for q in rest])
         kraus = np.asarray(ops, dtype=complex)
-        superop = np.einsum("mab,mcd->acbd", kraus, kraus.conj())
+        superop = np.tensordot(kraus, kraus.conj(), (0, 0))
+        superop = superop.transpose(0, 2, 1, 3)
         front = self._tensor().transpose(order).reshape(4**k, -1)
         out = (superop.reshape(4**k, 4**k) @ front).reshape((2,) * (2 * n))
         out = out.transpose(np.argsort(order)).reshape(self.mat.shape)

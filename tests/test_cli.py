@@ -389,6 +389,21 @@ def test_mc_bad_input_is_usage_error(capsys, bad):
     assert err.startswith("invalid Monte Carlo input")
 
 
+@pytest.mark.parametrize("bad", [["--n", "40"], ["--n", "2000"],
+                                 ["--n", "3", "--p-swap", "0.01"]])
+def test_mc_tree_beyond_the_node_budget_is_usage_error(capsys, monkeypatch,
+                                                       bad):
+    # refused before sampling: such a trial could exhaust the memory
+    def sample(cfg):
+        raise AssertionError("sampled a refused configuration")
+    monkeypatch.setattr(mcsim, "run_trials", sample)
+    code, out, err = run(capsys, ["mc"] + bad)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "tree nodes per trial" in err
+
+
 def test_mc_direct_link_at_defaults_keeps_huge_slot_counts(capsys, tmp_path):
     # one 1000 km link: p0 ~ 8e-19, so some draws exceed the int64 range
     out_csv = tmp_path / "direct.csv"

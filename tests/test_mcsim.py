@@ -186,6 +186,18 @@ def test_numpy_integers_are_accepted_as_python_ints():
     assert mcsim.run_trials(numpy_ints) == mcsim.run_trials(plain)
 
 
+def test_expected_tree_beyond_the_node_budget_is_refused():
+    # (2/p_swap)**k summed over k = 0..n_nest; at p_swap 0.5, 4**10 alone
+    # passes the budget of 2**20 nodes
+    assert mcsim._expected_nodes(9, 0.5) == (4**10 - 1) / 3
+    assert cfg(n_nest=9, p_swap=0.5).n_nest == 9
+    for n_nest in (10, 40, 10**12):
+        with pytest.raises(ValueError, match="tree nodes per trial"):
+            cfg(n_nest=n_nest, p_swap=0.5)
+    with pytest.raises(ValueError, match="tree nodes per trial"):
+        cfg(n_nest=1, p_swap=5e-324)
+
+
 # ------------------------------------------------------------ storage
 
 def test_no_storage_without_siblings():

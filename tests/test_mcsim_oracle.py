@@ -5,7 +5,9 @@ absolute time, drawing from the same address-keyed uniforms as
 ``qdrepeater.mcsim``: the SplitMix64 hash of (seed, trial, the (round, side)
 path down the tree).  Times are exact slot counts, converted to seconds only
 to compare and report them, so the batched records must match the replay
-bit for bit, column by column.
+bit for bit, column by column.  The replay takes its logarithms from numpy,
+as the sampler does: libm's ``math.log1p`` can differ from numpy's by one
+ulp, which flips a draw once counts near 1e13 slots.
 """
 
 import math
@@ -33,7 +35,7 @@ def geometric(key, p):
     """Draw on {1, 2, ...} by inverse transform of the key's top 53 bits."""
     u = (key >> 11) * 2.0**-53
     log_q = -math.inf if p >= 1.0 else math.log1p(-p)
-    return max(1, math.ceil(math.log1p(-u) / log_q))
+    return max(1, math.ceil(np.log1p(-u) / log_q))
 
 
 class Trial:
@@ -146,6 +148,20 @@ def test_mc_cutoff_default_configuration_matches_scalar_replay():
     assert longest * cfg.slot_time > cfg.memory_cutoff
 
 
+@pytest.mark.parametrize("n_nest", [1, 2])
+@pytest.mark.parametrize("cutoff", [math.inf, 1e12])
+def test_huge_slot_counts_match_scalar_replay(n_nest, cutoff):
+    # p0 = 1e-13: links take about 1e13 slots, so a chunk's times add up
+    # past 2**53 while each trial's stay far below it, and a one-ulp
+    # difference in log1p can move a draw by one slot
+    cfg = mcsim.ProtocolConfig(n_nest=n_nest, p0=1e-13, p_swap=0.5,
+                               slot_time=1.0, trials=1000, seed=3,
+                               memory_cutoff=cutoff)
+    records = mcsim.run_trials(cfg)
+    assert records.total_time.max() > 1e13
+    assert first_mismatch(records, cfg) is None
+
+
 @pytest.mark.parametrize("n_nest", [2, 3])
 def test_tied_write_times_match_scalar_replay(n_nest):
     # at p0 = 1 every link takes one slot, so both outer memories of a
@@ -206,4 +222,17 @@ def test_records_do_not_depend_on_chunk_size(monkeypatch):
     whole = mcsim.run_trials(cfg)
     monkeypatch.setattr(mcsim, "CHUNK_NODES", 64)
     assert mcsim._trials_per_chunk(cfg) < 10
+    assert mcsim.run_trials(cfg) == whole
+
+
+def test_abort_times_do_not_depend_on_chunk_size_at_huge_counts(monkeypatch):
+    # each trial's times stay below 2**53 slots, but a chunk's sum does not
+    cfg = mcsim.ProtocolConfig(n_nest=1, p0=1e-13, p_swap=0.5, slot_time=1.0,
+                               trials=4000, seed=3, memory_cutoff=1e12)
+    whole = mcsim.run_trials(cfg)
+    assert whole.total_time.max() < 2.0**53
+    assert whole.total_time.sum() > 2.0**53
+    assert 0 < whole.success.sum() < cfg.trials
+    monkeypatch.setattr(mcsim, "CHUNK_NODES", 64)
+    assert mcsim._trials_per_chunk(cfg) < 20
     assert mcsim.run_trials(cfg) == whole

@@ -118,6 +118,20 @@ def swap_branches_reference(rho, F_gate, F_readout):
     return branches
 
 
+def kraus_by_einsum_superoperator(rho, kraus, qubits):
+    """The channel through its superoperator built by einsum, as
+    ``DensityMatrix.apply_kraus`` built it before it used tensordot."""
+    n, k = rho.n_qubits, len(qubits)
+    rest = [q for q in range(n) if q not in qubits]
+    order = (list(qubits) + [q + n for q in qubits]
+             + rest + [q + n for q in rest])
+    superop = np.einsum("mab,mcd->acbd", kraus, kraus.conj())
+    front = rho.mat.reshape((2,) * (2 * n)).transpose(order)
+    out = (superop.reshape(4**k, 4**k) @ front.reshape(4**k, -1))
+    out = out.reshape((2,) * (2 * n)).transpose(np.argsort(order))
+    return out.reshape(rho.mat.shape)
+
+
 def embed_collective_reference(state):
     """Dicke amplitudes written one raised-nuclei combination at a time."""
     n = state.n_nuclei
@@ -471,6 +485,20 @@ def test_apply_unitary_and_kraus_equal_embedded_operators(n_qubits, targets):
                    for K in ops)
     out = rho.apply_kraus(ops, targets)
     assert np.max(np.abs(out.mat - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("fused", [False, True], ids=["depolarizing",
+                                                     "swap-channel"])
+def test_kraus_superoperator_matches_einsum_build(fused):
+    # the CZ's depolarizing set at F_gate 0.99, alone and fused with the
+    # swap's unitary as swap_branches applies it
+    kraus = qsim._two_qubit_depolarizing_kraus(0.99)
+    if fused:
+        kraus = kraus @ qsim._swap_unitary()
+    rho = random_density_matrix(np.random.default_rng(3), 4)
+    out = rho.apply_kraus(kraus, [1, 2])
+    expected = kraus_by_einsum_superoperator(rho, kraus, [1, 2])
+    assert np.max(np.abs(out.mat - expected)) < 1e-15
 
 
 def test_channels_reject_repeated_targets():
