@@ -17,7 +17,7 @@ from .fidelity import (FidelityBudget, GateResult, ReadoutResult,
                        entanglement_fidelity, fidelity_budget,
                        fidelity_contour, gate_fidelity,
                        nuclear_init_fidelity, overall_fidelity,
-                       purcell_at_detuning, pulse_spacing, quadrupolar_factor,
+                       purcell_at_detuning, quadrupolar_factor,
                        readout_fidelity, transfer_fidelity, zeeman_splittings)
 from .qsim import (DensityMatrix, PureState, TransferParams, apply_cz,
                    bell_fidelity, build_flipflop_hamiltonian,

@@ -426,7 +426,7 @@ def invert_readout_drive(F_target: float, T: float, D: float, eta_c: float,
 
 
 # ---------------------------------------------------------------------------
-# level structure and pulse engineering
+# level structure
 # ---------------------------------------------------------------------------
 
 def zeeman_splittings(B_x: float, g_e: float, g_h: float, polarization: float,
@@ -438,15 +438,6 @@ def zeeman_splittings(B_x: float, g_e: float, g_h: float, polarization: float,
     dE_g = abs(MU_B_OVER_H * g_e * B_x) + dE_OH
     dE_e = abs(MU_B_OVER_H * g_h * B_x) + dE_OH
     return SplittingResult(dE_g=dE_g, dE_e=dE_e, dE_OH=dE_OH)
-
-
-def pulse_spacing(omega_Z_nuclear: float, delta_m: int) -> float:
-    """Pulse interval 3*pi/(4*omega_Z*delta_m) selecting the delta_m mode."""
-    if omega_Z_nuclear <= 0:
-        raise ValueError("nuclear Zeeman splitting must be positive")
-    if delta_m not in (1, 2):
-        raise ValueError("delta_m must be 1 or 2")
-    return 3.0 * math.pi / (4.0 * omega_Z_nuclear * delta_m)
 
 
 # ---------------------------------------------------------------------------

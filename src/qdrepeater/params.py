@@ -3,9 +3,14 @@
 Unit conventions used throughout the package:
 
 * optical and spin rates are stored as angular frequencies (rad/s),
-* times in seconds, lengths in meters, magnetic fields in Tesla,
-* plain counting rates (detector dark counts, Overhauser shift, quadrupolar
-  spread) are stored as ordinary frequencies (Hz, i.e. s^-1) with no 2*pi.
+* times in seconds, lengths in meters,
+* plain counting rates (detector dark counts, quadrupolar spread) are stored
+  as ordinary frequencies (Hz, i.e. s^-1) with no 2*pi.
+
+Each key is declared once, as a field of :class:`PhysicalParams` or
+:class:`LinkParams` whose metadata holds its default, unit kind, admissible
+range and provenance note; loading, validation and serialization all read
+those declarations.
 
 Config files are flat ``key = value`` text.  Frequency-like values must carry
 a unit suffix (``Hz``, ``kHz``, ``MHz``, ``GHz``, or ``rad/s``) and may use a
@@ -37,54 +42,104 @@ def fwhm_to_sigma(fwhm: float) -> float:
     return fwhm / _GAUSSIAN_FWHM
 
 
+def _param(default: float, kind: str, note: str, lo: float = 0.0,
+           hi: float = math.inf, *, positive: bool = False):
+    """Declare one parameter key.
+
+    ``default`` is in stored units; ``kind`` is one of angular (rad/s), freq
+    (s^-1), time (s), length (m), speed (m/s), dimensionless or integer; the
+    admissible range is ``[lo, hi]``, open at ``lo`` when ``positive``;
+    ``note`` is the provenance recorded when the default is used.
+    """
+    return field(metadata={"default": default, "kind": kind, "note": note,
+                           "range": (lo, hi, positive)})
+
+
+def _probability(default: float, note: str):
+    return _param(default, "dimensionless", note, 0.0, 1.0)
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Emitter, cavity, spin and readout parameters (rad/s, s, T)."""
+    """Emitter, cavity, spin and readout parameters (rad/s, s)."""
 
-    gamma_r: float        # radiative decay rate (rad/s)
-    gamma_nr: float       # non-radiative decay rate (rad/s)
-    gamma_star: float     # optical pure dephasing (rad/s)
-    Gamma: float          # zero-phonon-line FWHM, = gamma_r+gamma_nr+2*gamma_star
-    kappa: float          # cavity linewidth (rad/s)
-    g_cav: float          # cavity coupling (rad/s)
-    F_res: float          # resonant Purcell factor
-    detuning: float       # emitter-cavity detuning during entanglement generation (rad/s)
-    sigma_sd: float       # spectral-diffusion standard deviation per dot (rad/s)
-    T2_electron: float    # electron spin coherence time (s)
-    B_x: float            # in-plane magnetic field (T)
-    g_e: float            # electron g-factor
-    g_h: float            # hole g-factor
-    omega_Z_nuclear: float  # nuclear Zeeman splitting (rad/s)
-    sigma_Q: float        # quadrupolar-shift standard deviation (s^-1, no 2*pi)
-    nuclear_polarization: float
-    Delta_OH_max: float   # maximum Overhauser shift (Hz)
-    Omega_readout: float  # readout drive amplitude (rad/s)
-    D_dark: float         # detector dark-count rate (Hz)
-    T_readout: float      # readout window (s)
-    F_e_init: float       # electron spin initialization fidelity
-    delta_p: float        # gate photon spectral standard deviation (rad/s)
-    delta_eps1: float     # dot 1 detuning from cavity during the gate (rad/s)
-    delta_eps2: float     # dot 2 detuning from cavity during the gate (rad/s)
-    t_transfer: float     # full write-read transfer duration (s)
+    gamma_r: float = _param(  # radiative decay rate
+        TWO_PI * 0.59e9, "angular",
+        "radiative linewidth of low-strain GaAs droplet dots", positive=True)
+    gamma_nr: float = _param(  # non-radiative decay rate
+        0.0, "angular", "non-radiative decay assumed negligible")
+    gamma_star: float = _param(  # optical pure dephasing
+        TWO_PI * 0.025e9, "angular", "derived: (Gamma - gamma_r - gamma_nr)/2")
+    Gamma: float = _param(  # = gamma_r + gamma_nr + 2*gamma_star
+        TWO_PI * 0.64e9, "angular",
+        "zero-phonon-line FWHM, stored angular like gamma_r")
+    kappa: float = _param(
+        TWO_PI * 100e9, "angular", "photonic-crystal cavity linewidth",
+        positive=True)
+    g_cav: float = _param(
+        TWO_PI * 10e9, "angular", "cavity coupling, g/kappa = 0.1")
+    F_res: float = _param(
+        500.0, "dimensionless", "resonant Purcell factor design target",
+        positive=True)
+    detuning: float = _param(
+        TWO_PI * 275e9, "angular",
+        "dot-cavity detuning during entanglement generation", -math.inf)
+    sigma_sd: float = _param(
+        fwhm_to_sigma(TWO_PI * 500e6), "angular",
+        "spectral diffusion, sigma from a 2pi*500 MHz FWHM")
+    T2_electron: float = _param(
+        50e-6, "time", "electron spin coherence at 6.6 T", positive=True)
+    sigma_Q: float = _param(  # quadrupolar-shift standard deviation, no 2*pi
+        5.0e4, "freq", "quadrupolar shift spread, 50 kHz stored without 2pi")
+    nuclear_polarization: float = _param(  # within the tabulated transfer data
+        0.95, "dimensionless", "target polarization", 0.80, 1.0)
+    Omega_readout: float = _param(  # readout drive amplitude
+        TWO_PI * 1e9, "angular",
+        "readout drive, inverted from the quoted readout fidelity")
+    D_dark: float = _param(500.0, "freq", "detector dark-count rate")
+    T_readout: float = _param(
+        600e-9, "time", "readout window maximizing fidelity")
+    F_e_init: float = _param(
+        0.99996, "dimensionless",
+        "optical-pumping initialization fidelity (tabulated)", 0.0, 1.0)
+    delta_p: float = _param(  # gate photon spectral standard deviation
+        TWO_PI * 2.4e9, "angular",
+        "gate photon spectral width: lifetime 1/gamma, Purcell 3",
+        positive=True)
+    delta_eps1: float = _param(  # dot 1 detuning from cavity during the gate
+        0.0, "angular", "dots tuned to equal frequencies", -math.inf)
+    delta_eps2: float = _param(  # dot 2 detuning from cavity during the gate
+        0.0, "angular", "dots tuned to equal frequencies", -math.inf)
+    t_transfer: float = _param(
+        330e-9, "time", "full write-read cycle, 2 x 165 ns")
 
 
 @dataclass(frozen=True)
 class LinkParams:
     """Channel geometry and efficiency budget for one repeater configuration."""
 
-    L_total: float    # end-to-end channel length (m)
-    n_nest: int       # nesting level; number of elementary links is 2**n_nest
-    L_att: float      # fiber attenuation length (m)
-    c_fiber: float    # signal velocity in fiber (m/s)
-    tau_init: float   # electron-nuclear reinitialization time (s)
-    zeta: float       # Purcell-enhanced branching ratio
-    p_emit: float     # probability of emission into the cavity mode
-    eta_c: float      # collection efficiency
-    eta_d: float      # detector efficiency
-    eta_cav: float    # cavity circuit efficiency
-    eta_s: float      # gate single-photon source efficiency
-    eta_m: float      # external memory efficiency (pair-source comparison scheme)
-    eta_fc: float     # frequency-conversion efficiency
+    L_total: float = _param(
+        1000e3, "length", "default end-to-end channel length", positive=True)
+    n_nest: int = _param(  # nesting level; 2**n_nest elementary links
+        3, "integer", "three swap levels, eight elementary links")
+    L_att: float = _param(
+        25e3, "length", "fiber attenuation length, 0.17 dB/km", positive=True)
+    c_fiber: float = _param(
+        2e8, "speed", "signal velocity in silica fiber", positive=True)
+    tau_init: float = _param(
+        0.2e-6, "time",
+        "electron-nuclear reinitialization after a failed attempt")
+    zeta: float = _probability(0.94, "branching ratio at effective Purcell 16")
+    p_emit: float = _probability(
+        0.8, "cavity-mode emission probability (p*eta_c = 0.72)")
+    eta_c: float = _probability(0.9, "collection efficiency")
+    eta_d: float = _probability(0.9, "detector efficiency")
+    eta_cav: float = _probability(0.9, "cavity-waveguide circuit efficiency")
+    eta_s: float = _probability(
+        0.8, "gate photon source efficiency, defaults to p_emit")
+    eta_m: float = _probability(
+        0.9, "external memory efficiency (comparison scheme)")
+    eta_fc: float = _probability(1.0, "frequency conversion, ideal unless set")
 
     @property
     def L0(self) -> float:
@@ -111,69 +166,17 @@ class ValidationReport:
         return not self.violations
 
 
-# ---------------------------------------------------------------------------
-# Defaults.  Each entry: (raw default value, parse kind, provenance note).
-# Kinds: angular (rad/s), freq (s^-1), time (s), length (m), speed (m/s),
-# tesla (T), dimensionless, integer.
-# ---------------------------------------------------------------------------
-
-_PHYSICAL_SCHEMA: dict[str, tuple[float, str, str]] = {
-    "gamma_r": (TWO_PI * 0.59e9, "angular",
-                "radiative linewidth of low-strain GaAs droplet dots"),
-    "gamma_nr": (0.0, "angular", "non-radiative decay assumed negligible"),
-    "gamma_star": (TWO_PI * 0.025e9, "angular",
-                   "derived: (Gamma - gamma_r - gamma_nr)/2"),
-    "Gamma": (TWO_PI * 0.64e9, "angular",
-              "zero-phonon-line FWHM, stored angular like gamma_r"),
-    "kappa": (TWO_PI * 100e9, "angular", "photonic-crystal cavity linewidth"),
-    "g_cav": (TWO_PI * 10e9, "angular", "cavity coupling, g/kappa = 0.1"),
-    "F_res": (500.0, "dimensionless", "resonant Purcell factor design target"),
-    "detuning": (TWO_PI * 275e9, "angular",
-                 "dot-cavity detuning during entanglement generation"),
-    "sigma_sd": (fwhm_to_sigma(TWO_PI * 500e6), "angular",
-                 "spectral diffusion, sigma from a 2pi*500 MHz FWHM"),
-    "T2_electron": (50e-6, "time", "electron spin coherence at 6.6 T"),
-    "B_x": (6.6, "tesla", "in-plane applied field"),
-    "g_e": (-0.076, "dimensionless", "electron g-factor, GaAs dots"),
-    "g_h": (1.309, "dimensionless", "hole g-factor, GaAs dots"),
-    "omega_Z_nuclear": (TWO_PI * 7.22e6 * 6.6, "angular",
-                        "As nuclear Zeeman, 2pi*7.22 MHz/T at B_x = 6.6 T"),
-    "sigma_Q": (5.0e4, "freq",
-                "quadrupolar shift spread, 50 kHz stored without 2pi"),
-    "nuclear_polarization": (0.95, "dimensionless", "target polarization"),
-    "Delta_OH_max": (31e9, "freq", "maximum Overhauser shift in GaAs"),
-    "Omega_readout": (TWO_PI * 1e9, "angular",
-                      "readout drive, inverted from the quoted readout fidelity"),
-    "D_dark": (500.0, "freq", "detector dark-count rate"),
-    "T_readout": (600e-9, "time", "readout window maximizing fidelity"),
-    "F_e_init": (0.99996, "dimensionless",
-                 "optical-pumping initialization fidelity (tabulated)"),
-    "delta_p": (TWO_PI * 2.4e9, "angular",
-                "gate photon spectral width: lifetime 1/gamma, Purcell 3"),
-    "delta_eps1": (0.0, "angular", "dots tuned to equal frequencies"),
-    "delta_eps2": (0.0, "angular", "dots tuned to equal frequencies"),
-    "t_transfer": (330e-9, "time", "full write-read cycle, 2 x 165 ns"),
-}
-
-_LINK_SCHEMA: dict[str, tuple[float, str, str]] = {
-    "L_total": (1000e3, "length", "default end-to-end channel length"),
-    "n_nest": (3, "integer", "three swap levels, eight elementary links"),
-    "L_att": (25e3, "length", "fiber attenuation length, 0.17 dB/km"),
-    "c_fiber": (2e8, "speed", "signal velocity in silica fiber"),
-    "tau_init": (0.2e-6, "time", "electron-nuclear reinitialization after a failed attempt"),
-    "zeta": (0.94, "dimensionless", "branching ratio at effective Purcell 16"),
-    "p_emit": (0.8, "dimensionless", "cavity-mode emission probability (p*eta_c = 0.72)"),
-    "eta_c": (0.9, "dimensionless", "collection efficiency"),
-    "eta_d": (0.9, "dimensionless", "detector efficiency"),
-    "eta_cav": (0.9, "dimensionless", "cavity-waveguide circuit efficiency"),
-    "eta_s": (0.8, "dimensionless", "gate photon source efficiency, defaults to p_emit"),
-    "eta_m": (0.9, "dimensionless", "external memory efficiency (comparison scheme)"),
-    "eta_fc": (1.0, "dimensionless", "frequency conversion, ideal unless set"),
-}
+_KEYS = {f.name: f.metadata for cls in (PhysicalParams, LinkParams)
+         for f in fields(cls)}
 
 _FREQ_UNITS = {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9}
-_TIME_UNITS = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9, "ps": 1e-12}
-_LEN_UNITS = {"m": 1.0, "km": 1e3}
+_SCALED_UNITS = {
+    "time": {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9, "ps": 1e-12},
+    "length": {"m": 1.0, "km": 1e3},
+}
+# the base-SI suffix ``serialize`` writes for each kind; "" writes a bare number
+_SI_SUFFIX = {"angular": "rad/s", "freq": "Hz", "time": "s", "length": "m",
+              "speed": "", "dimensionless": "", "integer": ""}
 
 _QUANTITY_RE = re.compile(
     r"^\s*(?P<prefix>2pi\*)?\s*(?P<num>[-+]?\d*\.?\d+(?:[eE][-+]?\d+)?)"
@@ -182,13 +185,11 @@ _QUANTITY_RE = re.compile(
 
 
 def _kind_of(key: str) -> str:
-    if key in _PHYSICAL_SCHEMA:
-        return _PHYSICAL_SCHEMA[key][1]
-    if key in _LINK_SCHEMA:
-        return _LINK_SCHEMA[key][1]
     if key == "sigma_sd_fwhm":
         return "angular"
-    raise ConfigError(f"unknown parameter key: {key!r}")
+    if key not in _KEYS:
+        raise ConfigError(f"unknown parameter key: {key!r}")
+    return _KEYS[key]["kind"]
 
 
 def parse_quantity(key: str, text: str) -> float:
@@ -221,22 +222,12 @@ def parse_quantity(key: str, text: str) -> float:
     if prefix:
         raise ConfigError(f"{key}: 2pi* prefix is only meaningful on frequencies")
 
-    if kind == "time":
+    if kind in _SCALED_UNITS:
         if unit is None:
             return num
-        if unit not in _TIME_UNITS:
-            raise ConfigError(f"{key}: unknown time unit {unit!r}")
-        return num * _TIME_UNITS[unit]
-    if kind == "length":
-        if unit is None:
-            return num
-        if unit not in _LEN_UNITS:
-            raise ConfigError(f"{key}: unknown length unit {unit!r}")
-        return num * _LEN_UNITS[unit]
-    if kind == "tesla":
-        if unit in (None, "T"):
-            return num
-        raise ConfigError(f"{key}: unknown field unit {unit!r}")
+        if unit not in _SCALED_UNITS[kind]:
+            raise ConfigError(f"{key}: unknown {kind} unit {unit!r}")
+        return num * _SCALED_UNITS[kind][unit]
     if kind == "speed":
         if unit is not None:
             raise ConfigError(f"{key}: give the speed as a bare number in m/s")
@@ -244,13 +235,26 @@ def parse_quantity(key: str, text: str) -> float:
     if kind == "integer":
         if unit is not None:
             raise ConfigError(f"{key}: integer value must be bare")
-        if num != int(num):
+        if not num.is_integer():
             raise ConfigError(f"{key}: expected an integer, got {text!r}")
-        return num
+        return int(num)
     # dimensionless
     if unit is not None:
         raise ConfigError(f"{key}: dimensionless value must be bare, got {text!r}")
     return num
+
+
+def _split_item(item: str, where: str) -> tuple[str, str]:
+    """Split one ``key = value`` config line or override into a known key and
+    its value text, dropping a trailing ``#`` comment."""
+    key, eq, value = item.partition("=")
+    key, value = key.strip(), value.split("#", 1)[0].strip()
+    if not eq:
+        raise ConfigError(f"{where}: expected 'key = value', got {item!r}")
+    if not value:
+        raise ConfigError(f"{where}: empty value for {key!r}")
+    _kind_of(key)  # reject unknown keys early
+    return key, value
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -260,16 +264,9 @@ def parse_config_text(text: str) -> dict[str, str]:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        value = value.split("#", 1)[0].strip()
-        if not value:
-            raise ConfigError(f"line {lineno}: empty value for {key!r}")
+        key, value = _split_item(stripped, f"line {lineno}")
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        _kind_of(key)  # reject unknown keys early
         raw[key] = value
     return raw
 
@@ -285,11 +282,8 @@ def build_parameter_set(raw: dict[str, str],
     ``Gamma = gamma_r + gamma_nr + 2*gamma_star``.
     """
     sources = sources or {}
-    values: dict[str, float] = {}
-    provenance: dict[str, str] = {}
-    for key, (default, _, note) in {**_PHYSICAL_SCHEMA, **_LINK_SCHEMA}.items():
-        values[key] = default
-        provenance[key] = f"default: {note}"
+    values = {key: meta["default"] for key, meta in _KEYS.items()}
+    provenance = {key: f"default: {meta['note']}" for key, meta in _KEYS.items()}
 
     if "sigma_sd" in raw and "sigma_sd_fwhm" in raw:
         raise ConfigError("give either sigma_sd or sigma_sd_fwhm, not both")
@@ -320,10 +314,8 @@ def build_parameter_set(raw: dict[str, str],
         values["eta_s"] = values["p_emit"]
         provenance["eta_s"] = "derived: source efficiency equals p_emit"
 
-    physical = PhysicalParams(**{k: values[k] for k in _PHYSICAL_SCHEMA})
-    link_kwargs = {k: values[k] for k in _LINK_SCHEMA}
-    link_kwargs["n_nest"] = int(link_kwargs["n_nest"])
-    link = LinkParams(**link_kwargs)
+    physical, link = (cls(**{f.name: values[f.name] for f in fields(cls)})
+                      for cls in (PhysicalParams, LinkParams))
     ps = ParameterSet(physical=physical, link=link, provenance=provenance)
 
     report = validate(ps)
@@ -337,12 +329,7 @@ def _build_with_overrides(raw: dict[str, str], sources: dict[str, str],
     """Apply ``key=value`` override strings on top of ``raw`` and build."""
     raw, sources = dict(raw), dict(sources)
     for item in overrides or []:
-        if "=" not in item:
-            raise ConfigError(f"override must look like key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        key = key.strip()
-        _kind_of(key)  # reject unknown keys early
-        raw[key] = value.strip()
+        key, raw[key] = _split_item(item, "override")
         sources[key] = "cli override"
     return build_parameter_set(raw, sources)
 
@@ -367,36 +354,22 @@ def default_parameters(overrides: list[str] | None = None) -> ParameterSet:
 def validate(ps: ParameterSet) -> ValidationReport:
     """Range and consistency checks; report-style, never raises."""
     report = ValidationReport()
-    p, l = ps.physical, ps.link
+    for obj in (ps.physical, ps.link):
+        for f in fields(obj):
+            lo, hi, positive = f.metadata["range"]
+            v = getattr(obj, f.name)
+            if not ((lo < v if positive else lo <= v) and v <= hi):
+                report.violations.append(
+                    f"{f.name} must lie in {'(' if positive else '['}{lo:g}, "
+                    f"{hi:g}], got {v}")
 
-    def check(cond: bool, msg: str) -> None:
-        if not cond:
-            report.violations.append(msg)
-
-    for name in ("gamma_r", "gamma_nr", "gamma_star", "Gamma", "kappa", "g_cav",
-                 "F_res", "sigma_sd", "T2_electron", "B_x", "omega_Z_nuclear",
-                 "sigma_Q", "Delta_OH_max", "Omega_readout", "D_dark",
-                 "T_readout", "delta_p", "t_transfer"):
-        check(getattr(p, name) >= 0, f"{name} must be non-negative")
-    check(0.0 <= p.nuclear_polarization <= 1.0,
-          "nuclear_polarization must lie in [0, 1]")
-    check(0.0 <= p.F_e_init <= 1.0, "F_e_init must lie in [0, 1]")
-    check(p.Gamma >= p.gamma_r + p.gamma_nr - 1e-9 * max(p.Gamma, 1.0),
-          "Gamma must be at least gamma_r + gamma_nr")
+    p = ps.physical
+    if p.Gamma < p.gamma_r + p.gamma_nr - 1e-9 * max(p.Gamma, 1.0):
+        report.violations.append("Gamma must be at least gamma_r + gamma_nr")
     expected = p.gamma_r + p.gamma_nr + 2 * p.gamma_star
-    check(math.isclose(p.Gamma, expected, rel_tol=1e-6, abs_tol=1e-3),
-          "Gamma is inconsistent with gamma_r + gamma_nr + 2*gamma_star")
-
-    for name in ("zeta", "p_emit", "eta_c", "eta_d", "eta_cav", "eta_s",
-                 "eta_m", "eta_fc"):
-        v = getattr(l, name)
-        check(0.0 <= v <= 1.0, f"{name} must lie in [0, 1], got {v}")
-    check(l.L_total > 0, "L_total must be positive")
-    check(l.L_att > 0, "L_att must be positive")
-    check(l.c_fiber > 0, "c_fiber must be positive")
-    check(l.tau_init >= 0, "tau_init must be non-negative")
-    check(l.n_nest >= 0, "n_nest must be non-negative")
-
+    if not math.isclose(p.Gamma, expected, rel_tol=1e-6, abs_tol=1e-3):
+        report.violations.append(
+            "Gamma is inconsistent with gamma_r + gamma_nr + 2*gamma_star")
     return report
 
 
@@ -407,32 +380,17 @@ def serialize(ps: ParameterSet) -> str:
     so that the round trip is bit-exact.
     """
     lines = ["# generated parameter set"]
-    for schema, obj in ((_PHYSICAL_SCHEMA, ps.physical), (_LINK_SCHEMA, ps.link)):
-        for key, (_, kind, _) in schema.items():
-            value = getattr(obj, key)
-            if kind == "angular":
-                lines.append(f"{key} = \"{value!r} rad/s\"")
-            elif kind == "freq":
-                lines.append(f"{key} = \"{value!r} Hz\"")
-            elif kind == "time":
-                lines.append(f"{key} = \"{value!r} s\"")
-            elif kind == "length":
-                lines.append(f"{key} = \"{value!r} m\"")
-            elif kind == "integer":
-                lines.append(f"{key} = {int(value)}")
-            else:
-                lines.append(f"{key} = {value!r}")
+    for key, value in to_dict(ps).items():
+        suffix = _SI_SUFFIX[_KEYS[key]["kind"]]
+        lines.append(f"{key} = \"{value!r} {suffix}\"" if suffix
+                     else f"{key} = {value!r}")
     return "\n".join(lines) + "\n"
 
 
 def to_dict(ps: ParameterSet) -> dict[str, object]:
     """Flat mapping of every field to its stored SI value (for metadata dumps)."""
-    out: dict[str, object] = {}
-    for f in fields(ps.physical):
-        out[f.name] = getattr(ps.physical, f.name)
-    for f in fields(ps.link):
-        out[f.name] = getattr(ps.link, f.name)
-    return out
+    return {f.name: getattr(obj, f.name)
+            for obj in (ps.physical, ps.link) for f in fields(obj)}
 
 
 def with_physical(ps: ParameterSet, **changes: float) -> ParameterSet:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import qdrepeater
-from qdrepeater import acceptance, cli, mcsim, params, qsim
+from qdrepeater import acceptance, cli, fidelity, mcsim, params, qsim
 
 BENCH_NAMES = [
     "acceptance.CHECKS",
@@ -72,10 +72,11 @@ def test_benchmark_builds_configs_and_reads_no_removed_column(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["swap_entanglement", "TrialRecord",
-                                  "bell_state", "_within"])
+                                  "bell_state", "_within", "pulse_spacing"])
 def test_removed_names_stay_out_of_the_package(name):
     assert name not in qdrepeater.__all__
-    assert not any(hasattr(mod, name) for mod in (qsim, mcsim, acceptance))
+    assert not any(hasattr(mod, name)
+                   for mod in (qsim, mcsim, acceptance, fidelity))
 
 
 def test_validation_report_has_no_notes():

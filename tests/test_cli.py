@@ -1,16 +1,19 @@
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from qdrepeater import acceptance, mcsim, rates
+from qdrepeater import acceptance, fidelity, mcsim, rates
 from qdrepeater.cli import main
-from qdrepeater.params import default_parameters, with_link
+from qdrepeater.params import (LinkParams, PhysicalParams, default_parameters,
+                               with_link)
 
 NUMBER = re.compile(r"^(-?\d\.\d{6}e[+-]\d{2,3}|inf)$")
 FINE = acceptance.Measure("fine", 1.0, 1.0, 0.0)
@@ -343,7 +346,11 @@ def test_bad_param_is_config_error(capsys):
     assert code == 3  # missing unit suffix
 
 
-@pytest.mark.parametrize("override", ["bogus=1", "noequals"])
+@pytest.mark.parametrize("override", [
+    "bogus=1", "noequals",
+    # keys dropped because no computation read them
+    "B_x=6.6 T", "g_e=-0.076", "g_h=1.309", "omega_Z_nuclear=2pi*47.652 MHz",
+    "Delta_OH_max=31 GHz"])
 @pytest.mark.parametrize("with_config", [False, True])
 def test_malformed_override_is_one_config_error(capsys, tmp_path, override,
                                                 with_config):
@@ -359,6 +366,22 @@ def test_malformed_override_is_one_config_error(capsys, tmp_path, override,
     assert err.startswith("config error: ")
 
 
+@pytest.mark.parametrize("command,override", [
+    *[(["validate"], o) for o in ("gamma_r=0 Hz", "kappa=0 GHz", "F_res=0",
+                                  "T2_electron=0", "delta_p=0 GHz",
+                                  "nuclear_polarization=0.5")],
+    *[(["contour"], o) for o in ("gamma_r=0 Hz", "kappa=0 GHz",
+                                 "T2_electron=0", "delta_p=0 GHz")],
+])
+def test_value_outside_a_key_range_is_one_config_error(capsys, command,
+                                                       override):
+    code, out, err = run(capsys, command + ["--param", override])
+    assert code == 3
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("config error: invalid parameters: ")
+
+
 def test_unknown_command_is_usage_error(capsys):
     assert run(capsys, ["frobnicate"])[0] == 2
 
@@ -371,6 +394,37 @@ def test_config_file_equivalent_to_override(capsys, tmp_path):
     _, via_file, _ = run(capsys, argv + ["--config", str(cfg)])
     _, via_param, _ = run(capsys, argv + ["--param", "eta_d=0.8"])
     assert via_file == via_param
+
+
+def _nudged(key_field) -> str:
+    """A valid override that moves one declared key off its default."""
+    meta = key_field.metadata
+    if meta["kind"] == "integer":
+        value = meta["default"] - 1
+    else:
+        # 1% keeps every key in range and gamma_star non-negative; the keys
+        # that default to zero are angular rates
+        value = 0.99 * meta["default"] or 2 * math.pi * 10e6
+    unit = {"angular": " rad/s", "freq": " Hz"}.get(meta["kind"], "")
+    return f"{key_field.name}={value!r}{unit}"
+
+
+def test_every_parameter_key_changes_what_a_command_computes(capsys):
+    def computed(overrides):
+        ps = default_parameters(overrides=overrides)
+        _, rates_csv, _ = run(capsys, ["rates", "--l-points", "3"] + [
+            arg for item in overrides for arg in ("--param", item)])
+        link = ps.link
+        mc_inputs = (rates.link_success_probability(link),
+                     rates.swap_success_probability(link),
+                     rates.slot_time(link), link.n_nest)
+        return fidelity.fidelity_budget(ps), rates_csv, mc_inputs
+
+    baseline = computed([])
+    dead = [f.name for cls in (PhysicalParams, LinkParams)
+            for f in fields(cls)
+            if all(a == b for a, b in zip(computed([_nudged(f)]), baseline))]
+    assert dead == []
 
 
 def test_missing_config_file_is_config_error(capsys):
@@ -422,6 +476,7 @@ def test_mc_direct_link_at_defaults_keeps_huge_slot_counts(capsys, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["validate", "--seed", "3"], ["validate", "--trials", "5"],
     ["qsim", "--seed", "3"], ["qsim", "--out", "x.csv"],
+    ["qsim", "--param", "eta_d=0.5"], ["qsim", "--config", "missing.cfg"],
     ["rates", "--trials", "5"], ["rates", "--seed", "3"],
     ["contour", "--seed", "3"], ["contour", "--trials", "5"],
 ])

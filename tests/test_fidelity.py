@@ -374,19 +374,6 @@ def test_zeeman_splittings_zero_field():
     assert (s.dE_g, s.dE_e, s.dE_OH) == (0.0, 0.0, 0.0)
 
 
-def test_pulse_spacing():
-    omega_z = TWO_PI * 7.22e6 * 6.6
-    tau2 = fidelity.pulse_spacing(omega_z, 2)
-    # independent arithmetic: 3*pi / (4 * omega_z * 2)
-    assert tau2 == pytest.approx(3 * math.pi / (8 * omega_z), rel=1e-12)
-    assert tau2 == pytest.approx(3.935e-9, abs=5e-12)
-    assert fidelity.pulse_spacing(omega_z, 1) == pytest.approx(2 * tau2, rel=1e-12)
-    assert fidelity.pulse_spacing(2 * omega_z, 2) == pytest.approx(tau2 / 2,
-                                                                   rel=1e-12)
-
-
-# ------------------------------------------------------------ composition
-
 def _components(F_e, F_ro, F_ent, F_tr, F_gate):
     return dict(F_e_init=F_e, F_readout=F_ro, F_ent=F_ent, F_transfer=F_tr,
                 F_gate=F_gate)

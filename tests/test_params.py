@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from qdrepeater.params import (ConfigError, build_parameter_set,
                                validate, with_physical)
 
 TWO_PI = 2 * math.pi
+REMOVED_KEYS = ("B_x", "g_e", "g_h", "omega_Z_nuclear", "Delta_OH_max")
 
 
 # ---------------------------------------------------------------- parsing
@@ -30,7 +33,7 @@ def test_angular_key_rad_per_s_taken_verbatim():
 
 def test_plain_frequency_key_has_no_hidden_2pi():
     assert parse_quantity("sigma_Q", '"50 kHz"') == 5.0e4
-    assert parse_quantity("Delta_OH_max", "31 GHz") == 31e9
+    assert parse_quantity("D_dark", "31 GHz") == 31e9
 
 
 def test_2pi_prefix_on_plain_key_is_explicit_multiplier():
@@ -48,7 +51,6 @@ def test_missing_unit_on_frequency_key_rejected():
     ("T2_electron", "50 us", 50e-6),
     ("L_att", "25 km", 25e3),
     ("L_total", "1000 km", 1000e3),
-    ("B_x", "6.6 T", 6.6),
     ("eta_d", "0.9", 0.9),
     ("n_nest", "3", 3.0),
 ])
@@ -59,13 +61,17 @@ def test_unit_table(key, text, expected):
 def test_negative_and_scientific_values_parse():
     assert parse_quantity("detuning", "-275 GHz") == \
         pytest.approx(-TWO_PI * 275e9, rel=1e-12)
-    assert parse_quantity("g_e", "-7.6e-2") == pytest.approx(-0.076, rel=1e-12)
+    assert parse_quantity("F_res", "-7.6e-2") == pytest.approx(-0.076, rel=1e-12)
     assert parse_quantity("sigma_Q", "5e4 Hz") == 5e4
 
 
 def test_unknown_key_rejected():
-    with pytest.raises(ConfigError, match="unknown parameter"):
-        parse_config_text("gamma_typo = 1\n")
+    # a typo, and the keys that were dropped because no computation read them
+    for key in ("gamma_typo", *REMOVED_KEYS):
+        with pytest.raises(ConfigError, match="unknown parameter"):
+            parse_config_text(f"{key} = 1\n")
+        with pytest.raises(ConfigError, match="unknown parameter"):
+            default_parameters(overrides=[f"{key}=1"])
 
 
 def test_duplicate_key_rejected():
@@ -117,9 +123,10 @@ def test_out_of_range_efficiency_rejected(tmp_path):
 def test_cli_override_applied_after_file(tmp_path):
     cfg = tmp_path / "a.cfg"
     cfg.write_text("eta_d = 0.8\n")
-    ps = load_config(str(cfg), overrides=["eta_d=0.7", "B_x=5.0"])
+    ps = load_config(str(cfg),
+                     overrides=["eta_d=0.6", "eta_d=0.7", "F_res=200"])
     assert ps.link.eta_d == 0.7
-    assert ps.physical.B_x == 5.0
+    assert ps.physical.F_res == 200.0
     assert ps.provenance["eta_d"] == "cli override"
 
 
@@ -196,3 +203,16 @@ def test_fwhm_to_sigma_values():
                                                           rel=1e-4)
     with pytest.raises(ValueError):
         fwhm_to_sigma(-1.0)
+
+
+# ---------------------------------------------------------------- docs
+
+def test_readme_config_example_loads(tmp_path):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    example = re.search(r"```ini\n(.*?)```", readme.read_text(), re.S)
+    cfg = tmp_path / "example.cfg"
+    cfg.write_text(example.group(1))
+    ps = load_config(str(cfg))
+    assert ps.physical.gamma_r == pytest.approx(TWO_PI * 0.59e9, rel=1e-12)
+    assert ps.physical.sigma_Q == 5.0e4
+    assert ps.link.n_nest == 3
