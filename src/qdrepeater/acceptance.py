@@ -136,7 +136,7 @@ def check_splittings():
 def check_overall_fidelity_anchors():
     ps = default_parameters()
     contour = fidelity.fidelity_contour(ps, [200.0, 500.0],
-                                        [0.80, 0.95, 0.999], n_nest=3)
+                                        [0.80, 0.95, 0.999])
     targets = {(500.0, 0.95): 0.831, (200.0, 0.95): 0.734,
                (500.0, 0.80): 0.596, (200.0, 0.80): 0.526,
                (500.0, 0.999): 0.858}
@@ -203,7 +203,7 @@ def check_monte_carlo():
     cfg3 = mcsim.ProtocolConfig(n_nest=3, p0=0.01, p_swap=0.5832,
                                 slot_time=1.0, trials=20_000, seed=20240803)
     report3 = mcsim.compare_with_analytic(mcsim.simulate_chain(cfg3),
-                                          analytic3, tolerance=0.15)
+                                          analytic3)
 
     cfg_d = mcsim.ProtocolConfig(n_nest=1, p0=0.05, p_swap=0.6, slot_time=1.0,
                                  trials=2_000, seed=7)

@@ -203,8 +203,7 @@ def cmd_contour(args, ps: ParameterSet, argv: list[str]) -> int:
         print(f"invalid sweep: {exc}", file=sys.stderr)
         return 2
 
-    contour = fidelity.fidelity_contour(ps, fp_grid, pol_grid,
-                                        n_nest=ps.link.n_nest)
+    contour = fidelity.fidelity_contour(ps, fp_grid, pol_grid)
     warned = [(fp, pol, b.warnings) for fp, pol, b in contour.rows()
               if b.warnings]
     if warned and not args.force:
@@ -252,10 +251,10 @@ def cmd_mc(args, ps: ParameterSet, argv: list[str]) -> int:
         cfg = mcsim.ProtocolConfig(n_nest=link.n_nest, p0=p0, p_swap=p_swap,
                                    slot_time=slot, trials=args.trials,
                                    seed=args.seed, memory_cutoff=cutoff)
+        records = mcsim.run_trials(cfg)
     except ValueError as exc:
         print(f"invalid Monte Carlo input: {exc}", file=sys.stderr)
         return 2
-    records = mcsim.run_trials(cfg)
     target = rates.parallel_closed_form(p0, p_swap, slot, cfg.n_nest).mean_time
     print(mcsim.compare_with_analytic(mcsim.timing_stats(records, cfg),
                                       target))

@@ -107,13 +107,6 @@ class FidelityBudget:
     n_nest: int
     warnings: tuple[str, ...]
 
-    @property
-    def in_regime(self) -> bool:
-        """True when every component sits in [0, 1] and no warnings fired."""
-        comps = (self.F_e_init, self.F_n_init, self.F_quad, self.F_transfer,
-                 self.F_ent, self.F_gate, self.F_readout)
-        return not self.warnings and all(0.0 <= c <= 1.0 for c in comps)
-
 
 # ---------------------------------------------------------------------------
 # entanglement generation
@@ -364,34 +357,39 @@ def gate_fidelity(phys: PhysicalParams) -> GateResult:
     The cooperativity is identified with the resonant Purcell factor
     (C = F_p when the population lifetime is radiative).  Gate time is twice
     the FWHM duration of the Gaussian gate photon.  Each correction term above
-    0.05 triggers a validity warning since the expansion is first order.
+    0.05, or not finite, triggers a validity warning since the expansion is
+    first order.
     """
-    C = phys.F_res
-    if C <= 0:
+    if phys.F_res <= 0:
         raise ValueError("cooperativity must be positive")
     if phys.delta_p <= 0:
         raise ValueError("gate photon spectral width must be positive")
-    gamma = phys.gamma_r
-    xi = 1.0 / (2.0 * phys.T2_electron)
-    gate_time = 8.0 * math.pi * math.sqrt(2.0 * math.log(2.0)) / phys.delta_p
-    sigma_p = phys.sigma_sd * 2.0 * math.sqrt(2.0 * math.log(2.0))
+    # numpy scalars: an extreme input overflows to +-inf or nan, not an error
+    f = np.float64
+    C, gamma, delta_p = f(phys.F_res), f(phys.gamma_r), f(phys.delta_p)
+    with np.errstate(all="ignore"):
+        xi = 1.0 / (2.0 * f(phys.T2_electron))
+        gate_time = 8.0 * math.pi * math.sqrt(2.0 * math.log(2.0)) / delta_p
+        sigma_p = f(phys.sigma_sd) * 2.0 * math.sqrt(2.0 * math.log(2.0))
 
-    term_c = 5.0 / (2.0 * C)
-    term_eps = (phys.delta_eps1 - phys.delta_eps2) ** 2 / (2.0 * gamma**2 * C)
-    term_xi = xi * gate_time
-    ratio = 2.0 * phys.g_cav / phys.kappa
-    bracket = 11.0 - 20.0 * ratio**2 + 12.0 * ratio**4
-    term_spec = ((sigma_p**2 + phys.delta_p**2) / (4.0 * gamma**2 * C**2)
-                 * bracket)
+        term_c = 5.0 / (2.0 * C)
+        term_eps = (f(phys.delta_eps1 - phys.delta_eps2) ** 2
+                    / (2.0 * gamma**2 * C))
+        term_xi = xi * gate_time
+        ratio = 2.0 * phys.g_cav / f(phys.kappa)
+        bracket = 11.0 - 20.0 * ratio**2 + 12.0 * ratio**4
+        term_spec = ((sigma_p**2 + delta_p**2) / (4.0 * gamma**2 * C**2)
+                     * bracket)
+        value = 1.0 - term_c - term_eps - term_xi - term_spec
 
     warn: list[str] = []
     for name, term in (("1/C", term_c), ("detuning-asymmetry", term_eps),
                        ("decoherence", term_xi), ("spectral", term_spec)):
-        if term > 0.05:
+        if not term <= 0.05:
             warn.append(f"gate {name} correction {term:.3g} exceeds 0.05; "
                         "first-order expansion unreliable")
-    value = 1.0 - term_c - term_eps - term_xi - term_spec
-    return GateResult(fidelity=value, gate_time=gate_time, warnings=tuple(warn))
+    return GateResult(fidelity=float(value), gate_time=float(gate_time),
+                      warnings=tuple(warn))
 
 
 def readout_fidelity(T: float, D: float, eta_c: float, eta_d: float,
@@ -451,17 +449,27 @@ def overall_fidelity(n_nest: int, *, F_ent: float, F_transfer: float,
     F_total = F_e_init^(2l) * F_readout^(2(l-1)) * (F_ent*F_transfer^2)^l
             * F_gate^(l-1).  Accurate only in the high-fidelity regime.  The
     components are named as :func:`qsim.chain_fidelity_oracle` names them.
+    A component far outside [0, 1] gives +-inf or nan, never an error.
     """
-    l = 2**n_nest
+    comps = (F_e_init, F_readout, F_ent, F_transfer, F_gate)
+    try:
+        return _chain_product(2**n_nest, *comps)
+    except OverflowError:   # numpy scalars overflow to +-inf instead
+        with np.errstate(all="ignore"):
+            return float(_chain_product(2**n_nest, *map(np.float64, comps)))
+
+
+def _chain_product(l, F_e_init, F_readout, F_ent, F_transfer, F_gate):
     return (F_e_init ** (2 * l)
             * F_readout ** (2 * (l - 1))
             * (F_ent * F_transfer**2) ** l
             * F_gate ** (l - 1))
 
 
-def _budget_grid(params: ParameterSet, fp_grid, pol_grid,
-                 n_nest: int) -> tuple[tuple[FidelityBudget, ...], ...]:
-    """Budgets on a (resonant Purcell factor, polarization) grid.
+def _budget_grid(params: ParameterSet, fp_grid,
+                 pol_grid) -> tuple[tuple[FidelityBudget, ...], ...]:
+    """Budgets on a (resonant Purcell factor, polarization) grid, composed
+    over the parameter set's own nesting level.
 
     Each component is evaluated once on the axis it depends on: F_ent,
     F_BK_nominal, the gate and the readout once per Purcell factor (F_ent for
@@ -469,6 +477,7 @@ def _budget_grid(params: ParameterSet, fp_grid, pol_grid,
     F_transfer's product and the composition run per point.
     """
     phys, link = params.physical, params.link
+    n_nest = link.n_nest
     fp = np.asarray(fp_grid, dtype=float)
     pol = np.asarray(pol_grid, dtype=float)
 
@@ -502,19 +511,17 @@ def _budget_grid(params: ParameterSet, fp_grid, pol_grid,
     return tuple(budgets)
 
 
-def fidelity_budget(params: ParameterSet,
-                    n_nest: int | None = None) -> FidelityBudget:
-    """Evaluate every component fidelity for one parameter set and compose.
+def fidelity_budget(params: ParameterSet) -> FidelityBudget:
+    """Evaluate every component fidelity for one parameter set and compose
+    over its nesting level.
 
     Entanglement generation runs detuned (Purcell suppressed); the gate and
     readout run on resonance with C = F_res.  The validity notes of the gate
     and the readout are collected in ``warnings``.
     """
-    if n_nest is None:
-        n_nest = params.link.n_nest
     phys = params.physical
-    return _budget_grid(params, [phys.F_res], [phys.nuclear_polarization],
-                        n_nest)[0][0]
+    return _budget_grid(params, [phys.F_res],
+                        [phys.nuclear_polarization])[0][0]
 
 
 @dataclass(frozen=True)
@@ -533,20 +540,21 @@ class ContourResult:
                 yield fp, pol, self.budgets[i][j]
 
 
-def fidelity_contour(params: ParameterSet, fp_grid, polarization_grid,
-                     n_nest: int = 3) -> ContourResult:
+def fidelity_contour(params: ParameterSet, fp_grid,
+                     polarization_grid) -> ContourResult:
     """Evaluate F_total on a (Purcell factor, nuclear polarization) grid.
 
     Each grid Purcell value sets both the gate cooperativity and the resonant
     factor feeding the detuned entanglement-generation average; the transfer
     duration stays fixed at the configured write-read time.  Every budget
-    equals :func:`fidelity_budget` at that point.
+    equals :func:`fidelity_budget` at that point, at the parameter set's
+    nesting level.
     """
     fp_grid = tuple(float(v) for v in fp_grid)
     pol_grid = tuple(float(v) for v in polarization_grid)
     if not fp_grid or not pol_grid:
         raise ValueError("grids must be non-empty")
-    budgets = _budget_grid(params, fp_grid, pol_grid, n_nest)
+    budgets = _budget_grid(params, fp_grid, pol_grid)
     total = np.array([[b.F_total for b in row] for row in budgets])
     return ContourResult(fp_grid=fp_grid, polarization_grid=pol_grid,
                          total=total, budgets=budgets)

@@ -42,14 +42,15 @@ def fwhm_to_sigma(fwhm: float) -> float:
     return fwhm / _GAUSSIAN_FWHM
 
 
-def _param(default: float, kind: str, note: str, lo: float = 0.0,
+def _param(default: float | None, kind: str, note: str, lo: float = 0.0,
            hi: float = math.inf, *, positive: bool = False):
     """Declare one parameter key.
 
-    ``default`` is in stored units; ``kind`` is one of angular (rad/s), freq
-    (s^-1), time (s), length (m), speed (m/s), dimensionless or integer; the
-    admissible range is ``[lo, hi]``, open at ``lo`` when ``positive``;
-    ``note`` is the provenance recorded when the default is used.
+    ``default`` is in stored units, or None for a key derived on load;
+    ``kind`` is one of angular (rad/s), freq (s^-1), time (s), length (m),
+    speed (m/s), dimensionless or integer; the admissible range is
+    ``[lo, hi]``, open at ``lo`` when ``positive``; ``note`` is the
+    provenance recorded when the default is used.
     """
     return field(metadata={"default": default, "kind": kind, "note": note,
                            "range": (lo, hi, positive)})
@@ -68,11 +69,8 @@ class PhysicalParams:
         "radiative linewidth of low-strain GaAs droplet dots", positive=True)
     gamma_nr: float = _param(  # non-radiative decay rate
         0.0, "angular", "non-radiative decay assumed negligible")
-    gamma_star: float = _param(  # optical pure dephasing
-        TWO_PI * 0.025e9, "angular", "derived: (Gamma - gamma_r - gamma_nr)/2")
-    Gamma: float = _param(  # = gamma_r + gamma_nr + 2*gamma_star
-        TWO_PI * 0.64e9, "angular",
-        "zero-phonon-line FWHM, stored angular like gamma_r")
+    gamma_star: float = _param(  # optical pure dephasing, from Gamma unless given
+        None, "angular", "derived: (Gamma - gamma_r - gamma_nr)/2")
     kappa: float = _param(
         TWO_PI * 100e9, "angular", "photonic-crystal cavity linewidth",
         positive=True)
@@ -169,6 +167,14 @@ class ValidationReport:
 _KEYS = {f.name: f.metadata for cls in (PhysicalParams, LinkParams)
          for f in fields(cls)}
 
+#: Input spellings that are not stored, each mapped to the stored key it
+#: sets; a config gives one or the other, not both.
+_SPELLINGS = {"sigma_sd_fwhm": "sigma_sd", "Gamma": "gamma_star"}
+
+#: The ``Gamma`` (zero-phonon-line FWHM, angular like gamma_r) from which
+#: ``gamma_star`` is derived when neither spelling is given.
+_GAMMA_DEFAULT = TWO_PI * 0.64e9
+
 _FREQ_UNITS = {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9}
 _SCALED_UNITS = {
     "time": {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9, "ps": 1e-12},
@@ -185,11 +191,10 @@ _QUANTITY_RE = re.compile(
 
 
 def _kind_of(key: str) -> str:
-    if key == "sigma_sd_fwhm":
-        return "angular"
-    if key not in _KEYS:
+    stored = _SPELLINGS.get(key, key)
+    if stored not in _KEYS:
         raise ConfigError(f"unknown parameter key: {key!r}")
-    return _KEYS[key]["kind"]
+    return _KEYS[stored]["kind"]
 
 
 def parse_quantity(key: str, text: str) -> float:
@@ -275,42 +280,39 @@ def build_parameter_set(raw: dict[str, str],
                         sources: dict[str, str] | None = None) -> ParameterSet:
     """Turn raw key->string values into a validated ParameterSet.
 
-    Missing keys fall back to the documented defaults.  ``sigma_sd_fwhm`` is
-    accepted as an alternative spelling of the spectral-diffusion width and is
-    converted with :func:`fwhm_to_sigma`.  When only one of ``Gamma`` /
-    ``gamma_star`` is given the other is derived from
-    ``Gamma = gamma_r + gamma_nr + 2*gamma_star``.
+    Missing keys fall back to the documented defaults.  A key may instead be
+    given in one of its input spellings (``_SPELLINGS``): ``sigma_sd_fwhm``
+    is converted with :func:`fwhm_to_sigma`, and ``gamma_star`` is derived
+    as ``(Gamma - gamma_r - gamma_nr)/2`` from ``Gamma`` when given, or from
+    its 2pi*0.64 GHz default when neither spelling is.
     """
     sources = sources or {}
     values = {key: meta["default"] for key, meta in _KEYS.items()}
     provenance = {key: f"default: {meta['note']}" for key, meta in _KEYS.items()}
 
-    if "sigma_sd" in raw and "sigma_sd_fwhm" in raw:
-        raise ConfigError("give either sigma_sd or sigma_sd_fwhm, not both")
+    for key, stored in _SPELLINGS.items():
+        if key in raw and stored in raw:
+            raise ConfigError(f"give either {stored} or {key}, not both")
 
-    explicit = set()
-    for key, text in raw.items():
-        value = parse_quantity(key, text)
-        src = sources.get(key, "config")
-        if key == "sigma_sd_fwhm":
-            values["sigma_sd"] = fwhm_to_sigma(value)
-            provenance["sigma_sd"] = f"{src} (converted from FWHM)"
-            explicit.add("sigma_sd")
-            continue
-        values[key] = value
-        provenance[key] = src
-        explicit.add(key)
+    given = {key: parse_quantity(key, text) for key, text in raw.items()}
+    for key, value in given.items():
+        if key not in _SPELLINGS:
+            values[key] = value
+            provenance[key] = sources.get(key, "config")
 
-    # resolve the redundant linewidth pair
-    bare = values["gamma_r"] + values["gamma_nr"]
-    if "gamma_star" in explicit and "Gamma" not in explicit:
-        values["Gamma"] = bare + 2 * values["gamma_star"]
-        provenance["Gamma"] = "derived: gamma_r + gamma_nr + 2*gamma_star"
-    elif "gamma_star" not in explicit:
-        values["gamma_star"] = (values["Gamma"] - bare) / 2
-        provenance["gamma_star"] = "derived: (Gamma - gamma_r - gamma_nr)/2"
+    if "sigma_sd_fwhm" in given:
+        values["sigma_sd"] = fwhm_to_sigma(given["sigma_sd_fwhm"])
+        src = sources.get("sigma_sd_fwhm", "config")
+        provenance["sigma_sd"] = f"{src} (converted from FWHM)"
+    if "gamma_star" not in given:
+        bare = values["gamma_r"] + values["gamma_nr"]
+        values["gamma_star"] = (given.get("Gamma", _GAMMA_DEFAULT) - bare) / 2
+        note = _KEYS["gamma_star"]["note"]
+        if "Gamma" in given:
+            note = f"{sources.get('Gamma', 'config')} ({note})"
+        provenance["gamma_star"] = note
 
-    if "eta_s" not in explicit and "p_emit" in explicit:
+    if "eta_s" not in given and "p_emit" in given:
         values["eta_s"] = values["p_emit"]
         provenance["eta_s"] = "derived: source efficiency equals p_emit"
 
@@ -352,7 +354,7 @@ def default_parameters(overrides: list[str] | None = None) -> ParameterSet:
 
 
 def validate(ps: ParameterSet) -> ValidationReport:
-    """Range and consistency checks; report-style, never raises."""
+    """Range checks of every key; report-style, never raises."""
     report = ValidationReport()
     for obj in (ps.physical, ps.link):
         for f in fields(obj):
@@ -362,14 +364,6 @@ def validate(ps: ParameterSet) -> ValidationReport:
                 report.violations.append(
                     f"{f.name} must lie in {'(' if positive else '['}{lo:g}, "
                     f"{hi:g}], got {v}")
-
-    p = ps.physical
-    if p.Gamma < p.gamma_r + p.gamma_nr - 1e-9 * max(p.Gamma, 1.0):
-        report.violations.append("Gamma must be at least gamma_r + gamma_nr")
-    expected = p.gamma_r + p.gamma_nr + 2 * p.gamma_star
-    if not math.isclose(p.Gamma, expected, rel_tol=1e-6, abs_tol=1e-3):
-        report.violations.append(
-            "Gamma is inconsistent with gamma_r + gamma_nr + 2*gamma_star")
     return report
 
 

@@ -76,19 +76,14 @@ class TransferParams:
 
     ``coupling`` is the rescaled per-nucleus hyperfine rate (rad/s); from the
     polarized ensemble the collective Rabi rate is sqrt(n_nuclei)*coupling.
-    ``delta_m`` tags which spin-wave mode the pulse sequence addresses; the
-    two-level reduction of the dynamics is mode independent.
     """
 
     n_nuclei: int
     coupling: float
-    delta_m: int = 1
 
     def __post_init__(self):
         if self.n_nuclei < 1:
             raise ValueError("need at least one nucleus")
-        if self.delta_m not in (1, 2):
-            raise ValueError("delta_m must be 1 or 2")
 
     @property
     def rabi_rate(self) -> float:
@@ -188,8 +183,6 @@ def _flipflop_partners(p: TransferParams) -> np.ndarray:
     Where they agree the entry is 2**(N+1), one past the register, so a
     gather from the amplitudes padded with one zero skips it.
     """
-    if p.delta_m != 1:
-        raise ValueError("full product-space dynamics is defined for delta_m = 1")
     if p.n_nuclei > MAX_FULL_SPACE_NUCLEI:
         raise ValueError(f"full space limited to {MAX_FULL_SPACE_NUCLEI} nuclei")
     n = p.n_nuclei

@@ -8,7 +8,7 @@ probability) are flagged rather than raised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .params import LinkParams, ParameterSet, with_link
 
@@ -21,7 +21,6 @@ class RateResult:
     p_swap: float      # swap success probability per attempt
     mean_time: float   # seconds; inf when unreachable
     rate: float        # Hz; 0 when unreachable
-    scheme_tag: str    # parallel | sequential | two_plus_two | direct
 
     @property
     def reachable(self) -> bool:
@@ -42,16 +41,14 @@ def branching_ratio(F_p: float) -> float:
     return (1.0 + F_p) / (2.0 + F_p)
 
 
-def link_success_probability(link: LinkParams, L0: float | None = None) -> float:
+def link_success_probability(link: LinkParams) -> float:
     """Two-photon heralding success probability of one elementary link.
 
     p0 = 0.5 * (zeta * eta_t * p * eta_c * eta_d * eta_fc)**2.  Frequency
     conversion enters per photon, so its efficiency is squared along with the
     rest of the per-photon budget.
     """
-    if L0 is None:
-        L0 = link.L0
-    eta_t = transmission_probability(L0, link.L_att)
+    eta_t = transmission_probability(link.L0, link.L_att)
     amp = (link.zeta * eta_t * link.p_emit * link.eta_c * link.eta_d
            * link.eta_fc)
     return 0.5 * amp * amp
@@ -68,16 +65,14 @@ def slot_time(link: LinkParams) -> float:
 
 
 def _mean_time(p0: float, p_swap: float, slot: float, n: int,
-               prefactor: float, tag: str) -> RateResult:
+               prefactor: float) -> RateResult:
     """<T> = prefactor * slot / (p0 * p_swap**n), or unreachable."""
     denom = p0 * p_swap**n
     if denom <= 0.0:
-        return RateResult(p0=p0, p_swap=p_swap, mean_time=math.inf, rate=0.0,
-                          scheme_tag=tag)
+        return RateResult(p0=p0, p_swap=p_swap, mean_time=math.inf, rate=0.0)
     mean = prefactor * slot / denom
     rate = 1.0 / mean if mean > 0.0 else math.inf
-    return RateResult(p0=p0, p_swap=p_swap, mean_time=mean, rate=rate,
-                      scheme_tag=tag)
+    return RateResult(p0=p0, p_swap=p_swap, mean_time=mean, rate=rate)
 
 
 def parallel_closed_form(p0: float, p_swap: float, slot: float,
@@ -87,7 +82,7 @@ def parallel_closed_form(p0: float, p_swap: float, slot: float,
     The n = 0 case is the plain geometric mean slot/p0.  This is the closed
     form the Monte Carlo is checked against.
     """
-    return _mean_time(p0, p_swap, slot, n, 1.5**n, "parallel")
+    return _mean_time(p0, p_swap, slot, n, 1.5**n)
 
 
 def _heralded(link: LinkParams) -> tuple[float, float, float, int]:
@@ -112,7 +107,7 @@ def mean_time_sequential(params: ParameterSet) -> RateResult:
     """
     n = params.link.n_nest
     prefactor = 2.0 * 1.5 ** (n - 1) if n else 1.0
-    return _mean_time(*_heralded(params.link), prefactor, "sequential")
+    return _mean_time(*_heralded(params.link), prefactor)
 
 
 def mean_time_two_plus_two(params: ParameterSet) -> RateResult:
@@ -126,9 +121,8 @@ def mean_time_two_plus_two(params: ParameterSet) -> RateResult:
     eta_t = transmission_probability(link.L0, link.L_att)
     p0 = 0.5 * (eta_t * link.eta_s * link.eta_d) ** 2
     p_swap = 0.5 * link.eta_d**2 * link.eta_m**4
-    return replace(parallel_closed_form(p0, p_swap, link.L0 / link.c_fiber,
-                                        link.n_nest),
-                   scheme_tag="two_plus_two")
+    return parallel_closed_form(p0, p_swap, link.L0 / link.c_fiber,
+                                link.n_nest)
 
 
 def direct_transmission_rate(L: float, source_rate: float, L_att: float) -> float:
@@ -143,24 +137,23 @@ def direct_transmission_rate(L: float, source_rate: float, L_att: float) -> floa
     return source_rate * math.exp(-L / L_att)
 
 
-def crossover_distance(params: ParameterSet, source_rate: float = 1e10,
-                       lo: float = 1e3, hi: float = 2000e3,
-                       tol: float = 1.0) -> float | None:
+def crossover_distance(params: ParameterSet,
+                       source_rate: float = 1e10) -> float | None:
     """Distance where the repeater rate first beats direct transmission.
 
-    Bisection on the (monotone-difference) closed forms; returns None when no
-    sign change exists in [lo, hi].
+    Bisection to 1 m on the (monotone-difference) closed forms between 1 and
+    2000 km; returns None when no sign change exists there.
     """
     def gap(L: float) -> float:
         r = mean_time_parallel(with_link(params, L_total=L)).rate
         return r - direct_transmission_rate(L, source_rate, params.link.L_att)
 
-    glo, ghi = gap(lo), gap(hi)
-    if glo > 0:
+    lo, hi = 1e3, 2000e3
+    if gap(lo) > 0:
         return lo
-    if ghi < 0:
+    if gap(hi) < 0:
         return None
-    while hi - lo > tol:
+    while hi - lo > 1.0:
         mid = 0.5 * (lo + hi)
         if gap(mid) > 0:
             hi = mid

@@ -6,6 +6,7 @@ benchmark, so it must fail here first.
 """
 
 import importlib
+import inspect
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -77,6 +78,25 @@ def test_removed_names_stay_out_of_the_package(name):
     assert name not in qdrepeater.__all__
     assert not any(hasattr(mod, name)
                    for mod in (qsim, mcsim, acceptance, fidelity))
+
+
+def test_removed_knobs_stay_removed():
+    from qdrepeater import rates
+    assert "Gamma" not in {f.name for f in fields(params.PhysicalParams)}
+    assert "delta_m" not in {f.name for f in fields(qsim.TransferParams)}
+    assert "scheme_tag" not in {f.name for f in fields(rates.RateResult)}
+    assert "tolerance" not in {f.name for f in
+                               fields(mcsim.ComparisonReport)}
+    assert not hasattr(fidelity.FidelityBudget, "in_regime")
+    signatures = {
+        fidelity.fidelity_budget: ["params"],
+        fidelity.fidelity_contour: ["params", "fp_grid", "polarization_grid"],
+        rates.link_success_probability: ["link"],
+        rates.crossover_distance: ["params", "source_rate"],
+        mcsim.compare_with_analytic: ["stats", "target"],
+    }
+    for fn, names in signatures.items():
+        assert list(inspect.signature(fn).parameters) == names, fn.__name__
 
 
 def test_validation_report_has_no_notes():

@@ -13,7 +13,7 @@ import pytest
 from qdrepeater import acceptance, fidelity, mcsim, rates
 from qdrepeater.cli import main
 from qdrepeater.params import (LinkParams, PhysicalParams, default_parameters,
-                               with_link)
+                               to_dict, with_link)
 
 NUMBER = re.compile(r"^(-?\d\.\d{6}e[+-]\d{2,3}|inf)$")
 FINE = acceptance.Measure("fine", 1.0, 1.0, 0.0)
@@ -382,6 +382,46 @@ def test_value_outside_a_key_range_is_one_config_error(capsys, command,
     assert err.startswith("config error: invalid parameters: ")
 
 
+TINY = ("T2_electron=1e-300 s", "kappa=1e-300 GHz", "delta_p=1e-300 GHz",
+        "gamma_r=1e-300 GHz", "F_res=1e-300")
+
+
+@pytest.mark.parametrize("command,override", [
+    *[("validate", o) for o in TINY], *[("contour", o) for o in TINY]])
+def test_tiny_positive_values_are_reported_not_raised(capsys, command,
+                                                      override):
+    # the gate terms overflow to inf or nan, which is a validity note
+    code, out, err = run(capsys, [command, "--param", override])
+    assert "Traceback" not in err
+    if command == "validate":
+        assert code == 0
+        assert "[out of validity regime]" in out
+    elif override.startswith("F_res"):
+        assert code == 0    # the contour grid sets F_res itself
+    else:
+        assert code == 1
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("refusing to compose out-of-regime budgets")
+
+
+def test_gamma_and_gamma_star_together_is_one_config_error(capsys):
+    code, out, err = run(capsys, ["rates", "--param", "Gamma=2pi*0.64 GHz",
+                                  "--param", "gamma_star=2pi*25 MHz"])
+    assert code == 3
+    assert out == ""
+    assert err == "config error: give either gamma_star or Gamma, not both\n"
+
+
+@pytest.mark.parametrize("command", ["rates", "contour"])
+def test_default_csv_matches_the_reference_byte_for_byte(capsys, command):
+    reference = (Path(__file__).resolve().parents[1] / "bench" / "reference"
+                 / f"{command}_default.csv")
+    code, out, err = run(capsys, [command])
+    assert code == 0 and err == ""
+    assert out == reference.read_text()
+
+
 def test_unknown_command_is_usage_error(capsys):
     assert run(capsys, ["frobnicate"])[0] == 2
 
@@ -397,14 +437,16 @@ def test_config_file_equivalent_to_override(capsys, tmp_path):
 
 
 def _nudged(key_field) -> str:
-    """A valid override that moves one declared key off its default."""
+    """A valid override that moves one declared key off its loaded default
+    (a derived key such as gamma_star declares none of its own)."""
     meta = key_field.metadata
+    default = to_dict(default_parameters())[key_field.name]
     if meta["kind"] == "integer":
-        value = meta["default"] - 1
+        value = default - 1
     else:
         # 1% keeps every key in range and gamma_star non-negative; the keys
         # that default to zero are angular rates
-        value = 0.99 * meta["default"] or 2 * math.pi * 10e6
+        value = 0.99 * default or 2 * math.pi * 10e6
     unit = {"angular": " rad/s", "freq": " Hz"}.get(meta["kind"], "")
     return f"{key_field.name}={value!r}{unit}"
 
@@ -456,6 +498,16 @@ def test_mc_tree_beyond_the_node_budget_is_usage_error(capsys, monkeypatch,
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert "tree nodes per trial" in err
+
+
+def test_mc_times_beyond_float64_are_usage_error(capsys):
+    # a slot of about 1e305 s: trial times in seconds overflow to inf
+    code, out, err = run(capsys, ["mc", "--trials", "100",
+                                  "--param", "c_fiber=1e-300"])
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("invalid Monte Carlo input: trial times overflow")
 
 
 def test_mc_direct_link_at_defaults_keeps_huge_slot_counts(capsys, tmp_path):

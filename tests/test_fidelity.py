@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdrepeater import fidelity
-from qdrepeater.params import TWO_PI, default_parameters, with_physical
+from qdrepeater.params import (TWO_PI, default_parameters, with_link,
+                               with_physical)
 
 # Frozen oracle values, computed independently with adaptive 2D quadrature
 # (scipy dblquad, epsrel 1e-10) over the Gaussian-weighted heralding fidelity.
@@ -437,12 +438,16 @@ def test_budget_pipeline_matches_components(params):
     assert b.F_total == fidelity.overall_fidelity(
         params.link.n_nest, F_ent=b.F_ent, F_transfer=b.F_transfer,
         F_gate=b.F_gate, F_readout=b.F_readout, F_e_init=b.F_e_init)
-    assert b.in_regime
+    assert b.warnings == ()
+    assert all(0.0 <= c <= 1.0 for c in (b.F_e_init, b.F_n_init, b.F_quad,
+                                          b.F_transfer, b.F_ent, b.F_gate,
+                                          b.F_readout))
 
 
 def test_contour_anchors(params):
+    assert params.link.n_nest == 3
     contour = fidelity.fidelity_contour(params, [200.0, 500.0],
-                                        [0.80, 0.95, 0.999], n_nest=3)
+                                        [0.80, 0.95, 0.999])
     def at(fp, pol):
         return contour.total[contour.fp_grid.index(fp),
                              contour.polarization_grid.index(pol)]
@@ -456,6 +461,28 @@ def test_contour_anchors(params):
     assert at(500.0, 0.95) == pytest.approx(0.8310932545, abs=1e-8)
 
 
+def test_overflowing_gate_terms_are_notes_not_errors(params):
+    # 1/(2 T2) and 2 g/kappa overflow: the terms come back inf or nan
+    for change in (dict(T2_electron=1e-300), dict(kappa=1e-300),
+                   dict(F_res=1e-300), dict(gamma_r=1e-300)):
+        gate = fidelity.gate_fidelity(
+            with_physical(params, **change).physical)
+        assert not math.isfinite(gate.fidelity) or gate.fidelity < -1e200
+        assert gate.warnings, change
+    assert fidelity.overall_fidelity(
+        3, F_ent=0.99, F_transfer=0.99, F_gate=-1e291, F_readout=0.99,
+        F_e_init=0.99) == -math.inf
+
+
+def test_contour_composes_at_the_parameter_sets_nesting_level(params):
+    two_levels = with_link(params, n_nest=2)
+    budget = fidelity.fidelity_budget(two_levels)
+    contour = fidelity.fidelity_contour(two_levels, [500.0], [0.95])
+    assert contour.budgets[0][0] == budget
+    assert budget.n_nest == 2
+    assert budget.F_total == pytest.approx(0.914, abs=5e-4)
+
+
 def test_contour_rejects_empty_grid(params):
     with pytest.raises(ValueError):
         fidelity.fidelity_contour(params, [], [0.9])
@@ -463,12 +490,12 @@ def test_contour_rejects_empty_grid(params):
 
 def test_contour_equals_budget_at_every_point(params):
     contour = fidelity.fidelity_contour(params, DEFAULT_FP_GRID,
-                                        DEFAULT_POL_GRID, n_nest=3)
+                                        DEFAULT_POL_GRID)
     assert contour.total.shape == (10, 22)
     for i, fp in enumerate(contour.fp_grid):
         for j, pol in enumerate(contour.polarization_grid):
             point = with_physical(params, F_res=fp, nuclear_polarization=pol)
-            expected = fidelity.fidelity_budget(point, n_nest=3)
+            expected = fidelity.fidelity_budget(point)
             assert contour.budgets[i][j] == expected
             assert contour.total[i, j] == expected.F_total
 
@@ -490,4 +517,3 @@ def test_budget_carries_readout_drive_note():
     assert caught == []
     assert any("readout drive" in note and "weak" in note
                for note in budget.warnings)
-    assert not budget.in_regime

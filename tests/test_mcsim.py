@@ -56,7 +56,7 @@ def test_three_levels_within_band_of_analytic():
     report = mcsim.compare_with_analytic(
         mcsim.simulate_chain(cfg(n_nest=3, p0=p0, p_swap=ps, trials=5_000,
                                  seed=31)),
-        analytic, tolerance=0.15)
+        analytic)
     assert report.passed
     assert 0.85 <= report.ratio <= 1.15
 
@@ -83,7 +83,7 @@ def test_three_levels_curve_b_within_band():
         mcsim.simulate_chain(mcsim.ProtocolConfig(
             n_nest=3, p0=analytic.p0, p_swap=analytic.p_swap, slot_time=slot,
             trials=4_000, seed=23)),
-        analytic.mean_time, tolerance=0.15)
+        analytic.mean_time)
     assert report.passed
     assert 0.85 <= report.ratio <= 1.15
 
@@ -322,8 +322,8 @@ def test_one_level_cutoff_matches_exact_success_probability(cutoff):
 
 def test_comparison_report_fields_and_str():
     report = mcsim.compare_with_analytic(
-        mcsim.simulate_chain(cfg(trials=20_000)), 10.0, tolerance=0.05)
+        mcsim.simulate_chain(cfg(trials=20_000)), 10.0)
     assert report.passed
     assert report.ratio == pytest.approx(1.0, abs=0.05)
     text = str(report)
-    assert "PASS" in text and "ratio" in text
+    assert "PASS" in text and "ratio" in text and "tol 15%" in text

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qdrepeater.params import (ConfigError, build_parameter_set,
                                default_parameters, fwhm_to_sigma, load_config,
                                parse_config_text, parse_quantity, serialize,
-                               validate, with_physical)
+                               to_dict, validate, with_physical)
 
 TWO_PI = 2 * math.pi
 REMOVED_KEYS = ("B_x", "g_e", "g_h", "omega_Z_nuclear", "Delta_OH_max")
@@ -133,16 +133,43 @@ def test_cli_override_applied_after_file(tmp_path):
 def test_gamma_star_derived_from_linewidth():
     ps = default_parameters()
     expected = (TWO_PI * 0.64e9 - TWO_PI * 0.59e9) / 2
-    assert ps.physical.gamma_star == pytest.approx(expected, rel=1e-12)
-    assert ps.physical.Gamma == pytest.approx(
-        ps.physical.gamma_r + ps.physical.gamma_nr
-        + 2 * ps.physical.gamma_star, rel=1e-12)
+    assert ps.physical.gamma_star == expected
+    assert ps.provenance["gamma_star"] == \
+        "derived: (Gamma - gamma_r - gamma_nr)/2"
 
 
-def test_linewidth_derived_from_explicit_gamma_star():
-    ps = build_parameter_set({"gamma_star": "2pi*0.05 GHz"})
-    assert ps.physical.Gamma == pytest.approx(
-        TWO_PI * 0.59e9 + 2 * TWO_PI * 0.05e9, rel=1e-12)
+# gamma_star as loaded before Gamma stopped being a stored key, as float.hex
+@pytest.mark.parametrize("overrides, gamma_star", [
+    ([], "0x1.2b9b0a15be618p+27"),
+    (["Gamma=2pi*0.7 GHz"], "0x1.4990f17e516acp+28"),
+    (["gamma_r=2pi*0.5 GHz"], "0x1.a372a7b80a880p+28"),
+    (["Gamma=2pi*0.7 GHz", "gamma_r=2pi*0.45 GHz", "gamma_nr=2pi*30 MHz"],
+     "0x1.4990f17e516acp+29"),
+    (["Gamma=4.2e9 rad/s"], "0x1.d615f5cc39868p+27"),
+])
+def test_gamma_spelling_derives_gamma_star_bit_for_bit(overrides, gamma_star):
+    ps = default_parameters(overrides)
+    assert ps.physical.gamma_star.hex() == gamma_star
+    assert "Gamma" not in to_dict(ps) and "Gamma" not in ps.provenance
+
+
+def test_gamma_override_provenance_names_its_source():
+    ps = default_parameters(["Gamma=2pi*0.7 GHz"])
+    assert ps.provenance["gamma_star"] == \
+        "cli override (derived: (Gamma - gamma_r - gamma_nr)/2)"
+
+
+def test_explicit_gamma_star_is_stored_as_given():
+    ps = build_parameter_set({"gamma_star": "2pi*0.05 GHz",
+                              "gamma_r": "2pi*0.5 GHz"})
+    assert ps.physical.gamma_star == TWO_PI * 0.05e9
+    assert ps.provenance["gamma_star"] == "config"
+
+
+def test_gamma_and_gamma_star_together_are_refused():
+    with pytest.raises(ConfigError, match="give either gamma_star or Gamma"):
+        build_parameter_set({"Gamma": "2pi*0.64 GHz",
+                             "gamma_star": "2pi*25 MHz"})
 
 
 def test_sigma_sd_fwhm_alias():
@@ -187,10 +214,17 @@ def test_negative_polarization_is_one_violation(params):
     assert "nuclear_polarization" in report.violations[0]
 
 
-def test_inconsistent_linewidth_flagged(params):
-    bad = with_physical(params, Gamma=params.physical.gamma_r * 0.5)
-    report = validate(bad)
-    assert any("Gamma" in v for v in report.violations)
+def test_changed_emitter_rate_still_validates(params):
+    # no stored linewidth is left behind to disagree with gamma_r
+    assert validate(with_physical(params, gamma_r=TWO_PI * 0.3e9)).ok
+
+
+def test_linewidth_below_the_decay_rates_is_one_range_violation():
+    with pytest.raises(ConfigError) as err:
+        default_parameters(["Gamma=2pi*0.5 GHz"])
+    assert str(err.value).startswith(
+        "invalid parameters: gamma_star must lie in [0, inf], got -")
+    assert ";" not in str(err.value)
 
 
 # ---------------------------------------------------------------- fwhm

@@ -65,13 +65,14 @@ def test_link_success_curve_b_example(curve_b):
     amplitude = 0.94 * 1.0 * 0.72 * 0.9
     expected = 0.5 * amplitude**2
     assert expected == pytest.approx(0.18551, abs=1e-4)
-    assert rates.link_success_probability(curve_b.link, L0=0.0) == \
+    at_source = with_link(curve_b, L_total=0.0).link
+    assert rates.link_success_probability(at_source) == \
         pytest.approx(expected, rel=1e-12)
 
 
 def test_link_success_zero_factor(curve_b):
-    dead = with_link(curve_b, eta_d=0.0)
-    assert rates.link_success_probability(dead.link, L0=0.0) == 0.0
+    dead = with_link(curve_b, eta_d=0.0, L_total=0.0)
+    assert rates.link_success_probability(dead.link) == 0.0
 
 
 def test_conversion_efficiency_enters_squared(curve_b):
@@ -202,7 +203,6 @@ def test_parallel_closed_form_is_what_the_chain_forms_use(curve_b):
     assert rates.mean_time_parallel(curve_b) == rates.parallel_closed_form(
         p0, p_swap, slot, link.n_nest)
     pair = rates.mean_time_two_plus_two(curve_b)
-    assert pair.scheme_tag == "two_plus_two"
     assert pair.mean_time == rates.parallel_closed_form(
         pair.p0, pair.p_swap, link.L0 / link.c_fiber, link.n_nest).mean_time
 
