@@ -31,8 +31,6 @@ from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
-# loaded with this module rather than by the first quadrature
-import numpy.polynomial.hermite  # noqa: F401
 
 from .params import ParameterSet, PhysicalParams
 
@@ -148,16 +146,54 @@ def _nominal_bk(phys: PhysicalParams, F_res: np.ndarray) -> np.ndarray:
     return barrett_kok_fidelity(gp, gp, Gp, Gp, 0.0)
 
 
+def _normed_hermite(x: np.ndarray, n: int) -> np.ndarray:
+    """Orthonormal Hermite function of degree ``n`` at ``x``, by the
+    normalized recurrence (the unnormalized one overflows from degree 207)."""
+    c1 = 1.0 / math.sqrt(math.sqrt(math.pi))
+    if n == 0:
+        return np.full(x.shape, c1)
+    c0, nd = 0.0, float(n)
+    for _ in range(n - 1):
+        c0, c1 = (-c1 * math.sqrt((nd - 1.0) / nd),
+                  c0 + c1 * x * math.sqrt(2.0 / nd))
+        nd -= 1.0
+    return c0 + c1 * x * math.sqrt(2.0)
+
+
+def _hermgauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights (physicists' convention), bit for bit
+    those of numpy's ``numpy.polynomial.hermite.hermgauss``.
+
+    The same steps in the same floating-point order: eigenvalues of the
+    symmetric tridiagonal companion matrix (off-diagonal sqrt(k/2)), one
+    Newton step, weights from the degree n-1 function scaled by its largest
+    magnitude, symmetrized and normalized to sqrt(pi).  Ported so that the
+    quadrature does not load the whole ``numpy.polynomial`` package.
+    """
+    if n < 1:
+        raise ValueError(f"Gauss-Hermite order must be positive, got {n}")
+    off = np.sqrt(0.5 * np.arange(1, n))
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    x -= _normed_hermite(x, n) / (_normed_hermite(x, n - 1) * math.sqrt(2 * n))
+    fm = _normed_hermite(x, n - 1)
+    fm /= np.abs(fm).max()
+    w = 1 / (fm * fm)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= math.sqrt(math.pi) / w.sum()
+    return x, w
+
+
 @cache
 def _gauss_hermite(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Gauss-Hermite nodes and weights (physicists' convention).
 
-    numpy's weights overflow at high orders (from about 400 nodes on numpy
-    2.4); such a table comes back non-finite, without floating-point
+    The weights overflow at high orders (from about 400 nodes, as numpy's
+    do); such a table comes back non-finite, without floating-point
     warnings, and :func:`_finite_rule` tells the callers.
     """
     with np.errstate(all="ignore"):
-        x, w = np.polynomial.hermite.hermgauss(nodes)
+        x, w = _hermgauss(nodes)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
@@ -339,7 +375,11 @@ def quadrupolar_factor(sigma_Q: float, delta_m: int, t: float) -> float:
         raise ValueError("delta_m must be 1 or 2")
     if t < 0:
         raise ValueError("time must be non-negative")
-    return math.exp(-float(delta_m) ** 4 * sigma_Q**2 * t**2)
+    # numpy scalars: a huge sigma_Q or t overflows to inf (factor 0), not an
+    # error; math.exp rather than np.exp, which can differ in the last bit
+    with np.errstate(all="ignore"):
+        return math.exp(-float(delta_m) ** 4 * np.float64(sigma_Q) ** 2
+                        * np.float64(t) ** 2)
 
 
 def transfer_fidelity(F_e_init: float, F_n_init: float, F_quad: float) -> float:

@@ -48,8 +48,6 @@ from dataclasses import dataclass, fields
 from numbers import Integral
 
 import numpy as np
-# np.percentile loads numpy.ma on first use (through np.unique); load it here
-import numpy.ma  # noqa: F401
 
 #: expected tree nodes sampled per chunk of trials
 CHUNK_NODES = 1 << 14
@@ -197,8 +195,16 @@ class StorageHistogram:
         return cls(values=values, bin_edges=edges, counts=counts)
 
     def median(self) -> float:
-        """Median storage time; NaN when no trial succeeded."""
-        return float(np.median(self.values)) if self.values.size else math.nan
+        """Median storage time; NaN when no trial succeeded.
+
+        np.median's value bit for bit, the mean of the middle one or two
+        values, without the ``numpy.ma`` import that np.median costs.
+        """
+        n = self.values.size
+        if not n:
+            return math.nan
+        lo, hi = (n - 1) // 2, n // 2
+        return float(np.partition(self.values, (lo, hi))[lo:hi + 1].mean())
 
     def fraction_exceeding(self, threshold: float) -> float:
         """Share of values above ``threshold``; NaN when there are none."""
@@ -378,6 +384,27 @@ def run_trials(cfg: ProtocolConfig) -> TrialRecords:
     return TrialRecords(*columns)
 
 
+def _quantiles(values: np.ndarray, q) -> list[float]:
+    """Quantiles ``q`` (in [0, 1]) of a non-empty array without NaN.
+
+    np.percentile's value bit for bit (its default linear method, at
+    percentile 100*q): the order statistics either side of the virtual index
+    (n - 1)*q, joined by numpy's two-sided interpolation.  np.percentile
+    loads ``numpy.ma`` (through np.unique) for a step this does not need.
+    """
+    n = values.size
+    at = [(n - 1) * p for p in q]
+    lo = [math.floor(v) for v in at]
+    hi = [min(i + 1, n - 1) for i in lo]
+    part = np.partition(values, lo + hi)
+    out = []
+    for v, i, j in zip(at, lo, hi):
+        a, b, t = part[i], part[j], v - i
+        d = b - a
+        out.append(float(b - d * (1 - t) if t >= 0.5 else a + d * t))
+    return out
+
+
 def timing_stats(records: TrialRecords, cfg: ProtocolConfig) -> TimingStats:
     """Aggregate statistics over the successful trials of a campaign."""
     times = records.total_time[records.success]
@@ -388,7 +415,7 @@ def timing_stats(records: TrialRecords, cfg: ProtocolConfig) -> TimingStats:
                            trials=cfg.trials, n_success=0, seed=cfg.seed)
     mean = float(times.mean())
     var = float(times.var(ddof=1)) if n_success > 1 else 0.0
-    p50, p90, p99 = (float(v) for v in np.percentile(times, [50, 90, 99]))
+    p50, p90, p99 = _quantiles(times, (0.5, 0.9, 0.99))
     return TimingStats(mean=mean, variance=var,
                        stderr=math.sqrt(var / n_success),
                        p50=p50, p90=p90, p99=p99,

@@ -118,8 +118,8 @@ class LinkParams:
 
     L_total: float = _param(
         1000e3, "length", "default end-to-end channel length", positive=True)
-    n_nest: int = _param(  # nesting level; 2**n_nest elementary links
-        3, "integer", "three swap levels, eight elementary links")
+    n_nest: int = _param(  # nesting level; 2**n_nest links, exact float to 64
+        3, "integer", "three swap levels, eight elementary links", 0, 64)
     L_att: float = _param(
         25e3, "length", "fiber attenuation length, 0.17 dB/km", positive=True)
     c_fiber: float = _param(

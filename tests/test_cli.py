@@ -405,6 +405,54 @@ def test_tiny_positive_values_are_reported_not_raised(capsys, command,
         assert err.startswith("refusing to compose out-of-regime budgets")
 
 
+@pytest.mark.parametrize("command", ["validate", "contour"])
+@pytest.mark.parametrize("override", ["t_transfer=1e300 s",
+                                      "sigma_Q=1e300 Hz"])
+def test_huge_quadrupolar_dephasing_gives_zero_transfer(capsys, monkeypatch,
+                                                        command, override):
+    # sigma_Q**2 * t**2 overflows: the spin wave is fully dephased, F_quad 0
+    monkeypatch.setattr(acceptance, "run_all", lambda: [])
+    argv = [command, "--param", override]
+    if command == "contour":
+        argv += ["--fp-min", "100", "--fp-max", "200", "--fp-points", "2",
+                 "--pol-min", "0.9", "--pol-max", "0.95", "--pol-points", "2"]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    if command == "validate":
+        assert "config F_total (n=3) = 0.0000\n" in out
+    else:
+        _, rows = parse_csv(out)
+        assert len(rows) == 4
+        assert {(r["F_transfer"], r["F_total"]) for r in rows} == {
+            ("0.000000e+00", "0.000000e+00")}
+
+
+def test_nesting_level_above_64_is_one_config_error():
+    # 2**n_nest used to grow until memory ran out, so the commands run in a
+    # child process whose address space is capped at 2 GiB
+    script = "\n".join([
+        "import contextlib, io, resource, sys",
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))",
+        "from qdrepeater.cli import main",
+        "for argv in sys.argv[1:]:",
+        "    out, err = io.StringIO(), io.StringIO()",
+        "    with contextlib.redirect_stdout(out), \\",
+        "            contextlib.redirect_stderr(err):",
+        "        code = main(argv.split())",
+        "    print(repr((code, out.getvalue(), err.getvalue())))",
+    ])
+    commands = [f"{c} --param n_nest={v}"
+                for v in ("2000", "1e20")
+                for c in ("validate", "rates", "contour", "mc --trials 50")]
+    proc = run_python(["-c", script, *commands])
+    assert proc.returncode == 0, proc.stderr
+    got = proc.stdout.splitlines()
+    assert len(got) == len(commands)
+    for line, value in zip(got, [2000] * 4 + [10**20] * 4):
+        assert line == repr((3, "", "config error: invalid parameters: "
+                             f"n_nest must lie in [0, 64], got {value}\n"))
+
+
 def test_gamma_and_gamma_star_together_is_one_config_error(capsys):
     code, out, err = run(capsys, ["rates", "--param", "Gamma=2pi*0.64 GHz",
                                   "--param", "gamma_star=2pi*25 MHz"])
@@ -595,10 +643,29 @@ def test_non_finite_or_negative_sweep_input_is_one_usage_error(capsys, argv,
 # ------------------------------------------------------------ start-up
 
 def test_cli_import_loads_no_scipy():
-    proc = run_python(["-c", "import sys, qdrepeater, qdrepeater.cli; "
-                             "print(' '.join(sys.modules))"])
+    # after the import and after each command: no scipy, and none of the
+    # numpy subpackages that np.percentile, np.median and hermgauss load
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "import qdrepeater, qdrepeater.cli",
+        "def loaded():",
+        "    return sorted(m for m in sys.modules",
+        "                  if m.split('.')[0] == 'scipy'",
+        "                  or m.split('.')[:2] in (['numpy', 'ma'],",
+        "                                          ['numpy', 'polynomial']))",
+        "print('import', loaded(), 'locale' in sys.modules)",
+        "for argv in sys.argv[1:]:",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        code = qdrepeater.cli.main(argv.split())",
+        "    print(argv, code, loaded())",
+    ])
+    commands = ["rates",
+                "contour --fp-min 100 --fp-max 200 --fp-points 2 "
+                "--pol-min 0.9 --pol-max 0.95 --pol-points 2",
+                "mc --trials 200", "mc --cutoff 4 --trials 200", "qsim",
+                "validate"]
+    proc = run_python(["-c", script, *commands])
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
-    assert not [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
-    # loaded at import, not inside the first command that needs them
-    assert {"numpy.polynomial.hermite", "numpy.ma", "locale"} <= loaded
+    # argparse's gettext loads locale on the first parse; the CLI loads it
+    assert proc.stdout.splitlines() == (
+        ["import [] True"] + [f"{argv} 0 []" for argv in commands])

@@ -192,16 +192,28 @@ def test_doubling_stops_at_the_last_finite_node_table(params):
         fidelity.entanglement_fidelity_fixed_nodes(phys, 2 * finite[-1])
 
 
+@pytest.mark.parametrize("nodes", [1, 2, 3, 21, 42, 84, 168, 336, 400, 672,
+                                   1344])
+def test_hermgauss_port_is_numpy_bit_for_bit(nodes):
+    # non-finite weights from about 400 nodes on included, NaNs and all
+    with np.errstate(all="ignore"):
+        want = np.polynomial.hermite.hermgauss(nodes)
+        got = fidelity._hermgauss(nodes)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
 def test_gauss_hermite_tables_are_read_only_and_built_once(params,
                                                            monkeypatch):
     calls = Counter()
-    hermgauss = np.polynomial.hermite.hermgauss
+    hermgauss = fidelity._hermgauss
 
     def counting(nodes):
         calls[nodes] += 1
         return hermgauss(nodes)
 
-    monkeypatch.setattr(np.polynomial.hermite, "hermgauss", counting)
+    monkeypatch.setattr(fidelity, "_hermgauss", counting)
     fidelity._gauss_hermite.cache_clear()
     for _ in range(2):
         fidelity.fidelity_contour(params, DEFAULT_FP_GRID, DEFAULT_POL_GRID)
@@ -262,6 +274,11 @@ def test_quadrupolar_factor_values():
         pytest.approx(expected, rel=1e-12)
     assert fidelity.quadrupolar_factor(5e4, 1, 330e-9) == \
         pytest.approx(math.exp(-(5e4 * 330e-9) ** 2), rel=1e-12)
+    # sigma_Q**2 * t**2 beyond float64: fully dephased, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fidelity.quadrupolar_factor(1e300, 2, 330e-9) == 0.0
+        assert fidelity.quadrupolar_factor(5e4, 1, 1e300) == 0.0
 
 
 @settings(max_examples=50, deadline=None)

@@ -131,6 +131,42 @@ def test_stats_invariants():
     assert stats.seed == 1234
 
 
+def _order_statistic_cases():
+    """Seeded arrays: sizes 1, 2, 3 and odd and even sizes up to 20k, with
+    distinct values, ties, whole slots in seconds as ``mc`` records them,
+    and values spread over many decades."""
+    yield np.array([15.91, 0.1])    # (a + b)/2 8.005, b - (b - a)/2 8.0049..
+    rng = np.random.default_rng(2024)
+    for n in (1, 2, 3, 4, 5, 19, 20, 101, 1000, 4999, 19_999, 20_000):
+        yield rng.random(n)
+        yield rng.integers(1, 4, n).astype(float)
+        yield np.ceil(rng.exponential(300.0, n)) * 0.0123
+        yield rng.lognormal(0.0, 10.0, n)
+    records = mcsim.run_trials(cfg(n_nest=3, p0=0.05, p_swap=0.6, trials=5_000,
+                                   slot_time=3.7e-4, memory_cutoff=0.05))
+    yield records.total_time[records.success]
+    yield records.max_storage_time[records.success]
+
+
+def test_quantiles_are_numpy_percentile_bit_for_bit():
+    q = (0.0, 0.25, 0.5, 0.9, 0.99, 1.0)
+    for values in _order_statistic_cases():
+        want = np.percentile(values, [0, 25, 50, 90, 99, 100]).tolist()
+        assert mcsim._quantiles(values, q) == want, values.size
+
+
+def test_storage_median_is_numpy_median_bit_for_bit():
+    # np.median averages the middle pair where np.percentile interpolates,
+    # and the two can round apart; the median must follow np.median
+    rounded_apart = 0
+    for values in _order_statistic_cases():
+        hist = mcsim.StorageHistogram(values, np.empty(0), np.empty(0))
+        want = float(np.median(values))
+        assert hist.median() == want, values.size
+        rounded_apart += want != mcsim._quantiles(values, (0.5,))[0]
+    assert rounded_apart >= 1
+
+
 def test_records_have_consistent_attempts():
     records = mcsim.run_trials(cfg(n_nest=1, p0=0.3, p_swap=0.5, trials=500))
     assert records.success.all()
