@@ -19,7 +19,6 @@ import json
 import locale  # noqa: F401
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,33 +29,21 @@ from .params import (ConfigError, ParameterSet, default_parameters,
 _FMT = "%.6e"
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One swept variable on a fixed grid."""
-
-    variable: str
-    start: float
-    stop: float
-    points: int
-    scale: str = "linear"
-
-    def __post_init__(self):
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ValueError(f"{self.variable}: sweep bounds must be finite")
-        if self.points < 2:
-            raise ValueError(f"{self.variable}: a sweep needs at least two points")
-        if not self.start < self.stop:
-            raise ValueError(f"{self.variable}: sweep start must be below stop")
-        if self.scale not in ("linear", "log"):
-            raise ValueError(f"{self.variable}: scale must be linear or log")
-        if self.scale == "log" and self.start <= 0:
-            raise ValueError(f"{self.variable}: log sweeps need a positive start")
-
-    def grid(self) -> np.ndarray:
-        if self.scale == "log":
-            return np.logspace(math.log10(self.start), math.log10(self.stop),
-                               self.points)
-        return np.linspace(self.start, self.stop, self.points)
+def _sweep(variable: str, start: float, stop: float, points: int,
+           log: bool = False) -> np.ndarray:
+    """``points`` values from ``start`` to ``stop``, evenly spaced, or evenly
+    in log10 when ``log``; a bad range is a ValueError naming ``variable``."""
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"{variable}: sweep bounds must be finite")
+    if points < 2:
+        raise ValueError(f"{variable}: a sweep needs at least two points")
+    if not start < stop:
+        raise ValueError(f"{variable}: sweep start must be below stop")
+    if not log:
+        return np.linspace(start, stop, points)
+    if start <= 0:
+        raise ValueError(f"{variable}: log sweeps need a positive start")
+    return np.logspace(math.log10(start), math.log10(stop), points)
 
 
 def _csv(header: str, row_format: str, columns) -> str:
@@ -111,8 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--seed", type=int, default=1, help="RNG seed")
     p_mc.add_argument("--trials", type=int, default=10_000,
                       help="Monte Carlo trial count")
-    p_mc.add_argument("--n", type=int, default=None,
-                      help="nesting level override")
     p_mc.add_argument("--p0", type=float, default=None,
                       help="override the derived link success probability")
     p_mc.add_argument("--p-swap", type=float, default=None,
@@ -149,14 +134,14 @@ _CURVE_PRODUCTS = {"B": 0.72, "C": 0.5, "D": 0.4}
 
 def cmd_rates(args, ps: ParameterSet, argv: list[str]) -> int:
     try:
-        sweep = SweepSpec("L_km", args.l_min_km, args.l_max_km, args.l_points,
-                          scale="log" if args.log else "linear")
+        grid = _sweep("L_km", args.l_min_km, args.l_max_km, args.l_points,
+                      log=args.log)
     except ValueError as exc:
         print(f"invalid distance sweep: {exc}", file=sys.stderr)
         return 2
-    grid = sweep.grid()
 
-    distances = grid * 1e3
+    # Python floats: a tiny L_att gives exp(-inf) = 0, not a numpy warning
+    distances = (grid * 1e3).tolist()
     try:
         direct = [rates.direct_transmission_rate(L, args.source_rate,
                                                  ps.link.L_att)
@@ -186,8 +171,7 @@ def cmd_contour(args, ps: ParameterSet, argv: list[str]) -> int:
     try:
         if args.fp_min <= 0:
             raise ValueError("F_p: sweep must start above zero")
-        fp_grid = SweepSpec("F_p", args.fp_min, args.fp_max,
-                            args.fp_points).grid()
+        fp_grid = _sweep("F_p", args.fp_min, args.fp_max, args.fp_points)
         pol = (args.pol_min, args.pol_max, args.pol_points)
         if pol == (None, None, None):
             pol_grid = np.array(_default_pol_grid())
@@ -198,7 +182,7 @@ def cmd_contour(args, ps: ParameterSet, argv: list[str]) -> int:
             raise ValueError("polarization grid must stay within "
                              "[0.80, 1.0] (tabulated transfer data)")
         else:
-            pol_grid = SweepSpec("polarization", *pol).grid()
+            pol_grid = _sweep("polarization", *pol)
     except ValueError as exc:
         print(f"invalid sweep: {exc}", file=sys.stderr)
         return 2
@@ -238,8 +222,6 @@ def cmd_validate(args, ps: ParameterSet, argv: list[str]) -> int:
 
 
 def cmd_mc(args, ps: ParameterSet, argv: list[str]) -> int:
-    if args.n is not None:
-        ps = with_link(ps, n_nest=args.n)
     link = ps.link
     p0 = (args.p0 if args.p0 is not None
           else rates.link_success_probability(link))

@@ -34,8 +34,6 @@ import numpy as np
 
 from .params import ParameterSet, PhysicalParams
 
-TWO_PI = 2.0 * math.pi
-
 #: Bohr magneton over Planck constant (Hz/T), CODATA 2022.
 MU_B_OVER_H = 13996244917.1
 
@@ -225,14 +223,17 @@ def _ent_product_rule(phys: PhysicalParams, F_res: np.ndarray,
     dw = off[:, None] - off[None, :]
     out = np.empty(F_res.size)
     step = max(1, _BLOCK_ELEMENTS // nodes**2)
-    for lo in range(0, F_res.size, step):
-        fp = purcell_at_detuning(F_res[lo:lo + step, None], phys.kappa, det)
-        gp, Gp = enhanced_rates(phys.gamma_r, phys.gamma_nr, phys.gamma_star,
-                                fp)
-        vals = barrett_kok_fidelity(gp[:, :, None], gp[:, None, :],
-                                    Gp[:, :, None], Gp[:, None, :], dw)
-        # physicists' convention: sum(w) = sqrt(pi) per dimension
-        out[lo:lo + step] = np.einsum("i,j,gij->g", w, w, vals) / math.pi
+    # an extreme input overflows to inf or nan, which _ent_adaptive refuses
+    with np.errstate(all="ignore"):
+        for lo in range(0, F_res.size, step):
+            fp = purcell_at_detuning(F_res[lo:lo + step, None], phys.kappa,
+                                     det)
+            gp, Gp = enhanced_rates(phys.gamma_r, phys.gamma_nr,
+                                    phys.gamma_star, fp)
+            vals = barrett_kok_fidelity(gp[:, :, None], gp[:, None, :],
+                                        Gp[:, :, None], Gp[:, None, :], dw)
+            # physicists' convention: sum(w) = sqrt(pi) per dimension
+            out[lo:lo + step] = np.einsum("i,j,gij->g", w, w, vals) / math.pi
     return out
 
 
@@ -243,8 +244,9 @@ def _ent_adaptive(phys: PhysicalParams, F_res: np.ndarray, rtol: float,
     Only the points whose last two estimates still differ by more than
     ``rtol`` go on to the next doubling; each point keeps the estimate at
     which it converged.  Doubling stops early at an order whose node table
-    is not finite, and :class:`ConvergenceError` then carries the first
-    unconverged point and its last two finite estimates.
+    is not finite, or at a non-finite estimate, which can never converge.
+    :class:`ConvergenceError` then carries the first non-finite point, else
+    the first unconverged one, and its last two estimates.
     """
     if phys.sigma_sd < 0:
         raise ValueError("sigma_sd must be non-negative")
@@ -256,17 +258,18 @@ def _ent_adaptive(phys: PhysicalParams, F_res: np.ndarray, rtol: float,
     last = np.full(F_res.size, math.nan)  # no estimate before the first
     out = np.empty(F_res.size)
     for _ in range(max_doublings):
-        if not _finite_rule(2 * nodes):
+        if not (np.isfinite(prev).all() and _finite_rule(2 * nodes)):
             break
         nodes *= 2
         cur = _ent_product_rule(phys, F_res[todo], nodes)
-        done = np.abs(cur - prev) <= rtol * np.abs(cur)
+        done = np.isfinite(cur) & (np.abs(cur - prev) <= rtol * np.abs(cur))
         out[todo[done]] = cur[done]
         if done.all():
             return out
         todo, last, prev = todo[~done], prev[~done], cur[~done]
-    raise ConvergenceError(float(F_res[todo[0]]), nodes, rtol,
-                           (float(last[0]), float(prev[0])))
+    i = int(np.argmin(np.isfinite(prev)))  # first non-finite, else first
+    raise ConvergenceError(float(F_res[todo[i]]), nodes, rtol,
+                           (float(last[i]), float(prev[i])))
 
 
 def entanglement_fidelity_fixed_nodes(phys: PhysicalParams, nodes: int) -> float:
@@ -289,11 +292,6 @@ def entanglement_fidelity(phys: PhysicalParams) -> float:
 # ---------------------------------------------------------------------------
 # state transfer
 # ---------------------------------------------------------------------------
-
-def electron_init_fidelity(phys: PhysicalParams) -> float:
-    """Configured optical-pumping initialization fidelity (tabulated input)."""
-    return phys.F_e_init
-
 
 _NUCLEAR_INIT_ANCHORS = ((0.80, 0.977), (0.95, 0.998), (0.999, 0.99999),
                          (1.0, 1.0))
@@ -525,7 +523,7 @@ def _budget_grid(params: ParameterSet, fp_grid,
     f_bk = _nominal_bk(phys, fp).tolist()
     gamma_prime_res = (phys.gamma_r * (1.0 + fp) + phys.gamma_nr).tolist()
 
-    f_e = electron_init_fidelity(phys)
+    f_e = phys.F_e_init
     f_quad = quadrupolar_factor(phys.sigma_Q, 2, phys.t_transfer)
     f_n = _nuclear_init(pol).tolist()
     f_tr = [transfer_fidelity(f_e, v, f_quad) for v in f_n]

@@ -414,7 +414,8 @@ def timing_stats(records: TrialRecords, cfg: ProtocolConfig) -> TimingStats:
         return TimingStats(nan, nan, nan, nan, nan, nan,
                            trials=cfg.trials, n_success=0, seed=cfg.seed)
     mean = float(times.mean())
-    var = float(times.var(ddof=1)) if n_success > 1 else 0.0
+    with np.errstate(over="ignore"):  # times near 1e300 s: variance inf
+        var = float(times.var(ddof=1)) if n_success > 1 else 0.0
     p50, p90, p99 = _quantiles(times, (0.5, 0.9, 0.99))
     return TimingStats(mean=mean, variance=var,
                        stderr=math.sqrt(var / n_success),

@@ -9,8 +9,8 @@ Unit conventions used throughout the package:
 
 Each key is declared once, as a field of :class:`PhysicalParams` or
 :class:`LinkParams` whose metadata holds its default, unit kind, admissible
-range and provenance note; loading, validation and serialization all read
-those declarations.
+range and provenance note; loading and validation both read those
+declarations.
 
 Config files are flat ``key = value`` text.  Frequency-like values must carry
 a unit suffix (``Hz``, ``kHz``, ``MHz``, ``GHz``, or ``rad/s``) and may use a
@@ -180,9 +180,6 @@ _SCALED_UNITS = {
     "time": {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9, "ps": 1e-12},
     "length": {"m": 1.0, "km": 1e3},
 }
-# the base-SI suffix ``serialize`` writes for each kind; "" writes a bare number
-_SI_SUFFIX = {"angular": "rad/s", "freq": "Hz", "time": "s", "length": "m",
-              "speed": "", "dimensionless": "", "integer": ""}
 
 _QUANTITY_RE = re.compile(
     r"^\s*(?P<prefix>2pi\*)?\s*(?P<num>[-+]?\d*\.?\d+(?:[eE][-+]?\d+)?)"
@@ -198,7 +195,11 @@ def _kind_of(key: str) -> str:
 
 
 def parse_quantity(key: str, text: str) -> float:
-    """Parse one config value according to the key's documented unit kind."""
+    """Parse one config value according to the key's documented unit kind.
+
+    A value that is not finite in stored units, such as a literal that
+    overflows float64 on its own or after unit conversion, is refused.
+    """
     kind = _kind_of(key)
     raw = text.strip().strip("\"'").strip()
     m = _QUANTITY_RE.match(raw)
@@ -213,40 +214,38 @@ def parse_quantity(key: str, text: str) -> float:
             raise ConfigError(f"{key}: frequency value {text!r} is missing a "
                               f"unit suffix (Hz/kHz/MHz/GHz or rad/s)")
         if unit == "rad/s":
-            value = num * (TWO_PI if prefix else 1.0)
             if kind == "freq":
                 raise ConfigError(f"{key} is an ordinary frequency; rad/s not accepted")
-            return value
-        if unit not in _FREQ_UNITS:
+            value = num * (TWO_PI if prefix else 1.0)
+        elif unit in _FREQ_UNITS:
+            # a plain frequency on an angular key is converted to rad/s
+            value = (num * _FREQ_UNITS[unit]
+                     * (TWO_PI if prefix or kind == "angular" else 1.0))
+        else:
             raise ConfigError(f"{key}: unknown frequency unit {unit!r}")
-        value = num * _FREQ_UNITS[unit]
-        if kind == "angular":
-            return TWO_PI * value  # plain frequency on an angular key
-        return value * (TWO_PI if prefix else 1.0)
-
-    if prefix:
+    elif prefix:
         raise ConfigError(f"{key}: 2pi* prefix is only meaningful on frequencies")
-
-    if kind in _SCALED_UNITS:
-        if unit is None:
-            return num
-        if unit not in _SCALED_UNITS[kind]:
+    elif kind in _SCALED_UNITS:
+        if unit is not None and unit not in _SCALED_UNITS[kind]:
             raise ConfigError(f"{key}: unknown {kind} unit {unit!r}")
-        return num * _SCALED_UNITS[kind][unit]
-    if kind == "speed":
+        value = num if unit is None else num * _SCALED_UNITS[kind][unit]
+    elif kind == "speed":
         if unit is not None:
             raise ConfigError(f"{key}: give the speed as a bare number in m/s")
-        return num
-    if kind == "integer":
+        value = num
+    elif kind == "integer":
         if unit is not None:
             raise ConfigError(f"{key}: integer value must be bare")
         if not num.is_integer():
             raise ConfigError(f"{key}: expected an integer, got {text!r}")
-        return int(num)
-    # dimensionless
-    if unit is not None:
-        raise ConfigError(f"{key}: dimensionless value must be bare, got {text!r}")
-    return num
+        value = int(num)
+    else:  # dimensionless
+        if unit is not None:
+            raise ConfigError(f"{key}: dimensionless value must be bare, got {text!r}")
+        value = num
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: {text!r} is not finite in stored units")
+    return value
 
 
 def _split_item(item: str, where: str) -> tuple[str, str]:
@@ -365,20 +364,6 @@ def validate(ps: ParameterSet) -> ValidationReport:
                     f"{f.name} must lie in {'(' if positive else '['}{lo:g}, "
                     f"{hi:g}], got {v}")
     return report
-
-
-def serialize(ps: ParameterSet) -> str:
-    """Emit config text that reloads to a field-wise identical ParameterSet.
-
-    Angular rates are written in rad/s and other quantities in base SI units
-    so that the round trip is bit-exact.
-    """
-    lines = ["# generated parameter set"]
-    for key, value in to_dict(ps).items():
-        suffix = _SI_SUFFIX[_KEYS[key]["kind"]]
-        lines.append(f"{key} = \"{value!r} {suffix}\"" if suffix
-                     else f"{key} = {value!r}")
-    return "\n".join(lines) + "\n"
 
 
 def to_dict(ps: ParameterSet) -> dict[str, object]:

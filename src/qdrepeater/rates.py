@@ -22,10 +22,6 @@ class RateResult:
     mean_time: float   # seconds; inf when unreachable
     rate: float        # Hz; 0 when unreachable
 
-    @property
-    def reachable(self) -> bool:
-        return math.isfinite(self.mean_time)
-
 
 def transmission_probability(L0: float, L_att: float) -> float:
     """Photon transmission probability over half a link, exp(-L0/(2*L_att))."""
@@ -34,11 +30,6 @@ def transmission_probability(L0: float, L_att: float) -> float:
     if L0 < 0:
         raise ValueError("link length must be non-negative")
     return math.exp(-L0 / (2.0 * L_att))
-
-
-def branching_ratio(F_p: float) -> float:
-    """Branching ratio (1+F_p)/(2+F_p) of two equal decay paths, one enhanced."""
-    return (1.0 + F_p) / (2.0 + F_p)
 
 
 def link_success_probability(link: LinkParams) -> float:
@@ -64,31 +55,20 @@ def slot_time(link: LinkParams) -> float:
     return link.L0 / link.c_fiber + link.tau_init
 
 
-def _mean_time(p0: float, p_swap: float, slot: float, n: int,
-               prefactor: float) -> RateResult:
-    """<T> = prefactor * slot / (p0 * p_swap**n), or unreachable."""
-    denom = p0 * p_swap**n
-    if denom <= 0.0:
-        return RateResult(p0=p0, p_swap=p_swap, mean_time=math.inf, rate=0.0)
-    mean = prefactor * slot / denom
-    rate = 1.0 / mean if mean > 0.0 else math.inf
-    return RateResult(p0=p0, p_swap=p_swap, mean_time=mean, rate=rate)
-
-
 def parallel_closed_form(p0: float, p_swap: float, slot: float,
                          n: int) -> RateResult:
-    """<T> = (3/2)**n * slot / (p0 * p_swap**n), all links generated in parallel.
+    """<T> = (3/2)**n * slot / (p0 * p_swap**n), all links generated in
+    parallel, or unreachable when the denominator vanishes.
 
     The n = 0 case is the plain geometric mean slot/p0.  This is the closed
     form the Monte Carlo is checked against.
     """
-    return _mean_time(p0, p_swap, slot, n, 1.5**n)
-
-
-def _heralded(link: LinkParams) -> tuple[float, float, float, int]:
-    """(p0, p_swap, slot, n) of the heralded-link scheme."""
-    return (link_success_probability(link), swap_success_probability(link),
-            slot_time(link), link.n_nest)
+    denom = p0 * p_swap**n
+    if denom <= 0.0:
+        return RateResult(p0=p0, p_swap=p_swap, mean_time=math.inf, rate=0.0)
+    mean = 1.5**n * slot / denom
+    rate = 1.0 / mean if mean > 0.0 else math.inf
+    return RateResult(p0=p0, p_swap=p_swap, mean_time=mean, rate=rate)
 
 
 def mean_time_parallel(params: ParameterSet) -> RateResult:
@@ -96,18 +76,10 @@ def mean_time_parallel(params: ParameterSet) -> RateResult:
 
     ``parallel_closed_form`` at the chain's own p0, p_swap and slot time.
     """
-    return parallel_closed_form(*_heralded(params.link))
-
-
-def mean_time_sequential(params: ParameterSet) -> RateResult:
-    """Mean distribution time when neighboring links are generated one-by-one.
-
-    Prefactor 2*(3/2)**(n-1) for n >= 1.  A single link (n = 0) has no
-    neighbor, so the parallel value is returned.
-    """
-    n = params.link.n_nest
-    prefactor = 2.0 * 1.5 ** (n - 1) if n else 1.0
-    return _mean_time(*_heralded(params.link), prefactor)
+    link = params.link
+    return parallel_closed_form(link_success_probability(link),
+                                swap_success_probability(link),
+                                slot_time(link), link.n_nest)
 
 
 def mean_time_two_plus_two(params: ParameterSet) -> RateResult:

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import itertools
 import json
 import math
 import os
@@ -12,8 +15,8 @@ import pytest
 
 from qdrepeater import acceptance, fidelity, mcsim, rates
 from qdrepeater.cli import main
-from qdrepeater.params import (LinkParams, PhysicalParams, default_parameters,
-                               to_dict, with_link)
+from qdrepeater.params import (_KEYS, LinkParams, PhysicalParams,
+                               default_parameters, to_dict, with_link)
 
 NUMBER = re.compile(r"^(-?\d\.\d{6}e[+-]\d{2,3}|inf)$")
 FINE = acceptance.Measure("fine", 1.0, 1.0, 0.0)
@@ -176,6 +179,16 @@ def test_contour_unconverged_quadrature_is_one_error_line():
     assert "RuntimeWarning" not in proc.stderr
 
 
+def test_contour_non_finite_quadrature_is_one_error_line():
+    # F_p = 1e300 overflows the F_ent integrand: stopped at the first order
+    proc = run_python(["-W", "always", "-m", "qdrepeater.cli", "contour",
+                       "--fp-max", "1e300", "--fp-points", "2"])
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("F_ent quadrature did not converge at F_res=1e+300 "
+                           "(21 nodes, rtol 1e-06), last estimates (nan, nan)"
+                           "\n")
+
+
 def test_contour_refuses_strong_readout_drive_without_force(capsys):
     strong = ["contour", "--param", "Omega_readout=2pi*500 GHz"]
     with warnings.catch_warnings(record=True) as caught:
@@ -231,8 +244,8 @@ def test_validate_surfaces_gate_regime_warning(capsys, monkeypatch):
 
 def test_mc_report_csv_and_determinism(capsys, tmp_path):
     f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    argv = ["mc", "--n", "0", "--p0", "0.1", "--trials", "2000",
-            "--seed", "3"]
+    argv = ["mc", "--param", "n_nest=0", "--p0", "0.1", "--trials",
+            "2000", "--seed", "3"]
     code, out1, _ = run(capsys, argv + ["--out", str(f1)])
     assert code == 0
     assert "PASS" in out1
@@ -270,7 +283,7 @@ def test_mc_out_csv_matches_per_row_rendering(capsys, tmp_path, n_nest, p0,
         lines.append(f"{i},{'%.6e' % t},{failures},{'%.6e' % stored}")
 
     out_csv = tmp_path / "trials.csv"
-    argv = ["mc", "--n", str(n_nest), "--cutoff", "4", "--trials",
+    argv = ["mc", "--param", f"n_nest={n_nest}", "--cutoff", "4", "--trials",
             str(trials), "--seed", str(seed), "--out", str(out_csv)]
     code, _, _ = run(capsys, argv + (["--p0", repr(p0)] if p0 else []))
     assert code == 0
@@ -278,7 +291,7 @@ def test_mc_out_csv_matches_per_row_rendering(capsys, tmp_path, n_nest, p0,
 
 
 def test_mc_seed_change_moves_numbers_but_still_passes(capsys):
-    argv = ["mc", "--n", "1", "--p0", "0.05", "--p-swap", "0.6",
+    argv = ["mc", "--param", "n_nest=1", "--p0", "0.05", "--p-swap", "0.6",
             "--trials", "5000"]
     code_a, out_a, _ = run(capsys, argv + ["--seed", "11"])
     code_b, out_b, _ = run(capsys, argv + ["--seed", "12"])
@@ -289,12 +302,13 @@ def test_mc_seed_change_moves_numbers_but_still_passes(capsys):
 
 def test_mc_meta_records_the_overridden_nesting_level(capsys, tmp_path):
     out_csv = tmp_path / "m.csv"
-    code, _, _ = run(capsys, ["mc", "--n", "1", "--p0", "0.1",
+    code, _, _ = run(capsys, ["mc", "--param", "n_nest=1", "--p0", "0.1",
                               "--p-swap", "0.5", "--trials", "100",
                               "--out", str(out_csv)])
     assert code == 0
     meta = json.loads((tmp_path / "m.csv.meta.json").read_text())
     assert meta["parameters"]["n_nest"] == 1
+    assert meta["provenance"]["n_nest"] == "cli override"
 
 
 def test_mc_default_config_reports_storage(capsys):
@@ -305,7 +319,7 @@ def test_mc_default_config_reports_storage(capsys):
 
 def test_mc_without_successes_still_reports_success_fraction(capsys):
     code, out, _ = run(capsys, ["mc", "--trials", "200", "--cutoff", "0",
-                                "--n", "2"])
+                                "--param", "n_nest=2"])
     assert code == 0
     lines = out.splitlines()
     assert lines[0].startswith("MC mean nan")
@@ -314,7 +328,7 @@ def test_mc_without_successes_still_reports_success_fraction(capsys):
 
 
 def test_mc_cutoff_reduces_success_fraction(capsys):
-    code, out, _ = run(capsys, ["mc", "--n", "1", "--p0", "0.5",
+    code, out, _ = run(capsys, ["mc", "--param", "n_nest=1", "--p0", "0.5",
                                 "--p-swap", "1.0", "--trials", "2000",
                                 "--seed", "5", "--cutoff", "1e-9"])
     assert code == 0
@@ -372,6 +386,7 @@ def test_malformed_override_is_one_config_error(capsys, tmp_path, override,
                                   "nuclear_polarization=0.5")],
     *[(["contour"], o) for o in ("gamma_r=0 Hz", "kappa=0 GHz",
                                  "T2_electron=0", "delta_p=0 GHz")],
+    (["mc"], "n_nest=-1"),
 ])
 def test_value_outside_a_key_range_is_one_config_error(capsys, command,
                                                        override):
@@ -453,6 +468,68 @@ def test_nesting_level_above_64_is_one_config_error():
                              f"n_nest must lie in [0, 64], got {value}\n"))
 
 
+EXTREMES = ("0", "-1", "1e-300", "5e-324", "1e20", "1e300", "nan", "inf")
+SWEPT_COMMANDS = (
+    ["validate"], ["rates", "--l-points", "3"],
+    ["contour", "--fp-min", "100", "--fp-max", "200", "--fp-points", "2",
+     "--pol-min", "0.9", "--pol-max", "0.95", "--pol-points", "2"],
+    ["mc", "--trials", "50"])
+_UNIT_SUFFIX = {"angular": " GHz", "freq": " Hz", "time": " s",
+                "length": " m"}
+
+
+def extreme_value_failures(key: str) -> list[str]:
+    """The calls of each swept command, with ``key`` set to each extreme
+    value, that raise or warn, exit outside 0-3, print a traceback, or exit
+    non-zero without exactly one stderr line.
+
+    ``validate`` runs without its acceptance criteria, which do not read the
+    parameter set.
+    """
+    suffix = _UNIT_SUFFIX.get(_KEYS[key]["kind"], "")
+    failures = []
+    run_all, acceptance.run_all = acceptance.run_all, lambda: []
+    try:
+        for value, command in itertools.product(EXTREMES, SWEPT_COMMANDS):
+            argv = [*command, "--param", f"{key}={value}{suffix}"]
+            err = io.StringIO()
+            try:
+                with warnings.catch_warnings(), \
+                        contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(err):
+                    warnings.simplefilter("error")
+                    code = main(argv)
+            except Exception as exc:
+                failures.append(f"{argv}: {type(exc).__name__}: {exc}")
+                continue
+            lines = err.getvalue().splitlines()
+            if (code not in (0, 1, 2, 3) or "Traceback" in err.getvalue()
+                    or code and len(lines) != 1):
+                failures.append(f"{argv}: exit {code}, stderr {lines}")
+    finally:
+        acceptance.run_all = run_all
+    return failures
+
+
+@pytest.mark.parametrize("key", list(_KEYS))
+def test_extreme_parameter_value_is_a_result_or_one_error_line(key):
+    if key != "n_nest":
+        assert extreme_value_failures(key) == []
+        return
+    # 2**n_nest once grew until memory ran out: a child process whose address
+    # space is capped at 2 GiB runs these calls
+    script = "\n".join([
+        "import json, resource, sys",
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))",
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})",
+        "import test_cli",
+        "print(json.dumps(test_cli.extreme_value_failures('n_nest')))",
+    ])
+    proc = run_python(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
 def test_gamma_and_gamma_star_together_is_one_config_error(capsys):
     code, out, err = run(capsys, ["rates", "--param", "Gamma=2pi*0.64 GHz",
                                   "--param", "gamma_star=2pi*25 MHz"])
@@ -523,8 +600,9 @@ def test_missing_config_file_is_config_error(capsys):
     assert "config error" in err
 
 
+# a negative nesting level is a config error (--param n_nest=-1, exit 3)
 @pytest.mark.parametrize("bad", [["--trials", "0"], ["--p0", "2"],
-                                 ["--n", "-1"], ["--cutoff", "-1"]])
+                                 ["--p-swap", "0"], ["--cutoff", "-1"]])
 def test_mc_bad_input_is_usage_error(capsys, bad):
     code, out, err = run(capsys, ["mc"] + bad)
     assert code == 2
@@ -533,8 +611,10 @@ def test_mc_bad_input_is_usage_error(capsys, bad):
     assert err.startswith("invalid Monte Carlo input")
 
 
-@pytest.mark.parametrize("bad", [["--n", "40"], ["--n", "2000"],
-                                 ["--n", "3", "--p-swap", "0.01"]])
+# above 64 the nesting level is a config error (exit 3), tested below
+@pytest.mark.parametrize("bad", [["--param", "n_nest=40"],
+                                 ["--param", "n_nest=64"],
+                                 ["--param", "n_nest=3", "--p-swap", "0.01"]])
 def test_mc_tree_beyond_the_node_budget_is_usage_error(capsys, monkeypatch,
                                                        bad):
     # refused before sampling: such a trial could exhaust the memory
@@ -561,8 +641,8 @@ def test_mc_times_beyond_float64_are_usage_error(capsys):
 def test_mc_direct_link_at_defaults_keeps_huge_slot_counts(capsys, tmp_path):
     # one 1000 km link: p0 ~ 8e-19, so some draws exceed the int64 range
     out_csv = tmp_path / "direct.csv"
-    code, out, _ = run(capsys, ["mc", "--n", "0", "--trials", "10000",
-                                "--out", str(out_csv)])
+    code, out, _ = run(capsys, ["mc", "--param", "n_nest=0", "--trials",
+                                "10000", "--out", str(out_csv)])
     assert code == 0
     assert "PASS" in out
     _, rows = parse_csv(out_csv.read_text())
@@ -599,8 +679,8 @@ def test_only_mc_meta_records_a_seed(capsys, tmp_path):
     argv = {"rates": ["rates", "--l-points", "2"],
             "contour": ["contour", "--fp-points", "2", "--pol-min", "0.9",
                         "--pol-max", "0.95", "--pol-points", "2"],
-            "mc": ["mc", "--n", "0", "--p0", "0.5", "--trials", "10",
-                   "--seed", "4"]}
+            "mc": ["mc", "--param", "n_nest=0", "--p0", "0.5", "--trials",
+                   "10", "--seed", "4"]}
     for name, args in argv.items():
         path = tmp_path / f"{name}.csv"
         assert run(capsys, args + ["--out", str(path)])[0] == 0

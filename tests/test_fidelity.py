@@ -192,6 +192,25 @@ def test_doubling_stops_at_the_last_finite_node_table(params):
         fidelity.entanglement_fidelity_fixed_nodes(phys, 2 * finite[-1])
 
 
+def test_non_finite_estimate_stops_the_doubling_at_once(params, monkeypatch):
+    # F_res = 1e300 overflows the integrand to nan at every order, which can
+    # never converge: one quadrature at the start order, no warning, and the
+    # error names the non-finite point rather than the first one
+    orders = []
+    rule = fidelity._ent_product_rule
+    monkeypatch.setattr(fidelity, "_ent_product_rule",
+                        lambda phys, f, nodes: orders.append(nodes)
+                        or rule(phys, f, nodes))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(fidelity.ConvergenceError) as err:
+            fidelity._ent_adaptive(params.physical, np.array([500.0, 1e300]),
+                                   fidelity.ENT_RTOL)
+    assert orders == [21]
+    assert (err.value.F_res, err.value.nodes) == (1e300, 21)
+    assert all(math.isnan(e) for e in err.value.estimates)
+
+
 @pytest.mark.parametrize("nodes", [1, 2, 3, 21, 42, 84, 168, 336, 400, 672,
                                    1344])
 def test_hermgauss_port_is_numpy_bit_for_bit(nodes):
@@ -229,9 +248,9 @@ def test_gauss_hermite_tables_are_read_only_and_built_once(params,
 # ------------------------------------------------------------ transfer
 
 def test_electron_init_is_configured_value(params):
-    assert fidelity.electron_init_fidelity(params.physical) == 0.99996
-    assert fidelity.electron_init_fidelity(
-        with_physical(params, F_e_init=1.0).physical) == 1.0
+    for ps in (params, with_physical(params, F_e_init=1.0)):
+        assert fidelity.fidelity_budget(ps).F_e_init == ps.physical.F_e_init
+    assert params.physical.F_e_init == 0.99996
 
 
 def test_nuclear_init_anchors():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qdrepeater.params import (ConfigError, build_parameter_set,
                                default_parameters, fwhm_to_sigma, load_config,
-                               parse_config_text, parse_quantity, serialize,
+                               parse_config_text, parse_quantity,
                                to_dict, validate, with_physical)
 
 TWO_PI = 2 * math.pi
@@ -188,15 +188,13 @@ def test_eta_s_follows_explicit_p_emit():
     assert ps2.link.eta_s == 0.65
 
 
-def test_serialize_round_trip_is_field_exact(tmp_path):
-    ps = default_parameters(overrides=["eta_d=0.85", "detuning=200 GHz",
-                                       "nuclear_polarization=0.9"])
-    text = serialize(ps)
-    cfg = tmp_path / "round.cfg"
-    cfg.write_text(text)
-    again = load_config(str(cfg))
-    assert again.physical == ps.physical
-    assert again.link == ps.link
+@pytest.mark.parametrize("key,text", [
+    ("kappa", "1e300 GHz"), ("sigma_sd", "1e300 GHz"), ("sigma_Q", "1e309 Hz"),
+    ("L_total", "1e306 km"), ("T2_electron", "1e309"), ("F_res", "1e999")])
+def test_value_not_finite_in_stored_units_is_refused(key, text):
+    # a literal that overflows float64, on its own or after unit conversion
+    with pytest.raises(ConfigError, match="is not finite in stored units"):
+        parse_quantity(key, text)
 
 
 # ---------------------------------------------------------------- validate

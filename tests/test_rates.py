@@ -42,20 +42,10 @@ def test_transmission_rejects_bad_attenuation():
 # ------------------------------------------------------------ branching
 
 def test_branching_anchor():
-    assert rates.branching_ratio(16.0) == pytest.approx(17.0 / 18.0, rel=1e-12)
-    assert rates.branching_ratio(16.0) == pytest.approx(0.94, abs=5e-3)
-
-
-def test_branching_equal_paths():
-    assert rates.branching_ratio(0.0) == 0.5
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.floats(min_value=0.0, max_value=1e6, allow_nan=False))
-def test_branching_monotone_below_one(fp):
-    z = rates.branching_ratio(fp)
-    assert 0.5 <= z < 1.0
-    assert rates.branching_ratio(fp + 1.0) > z
+    # the zeta default is the branching ratio (1 + F_p)/(2 + F_p) of two equal
+    # decay paths, one Purcell-enhanced, at an effective Purcell factor of 16
+    zeta = default_parameters().link.zeta
+    assert zeta == pytest.approx((1.0 + 16.0) / (2.0 + 16.0), abs=5e-3)
 
 
 # ------------------------------------------------------------ probabilities
@@ -142,21 +132,6 @@ def test_parallel_structure_one_level(curve_b):
     assert t1 / t0 == pytest.approx(expected_ratio, rel=1e-12)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=1, max_value=6))
-def test_sequential_parallel_ratio_is_four_thirds(n):
-    ps = with_link(default_parameters(), n_nest=n)
-    par = rates.mean_time_parallel(ps).mean_time
-    seq = rates.mean_time_sequential(ps).mean_time
-    assert seq / par == pytest.approx(4.0 / 3.0, rel=1e-12)
-
-
-def test_sequential_equals_parallel_at_n0():
-    ps = with_link(default_parameters(), n_nest=0)
-    assert rates.mean_time_sequential(ps).mean_time == \
-        rates.mean_time_parallel(ps).mean_time
-
-
 def test_two_plus_two_swap_probability():
     ps = with_link(default_parameters(), eta_s=0.65)
     result = rates.mean_time_two_plus_two(ps)
@@ -210,7 +185,6 @@ def test_parallel_closed_form_is_what_the_chain_forms_use(curve_b):
 def test_unreachable_flagged_not_raised():
     dead = with_link(default_parameters(), eta_d=0.0)
     result = rates.mean_time_parallel(dead)
-    assert not result.reachable
     assert result.rate == 0.0
     assert math.isinf(result.mean_time)
 
