@@ -115,18 +115,27 @@ def _load(args) -> ParameterSet:
     return default_parameters(overrides=args.param)
 
 
-def _emit(text: str, args, ps: ParameterSet, argv: list[str]) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        meta = {"command": argv, "parameters": to_dict(ps),
-                "provenance": ps.provenance}
-        if "seed" in args:
-            meta["seed"] = args.seed
-        with open(args.out + ".meta.json", "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-    else:
+def _emit(text: str, args, ps: ParameterSet, argv: list[str]) -> int:
+    """Write ``text`` to ``--out`` with its meta.json, or to stdout; the exit
+    code, 2 when a file cannot be written."""
+    if not args.out:
         sys.stdout.write(text)
+        return 0
+    meta = {"command": argv, "parameters": to_dict(ps),
+            "provenance": ps.provenance}
+    if "seed" in args:
+        meta["seed"] = args.seed
+    path = args.out
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        path = args.out + ".meta.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(meta, fh, indent=2, sort_keys=True)
+    except OSError as exc:
+        print(f"cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 _CURVE_PRODUCTS = {"B": 0.72, "C": 0.5, "D": 0.4}
@@ -156,10 +165,9 @@ def cmd_rates(args, ps: ParameterSet, argv: list[str]) -> int:
     pair_scheme = with_link(ps, eta_s=0.65)
     pairs = [rates.mean_time_two_plus_two(
                  with_link(pair_scheme, L_total=L)).rate for L in distances]
-    _emit(_csv("L_km,rate_direct,rate_B,rate_C,rate_D,rate_2plus2",
-               ",".join([_FMT] * 6), (grid, direct, *curves, pairs)),
-          args, ps, argv)
-    return 0
+    return _emit(_csv("L_km,rate_direct,rate_B,rate_C,rate_D,rate_2plus2",
+                      ",".join([_FMT] * 6), (grid, direct, *curves, pairs)),
+                 args, ps, argv)
 
 
 def _default_pol_grid() -> list[float]:
@@ -202,9 +210,9 @@ def cmd_contour(args, ps: ParameterSet, argv: list[str]) -> int:
 
     rows = [(fp, pol, b.F_ent, b.F_transfer, b.F_gate, b.F_readout,
              b.F_total) for fp, pol, b in contour.rows()]
-    _emit(_csv("F_p,polarization,F_ent,F_transfer,F_gate,F_readout,F_total",
-               ",".join([_FMT] * 7), zip(*rows)), args, ps, argv)
-    return 0
+    return _emit(_csv("F_p,polarization,F_ent,F_transfer,F_gate,F_readout,"
+                      "F_total", ",".join([_FMT] * 7), zip(*rows)),
+                 args, ps, argv)
 
 
 def cmd_validate(args, ps: ParameterSet, argv: list[str]) -> int:
@@ -244,13 +252,13 @@ def cmd_mc(args, ps: ParameterSet, argv: list[str]) -> int:
     print(f"success fraction {storage.values.size / len(records):.4f}; "
           f"max-storage median {storage.median():.4g} s; "
           f"fraction exceeding 1 s: {storage.fraction_exceeding(1.0):.4f}")
-    if args.out:
-        _emit(_csv("trial,total_time_s,swap_failures,max_storage_s",
-                   f"%d,{_FMT},%d,{_FMT}",
-                   (range(len(records)), records.total_time.tolist(),
-                    records.swap_failures.tolist(),
-                    records.max_storage_time.tolist())), args, ps, argv)
-    return 0
+    if not args.out:
+        return 0
+    return _emit(_csv("trial,total_time_s,swap_failures,max_storage_s",
+                      f"%d,{_FMT},%d,{_FMT}",
+                      (range(len(records)), records.total_time.tolist(),
+                       records.swap_failures.tolist(),
+                       records.max_storage_time.tolist())), args, ps, argv)
 
 
 def cmd_qsim(args, ps: None, argv: list[str]) -> int:

@@ -56,8 +56,9 @@ class ConvergenceError(RuntimeError):
         self.rtol = rtol
         self.estimates = estimates
         super().__init__(
-            f"quadrature did not converge at F_res={F_res:g} ({nodes} nodes, "
-            f"rtol {rtol:g}), last estimates {estimates}")
+            f"quadrature did not converge at F_res={F_res:g} ({nodes} "
+            f"node{'s' * (nodes != 1)}, rtol {rtol:g}), last estimates "
+            f"{estimates}")
 
 
 @dataclass(frozen=True)
@@ -138,10 +139,13 @@ def barrett_kok_fidelity(gp_i, gp_j, Gp_i, Gp_j, delta_omega):
 
 
 def _nominal_bk(phys: PhysicalParams, F_res: np.ndarray) -> np.ndarray:
-    """Heralding fidelity of two identical dots at the mean detuning."""
-    fp = purcell_at_detuning(F_res, phys.kappa, phys.detuning)
-    gp, Gp = enhanced_rates(phys.gamma_r, phys.gamma_nr, phys.gamma_star, fp)
-    return barrett_kok_fidelity(gp, gp, Gp, Gp, 0.0)
+    """Heralding fidelity of two identical dots at the mean detuning; an
+    extreme input gives inf or nan without floating-point warnings."""
+    with np.errstate(all="ignore"):
+        fp = purcell_at_detuning(F_res, phys.kappa, phys.detuning)
+        gp, Gp = enhanced_rates(phys.gamma_r, phys.gamma_nr, phys.gamma_star,
+                                fp)
+        return barrett_kok_fidelity(gp, gp, Gp, Gp, 0.0)
 
 
 def _normed_hermite(x: np.ndarray, n: int) -> np.ndarray:
@@ -251,7 +255,13 @@ def _ent_adaptive(phys: PhysicalParams, F_res: np.ndarray, rtol: float,
     if phys.sigma_sd < 0:
         raise ValueError("sigma_sd must be non-negative")
     if phys.sigma_sd == 0.0:
-        return _nominal_bk(phys, F_res)
+        # every order's rule then gives the one-node value, the nominal one
+        out = _nominal_bk(phys, F_res)
+        if not np.isfinite(out).all():
+            i = int(np.argmin(np.isfinite(out)))
+            raise ConvergenceError(float(F_res[i]), 1, rtol,
+                                   (math.nan, float(out[i])))
+        return out
     nodes = start_nodes
     todo = np.arange(F_res.size)
     prev = _ent_product_rule(phys, F_res, nodes)
@@ -521,7 +531,8 @@ def _budget_grid(params: ParameterSet, fp_grid,
 
     f_ent = _ent_adaptive(phys, fp, ENT_RTOL).tolist()
     f_bk = _nominal_bk(phys, fp).tolist()
-    gamma_prime_res = (phys.gamma_r * (1.0 + fp) + phys.gamma_nr).tolist()
+    with np.errstate(over="ignore"):     # inf at an extreme Purcell factor
+        gamma_prime_res = (phys.gamma_r * (1.0 + fp) + phys.gamma_nr).tolist()
 
     f_e = phys.F_e_init
     f_quad = quadrupolar_factor(phys.sigma_Q, 2, phys.t_transfer)

@@ -21,7 +21,11 @@ given numpy build and CPU dispatch: numpy's ``log1p`` can differ by one ulp
 between dispatch targets, and that can move a draw by one slot once counts
 reach about 1e13 slots.  Trials run in chunks of about ``CHUNK_NODES`` tree
 nodes, which bounds the working memory; a configuration whose trial alone is
-expected to grow more than ``MAX_TRIAL_NODES`` is refused.
+expected to grow more than ``MAX_TRIAL_NODES`` is refused.  A chunk's arrays
+are freed level by level as soon as they are dead, and the per-round arrays
+that only the abort pass reads are kept only under a finite cutoff.  The
+working set stays small, so the next chunk mostly reuses heap the allocator
+still holds instead of faulting in pages that were handed back to the OS.
 
 Times are held as slot counts, whole numbers in float64: exact below 2**53,
 and wide enough for the counts of a link with tiny p0 (a direct 1000 km link
@@ -53,9 +57,10 @@ import numpy as np
 CHUNK_NODES = 1 << 14
 
 #: most tree nodes a trial may be expected to grow.  Sampling takes about
-#: 60-80 bytes of working memory per node (peak traced allocations over
-#: chunks of 16k to 256k nodes, n_nest 1-8), so an expected trial stays
-#: below about 80 MB, and one ten times its expected size below 1 GB.
+#: 30-45 bytes of working memory per node (peak traced allocations over
+#: chunks of 16k to 256k nodes, n_nest 1-8, with and without a cutoff), so
+#: an expected trial stays below about 45 MB, and one ten times its
+#: expected size below 0.5 GB.
 MAX_TRIAL_NODES = 1 << 20
 
 #: bins of the storage-time histogram
@@ -232,7 +237,9 @@ def _geometric(keys: np.ndarray, p: float) -> np.ndarray:
     a given address can only shrink as ``p`` grows.
     """
     # ceil(log1p(-uniform) / log1p(-p)), at least 1
-    u = np.multiply(keys >> np.uint64(11), -(2.0**-53))
+    u = np.empty(keys.shape)
+    np.right_shift(keys, np.uint64(11), out=u, casting="unsafe")
+    u *= -(2.0**-53)
     np.log1p(u, out=u)
     u /= -math.inf if p >= 1.0 else math.log1p(-p)
     np.ceil(u, out=u)
@@ -260,52 +267,85 @@ def _trials_per_chunk(cfg: ProtocolConfig) -> int:
     return max(1, int(CHUNK_NODES // _expected_nodes(cfg.n_nest, cfg.p_swap)))
 
 
-def _sample_chunk(cfg: ProtocolConfig, first: int, count: int):
-    """TrialRecords columns of trials ``first`` .. ``first + count - 1``."""
-    slot, cutoff = cfg.slot_time, cfg.memory_cutoff
-    # top-down: draw each level's round counts and address its subtrees.
-    # The two subtrees of the j-th of a level's r rounds sit side-major in
-    # the level below, at j (side 0) and r + j (side 1); their addresses are
-    # 2i + 1 and 2i + 2, where i numbers the round among its parent's.
-    # Every round but a subtree's last ends in a failed swap, so a trial's
-    # swap failures are its rounds less its subtrees, summed per level.
-    root = _mix(np.array([cfg.seed & _MASK], dtype=np.uint64))
+def _children(keys: np.ndarray, owner: np.ndarray,
+              head: np.ndarray) -> np.ndarray:
+    """Keys of the two subtrees of each round, side-major: those of the j-th
+    of r rounds sit at j (side 0) and r + j (side 1), at addresses 2i + 1
+    and 2i + 2 under the key of the subtree that owns the round, where i
+    numbers the round among that subtree's; ``head`` is each subtree's
+    first round."""
+    r = owner.size
+    children = np.empty(2 * r, dtype=np.uint64)
+    side0, side1 = children[:r], children[r:]
+    # side 1 first serves as scratch for twice each round's head, 2(j - i)
+    np.take((2 * head).astype(np.uint64), owner, out=side1)
+    address = np.arange(2, 2 * r + 1, 2, dtype=np.uint64)
+    address -= side1
+    np.take(keys, owner, out=side0)
+    np.bitwise_xor(side0, address, out=side1)
+    address -= np.uint64(1)
+    side0 ^= address
+    del address
+    return _mix(children)
+
+
+def _descend(cfg: ProtocolConfig, root: np.ndarray, first: int, count: int):
+    """Top-down: each level's round counts, and the links' slot counts.
+
+    Returns the swap failures per trial, the levels top first, each as
+    (owner, last, trial_of) -- the subtree each round belongs to, each
+    subtree's last round and each round's trial -- and the links' slot
+    counts, side-major under the bottom level's rounds.  Every round but a
+    subtree's last ends in a failed swap, so a trial's swap failures are its
+    rounds less its subtrees, summed per level.
+    """
     keys = _mix(root ^ np.arange(first, first + count, dtype=np.uint64))
-    trial = np.arange(count)
     failures = np.zeros(count)
     levels = []
-    for _ in range(cfg.n_nest):
+    for depth in range(cfg.n_nest):
+        # the trial of each subtree on this level
+        trial = (np.concatenate((trial_of, trial_of)) if depth
+                 else np.arange(count))
         rounds = _geometric(keys, cfg.p_swap)
         failures += np.bincount(trial, weights=rounds - 1.0, minlength=count)
         rounds = rounds.astype(np.int64)
         owner = np.repeat(np.arange(rounds.size), rounds)
         last = np.cumsum(rounds) - 1
-        head = last - rounds + 1
         trial_of = trial[owner]
-        levels.append((owner, head, last, trial_of))
-        r = owner.size
-        address = np.arange(1, 2 * r, 2, dtype=np.uint64)
-        address -= (2 * head).astype(np.uint64)[owner]
-        parent = keys[owner]
-        keys = np.empty(2 * r, dtype=np.uint64)
-        np.bitwise_xor(parent, address, out=keys[:r])
-        address += np.uint64(1)
-        np.bitwise_xor(parent, address, out=keys[r:])
-        _mix(keys)
-        trial = np.concatenate((trial_of, trial_of))
+        del trial
+        levels.append((owner, last, trial_of))
+        head = last - rounds + 1
+        del rounds
+        keys = _children(keys, owner, head)
+        del head
+    return failures, levels, _geometric(keys, cfg.p0)
 
-    # bottom-up: each subtree's duration and the write offsets of its outer
-    # memories, relative to its own start, and each trial's longest hold.
-    # A round holds the mid pair until its swap, and the outer pair too when
-    # the swap fails; its longest hold is the one written first.  A link
-    # writes both its memories as it completes, so on the bottom level the
-    # outer pair is never written before the mid pair.  A subtree's duration
-    # is the sum of its rounds', added in round order by one bincount over
-    # the rounds' owners.
-    dur = left = right = _geometric(keys, cfg.p0)
+
+def _ascend(cfg: ProtocolConfig, root: np.ndarray, first: int, count: int):
+    """Bottom-up over the tree ``_descend`` draws: each subtree's duration
+    and the write offsets of its outer memories, relative to its own start,
+    and each trial's longest hold.
+
+    A round holds the mid pair until its swap, and the outer pair too when
+    the swap fails; its longest hold is the one written first.  A link
+    writes both its memories as it completes, so on the bottom level the
+    outer pair is never written before the mid pair.  A subtree's duration
+    is the sum of its rounds', added in round order by one bincount over the
+    rounds' owners.  Each level is dropped once summed, unless the cutoff is
+    finite: then the abort pass gets, per level top first, (owner, last,
+    trial_of, d, before_last, over, over_write) -- each round's duration,
+    each subtree's time before its last round, and the rounds whose hold
+    exceeds the cutoff with their first writes.  Returns the swap failures,
+    the trials' durations, the first write of their end memories, the
+    longest hold per trial and that list.
+    """
+    slot, cutoff = cfg.slot_time, cfg.memory_cutoff
+    failures, levels, dur = _descend(cfg, root, first, count)
+    left = right = dur
     longest = np.zeros(count)
-    rounds_up = []
-    for depth, (owner, head, last, trial_of) in enumerate(reversed(levels)):
+    kept = []
+    for depth in range(len(levels)):
+        owner, last, trial_of = levels.pop()
         r = owner.size
         d = np.maximum(dur[:r], dur[r:])
         first_write = np.minimum(right[:r], left[r:])
@@ -313,52 +353,80 @@ def _sample_chunk(cfg: ProtocolConfig, first: int, count: int):
             outer = np.minimum(left[:r], right[r:])
             outer[last] = first_write[last]
             np.minimum(first_write, outer, out=first_write)
+            del outer
+        left_last, right_last = left[:r][last], right[r:][last]
+        del dur, left, right
         hold = d - first_write
         np.maximum.at(longest, trial_of, hold)
-        dur = np.bincount(owner, weights=d, minlength=head.size)
+        dur = np.bincount(owner, weights=d, minlength=last.size)
         before_last = dur - d[last]
-        rounds_up.append((d, first_write, hold, before_last))
-        left = before_last + left[:r][last]
-        right = before_last + right[r:][last]
+        left = before_last + left_last
+        right = before_last + right_last
+        del left_last, right_last
+        if cutoff < math.inf:
+            over = np.flatnonzero(hold * slot > cutoff)
+            kept.append((owner, last, trial_of, d, before_last, over,
+                         first_write[over]))
+        del owner, last, trial_of, d, first_write, hold, before_last
+    kept.reverse()
+    return failures, dur, np.minimum(left, right), longest, kept
+
+
+def _abort_pass(kept: list, abort: np.ndarray, failures: np.ndarray,
+                slot: float, cutoff: float) -> None:
+    """Lower ``abort`` to the earliest expiry (write + cutoff) of any round's
+    hold exceeding the cutoff, from absolute write times found top-down, and
+    take off ``failures`` the swap failures that end after it."""
+    round_start = np.zeros(abort.size)
+    for owner, last, trial_of, d, before_last, over, over_write in kept:
+        # each subtree starts with its round on the level above, and the
+        # trials at zero
+        start = np.concatenate((round_start, round_start))
+        # a round's offset in its subtree: the running sum of the rounds
+        # before it, which restarts at zero at each head, where it adds
+        # minus the previous subtree's time before its last round.  The
+        # sum thus holds one subtree's offsets at a time and is exact
+        # while each trial's own times stay below 2**53 slots.
+        offset = np.empty(owner.size)
+        offset[0] = 0.0
+        offset[1:] = d[:-1]
+        offset[last[:-1] + 1] = -before_last[:-1]     # each head but the first
+        round_start = start[owner]
+        round_start += np.cumsum(offset, out=offset)
+        del offset
+        np.minimum.at(abort, trial_of[over],
+                      (round_start[over] + over_write) * slot + cutoff)
+        # d becomes the second at which the round's swap happened
+        d += round_start
+        d *= slot
+    for _, last, trial_of, end, *_ in kept:
+        late = end > abort[trial_of]
+        late[last] = False
+        failures -= np.bincount(trial_of[late], minlength=abort.size)
+
+
+def _sample_chunk(cfg: ProtocolConfig, root: np.ndarray, first: int,
+                  count: int):
+    """TrialRecords columns of trials ``first`` .. ``first + count - 1``,
+    under the campaign's mixed seed ``root``.
+
+    Each helper's temporaries die as it returns, and each level's arrays as
+    soon as they are read, but for what the abort pass reads under a finite
+    cutoff; without one, no trial aborts.
+    """
+    slot, cutoff = cfg.slot_time, cfg.memory_cutoff
+    failures, dur, first_write, longest, kept = _ascend(cfg, root, first,
+                                                        count)
     # the end memories hold until delivery (nothing is stored at n_nest 0)
-    first_write = np.minimum(left, right)
     hold = dur - first_write
     max_storage = np.maximum(longest, hold) * slot
     success = ~(max_storage > cutoff)
 
     abort = np.full(count, math.inf)
     if not success.all():
-        # abort time: the earliest expiry (write + cutoff) of any hold
-        # exceeding the cutoff, from absolute write times found top-down;
-        # the swap failures that end after it do not count
         over = hold * slot > cutoff
         abort[over] = first_write[over] * slot + cutoff
-        start = np.zeros(count)
-        ends = []     # seconds at which each round's swap happened, top-down
-        for level, up in zip(levels, reversed(rounds_up)):
-            owner, head, _, trial_of = level
-            d, first_write, hold, before_last = up
-            # a round's offset in its subtree: the running sum of the rounds
-            # before it, which restarts at zero at each head, where it adds
-            # minus the previous subtree's time before its last round.  The
-            # sum thus holds one subtree's offsets at a time and is exact
-            # while each trial's own times stay below 2**53 slots.
-            offset = np.empty(owner.size)
-            offset[0] = 0.0
-            offset[1:] = d[:-1]
-            offset[head[1:]] = -before_last[:-1]
-            round_start = start[owner]
-            round_start += np.cumsum(offset, out=offset)
-            over = hold * slot > cutoff
-            np.minimum.at(abort, trial_of[over],
-                          (round_start[over] + first_write[over]) * slot
-                          + cutoff)
-            ends.append((round_start + d) * slot)
-            start = np.concatenate((round_start, round_start))
-        for (_, _, last, trial_of), end in zip(levels, ends):
-            late = end > abort[trial_of]
-            late[last] = False
-            failures -= np.bincount(trial_of[late], minlength=count)
+        _abort_pass(kept, abort, failures, slot, cutoff)
     return (np.where(success, dur * slot, abort), success,
             failures.astype(np.int64), np.where(success, max_storage, cutoff))
 
@@ -373,9 +441,10 @@ def run_trials(cfg: ProtocolConfig) -> TrialRecords:
     columns = (np.empty(n), np.empty(n, dtype=bool), np.empty(n, dtype=np.int64),
                np.empty(n))
     step = _trials_per_chunk(cfg)
+    root = _mix(np.array([cfg.seed & _MASK], dtype=np.uint64))
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n, step):
-            chunk = _sample_chunk(cfg, lo, min(step, n - lo))
+            chunk = _sample_chunk(cfg, root, lo, min(step, n - lo))
             for column, part in zip(columns, chunk):
                 column[lo:lo + len(part)] = part
     if not (np.isfinite(columns[0]).all() and np.isfinite(columns[3]).all()):

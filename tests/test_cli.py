@@ -189,6 +189,19 @@ def test_contour_non_finite_quadrature_is_one_error_line():
                            "\n")
 
 
+def test_contour_non_finite_nominal_fidelity_is_one_error_line():
+    # without spectral diffusion F_ent is the nominal closed form, refused
+    # like the quadrature when F_p = 1e300 overflows it
+    proc = run_python(["-W", "error", "-m", "qdrepeater.cli", "contour",
+                       "--param", "sigma_sd=0 Hz", "--fp-max", "1e300",
+                       "--fp-points", "2", "--pol-min", "0.9",
+                       "--pol-max", "0.95", "--pol-points", "2"])
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("F_ent quadrature did not converge at F_res=1e+300 "
+                           "(1 node, rtol 1e-06), last estimates (nan, nan)"
+                           "\n")
+
+
 def test_contour_refuses_strong_readout_drive_without_force(capsys):
     strong = ["contour", "--param", "Omega_readout=2pi*500 GHz"]
     with warnings.catch_warnings(record=True) as caught:
@@ -478,20 +491,21 @@ _UNIT_SUFFIX = {"angular": " GHz", "freq": " Hz", "time": " s",
                 "length": " m"}
 
 
-def extreme_value_failures(key: str) -> list[str]:
+def extreme_value_failures(key: str, *fixed: str) -> list[str]:
     """The calls of each swept command, with ``key`` set to each extreme
-    value, that raise or warn, exit outside 0-3, print a traceback, or exit
-    non-zero without exactly one stderr line.
+    value and the ``fixed`` overrides, that raise or warn, exit outside 0-3,
+    print a traceback, or exit non-zero without exactly one stderr line.
 
     ``validate`` runs without its acceptance criteria, which do not read the
     parameter set.
     """
     suffix = _UNIT_SUFFIX.get(_KEYS[key]["kind"], "")
+    fixed = [arg for override in fixed for arg in ("--param", override)]
     failures = []
     run_all, acceptance.run_all = acceptance.run_all, lambda: []
     try:
         for value, command in itertools.product(EXTREMES, SWEPT_COMMANDS):
-            argv = [*command, "--param", f"{key}={value}{suffix}"]
+            argv = [*command, *fixed, "--param", f"{key}={value}{suffix}"]
             err = io.StringIO()
             try:
                 with warnings.catch_warnings(), \
@@ -530,6 +544,12 @@ def test_extreme_parameter_value_is_a_result_or_one_error_line(key):
     assert json.loads(proc.stdout) == []
 
 
+def test_extreme_purcell_factor_without_spectral_diffusion():
+    # sigma_sd = 0 takes F_ent from the nominal closed form, not the
+    # quadrature, so it needs its own refusal of a non-finite value
+    assert extreme_value_failures("F_res", "sigma_sd=0 Hz") == []
+
+
 def test_gamma_and_gamma_star_together_is_one_config_error(capsys):
     code, out, err = run(capsys, ["rates", "--param", "Gamma=2pi*0.64 GHz",
                                   "--param", "gamma_star=2pi*25 MHz"])
@@ -545,6 +565,19 @@ def test_default_csv_matches_the_reference_byte_for_byte(capsys, command):
     code, out, err = run(capsys, [command])
     assert code == 0 and err == ""
     assert out == reference.read_text()
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["mc", "--trials", "10"], "/nonexistent/x.csv"),
+    (["rates"], "/nonexistent/x.csv"),
+    (["contour", "--fp-points", "2", "--pol-min", "0.9", "--pol-max", "0.95",
+      "--pol-points", "2"], "."),
+], ids=["mc", "rates", "contour"])
+def test_unwritable_out_is_one_usage_error(capsys, argv, path):
+    code, _, err = run(capsys, [*argv, "--out", path])
+    assert code == 2
+    assert err.startswith(f"cannot write {path}: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_unknown_command_is_usage_error(capsys):

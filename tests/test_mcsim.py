@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -232,6 +234,35 @@ def test_expected_tree_beyond_the_node_budget_is_refused():
             cfg(n_nest=n_nest, p_swap=0.5)
     with pytest.raises(ValueError, match="tree nodes per trial"):
         cfg(n_nest=1, p_swap=5e-324)
+
+
+#: traced peak bytes per CHUNK_NODES node of a campaign of three chunks.
+#: The campaigns below read 30 (n = 3) and 33 (cutoff); sampling that held
+#: each level's temporaries to the end of its chunk read 55 and 73.
+WORKING_SET_BOUND = 45
+
+
+@pytest.mark.parametrize("campaign", ["criterion 9, n = 3", "mc --cutoff 4"])
+def test_working_memory_per_chunk_node_stays_small(campaign):
+    link = default_parameters().link
+    base = (mcsim.ProtocolConfig(
+                n_nest=link.n_nest, p0=rates.link_success_probability(link),
+                p_swap=rates.swap_success_probability(link),
+                slot_time=rates.slot_time(link), trials=1, seed=1,
+                memory_cutoff=4.0)
+            if campaign == "mc --cutoff 4" else
+            cfg(n_nest=3, p0=0.01, p_swap=0.5832, trials=1, seed=20240803))
+    three_chunks = replace(base, trials=3 * mcsim._trials_per_chunk(base))
+    mcsim.run_trials(replace(base, trials=10))   # numpy's first-call set-up
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        mcsim.run_trials(three_chunks)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak / mcsim.CHUNK_NODES < WORKING_SET_BOUND
 
 
 # ------------------------------------------------------------ storage

@@ -128,16 +128,21 @@ def test_batched_records_match_scalar_replay(n_nest, slot, swap_loss, cutoff):
         assert 0 < records.success.sum() < cfg.trials
 
 
+def mc_cutoff_config(trials):
+    """The campaign `qdrepeater mc --cutoff 4 --seed 1` runs."""
+    link = default_parameters().link
+    return mcsim.ProtocolConfig(
+        n_nest=link.n_nest, p0=rates.link_success_probability(link),
+        p_swap=rates.swap_success_probability(link),
+        slot_time=rates.slot_time(link), trials=trials, seed=1,
+        memory_cutoff=4.0)
+
+
 def test_mc_cutoff_default_configuration_matches_scalar_replay():
     # `qdrepeater mc --cutoff 4` at the default parameters: n_nest 3,
     # p0 ~ 1.25e-3 and a 0.625 ms slot, so the cutoff is 6400 slots and the
     # holds run to thousands of slots
-    link = default_parameters().link
-    cfg = mcsim.ProtocolConfig(
-        n_nest=link.n_nest, p0=rates.link_success_probability(link),
-        p_swap=rates.swap_success_probability(link),
-        slot_time=rates.slot_time(link), trials=300, seed=1,
-        memory_cutoff=4.0)
+    cfg = mc_cutoff_config(300)
     assert cfg.n_nest == 3
     assert cfg.p0 == pytest.approx(1.25e-3, rel=1e-3)
     assert cfg.slot_time == pytest.approx(6.25e-4, rel=1e-3)
@@ -146,6 +151,19 @@ def test_mc_cutoff_default_configuration_matches_scalar_replay():
     assert 0 < records.success.sum() < cfg.trials
     longest = max(s for i in range(cfg.trials) for s, _ in Trial(cfg, i).holds)
     assert longest * cfg.slot_time > cfg.memory_cutoff
+
+
+@pytest.mark.parametrize("campaign", ["criterion 9, n = 3", "mc --cutoff 4"])
+def test_records_match_scalar_replay_across_production_chunks(campaign):
+    # 900 trials span four chunks of the production chunk size: the n = 3
+    # campaign keeps nothing for an abort pass, the cutoff one runs it
+    cfg = (mc_cutoff_config(900) if campaign == "mc --cutoff 4" else
+           mcsim.ProtocolConfig(n_nest=3, p0=0.01, p_swap=0.5832,
+                                slot_time=1.0, trials=900, seed=20240803))
+    assert 3 * mcsim._trials_per_chunk(cfg) < cfg.trials
+    records = mcsim.run_trials(cfg)
+    assert first_mismatch(records, cfg) is None
+    assert records.success.all() == math.isinf(cfg.memory_cutoff)
 
 
 @pytest.mark.parametrize("n_nest", [1, 2])
