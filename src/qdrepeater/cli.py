@@ -13,11 +13,13 @@ contour and an F_ent quadrature that does not converge), 2 usage error,
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
 import json
 # argparse's gettext loads locale on the first parse; load it with the CLI
 import locale  # noqa: F401
 import math
+import os
 import sys
 
 import numpy as np
@@ -138,6 +140,20 @@ def _emit(text: str, args, ps: ParameterSet, argv: list[str]) -> int:
     return 0
 
 
+def _unwritable(path: str) -> str | None:
+    """Why ``--out`` cannot be written, judged before any work, or None."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        err = errno.EISDIR
+    elif not os.path.isdir(parent):
+        err = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(parent, os.W_OK):
+        err = errno.EACCES
+    else:
+        return None
+    return os.strerror(err)
+
+
 _CURVE_PRODUCTS = {"B": 0.72, "C": 0.5, "D": 0.4}
 
 
@@ -216,10 +232,10 @@ def cmd_contour(args, ps: ParameterSet, argv: list[str]) -> int:
 
 
 def cmd_validate(args, ps: ParameterSet, argv: list[str]) -> int:
+    budget = fidelity.fidelity_budget(ps)
     results = acceptance.run_all()
     for result in results:
         print(result)
-    budget = fidelity.fidelity_budget(ps)
     for note in budget.warnings:
         print(f"config warning: {note}")
     print(f"config F_total (n={budget.n_nest}) = {budget.F_total:.4f}"
@@ -291,6 +307,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
+    reason = _unwritable(args.out) if getattr(args, "out", None) else None
+    if reason:
+        print(f"cannot write {args.out}: {reason}", file=sys.stderr)
+        return 2
     try:
         return _COMMANDS[args.command](args, ps, ["qdrepeater"] + argv)
     except fidelity.ConvergenceError as exc:

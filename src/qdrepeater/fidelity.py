@@ -113,6 +113,8 @@ def purcell_at_detuning(F_res: float, kappa: float, delta: float) -> float:
     """Lorentzian suppression of the resonant Purcell factor at detuning delta."""
     if kappa <= 0:
         raise ValueError("cavity linewidth must be positive")
+    # numpy scalars: inf, not OverflowError, under the callers' errstate
+    kappa, delta = np.float64(kappa), np.float64(delta)
     return F_res * kappa**2 / (4.0 * delta**2 + kappa**2)
 
 
@@ -222,13 +224,13 @@ def _ent_product_rule(phys: PhysicalParams, F_res: np.ndarray,
     for a single point, so its value does not depend on the other rows.
     """
     x, w = _gauss_hermite(nodes)
-    off = math.sqrt(2.0) * phys.sigma_sd * x
-    det = phys.detuning + off
-    dw = off[:, None] - off[None, :]
     out = np.empty(F_res.size)
     step = max(1, _BLOCK_ELEMENTS // nodes**2)
     # an extreme input overflows to inf or nan, which _ent_adaptive refuses
     with np.errstate(all="ignore"):
+        off = math.sqrt(2.0) * phys.sigma_sd * x
+        det = phys.detuning + off
+        dw = off[:, None] - off[None, :]
         for lo in range(0, F_res.size, step):
             fp = purcell_at_detuning(F_res[lo:lo + step, None], phys.kappa,
                                      det)
@@ -455,7 +457,9 @@ def readout_fidelity(T: float, D: float, eta_c: float, eta_d: float,
     if Omega > gamma_prime / 5.0:
         notes = (f"readout drive {Omega / gamma_prime:.3g} x gamma' is not weak "
                  "(above 0.2 x gamma'); emission-rate formula degrades",)
-    signal = T * eta_c * eta_d * Omega**2 / gamma_prime
+    # numpy scalars: a huge Omega saturates the signal, not an OverflowError
+    with np.errstate(all="ignore"):
+        signal = T * eta_c * eta_d * np.float64(Omega)**2 / gamma_prime
     return ReadoutResult(
         fidelity=0.5 * (1.0 + math.exp(-T * D) - math.exp(-signal)),
         warnings=notes)
@@ -499,19 +503,13 @@ def overall_fidelity(n_nest: int, *, F_ent: float, F_transfer: float,
     components are named as :func:`qsim.chain_fidelity_oracle` names them.
     A component far outside [0, 1] gives +-inf or nan, never an error.
     """
-    comps = (F_e_init, F_readout, F_ent, F_transfer, F_gate)
-    try:
-        return _chain_product(2**n_nest, *comps)
-    except OverflowError:   # numpy scalars overflow to +-inf instead
-        with np.errstate(all="ignore"):
-            return float(_chain_product(2**n_nest, *map(np.float64, comps)))
-
-
-def _chain_product(l, F_e_init, F_readout, F_ent, F_transfer, F_gate):
-    return (F_e_init ** (2 * l)
-            * F_readout ** (2 * (l - 1))
-            * (F_ent * F_transfer**2) ** l
-            * F_gate ** (l - 1))
+    l = 2**n_nest
+    f = np.float64
+    with np.errstate(all="ignore"):
+        return float(f(F_e_init) ** (2 * l)
+                     * f(F_readout) ** (2 * (l - 1))
+                     * (f(F_ent) * f(F_transfer)**2) ** l
+                     * f(F_gate) ** (l - 1))
 
 
 def _budget_grid(params: ParameterSet, fp_grid,
@@ -532,7 +530,8 @@ def _budget_grid(params: ParameterSet, fp_grid,
     f_ent = _ent_adaptive(phys, fp, ENT_RTOL).tolist()
     f_bk = _nominal_bk(phys, fp).tolist()
     with np.errstate(over="ignore"):     # inf at an extreme Purcell factor
-        gamma_prime_res = (phys.gamma_r * (1.0 + fp) + phys.gamma_nr).tolist()
+        gamma_prime_res = enhanced_rates(phys.gamma_r, phys.gamma_nr,
+                                         phys.gamma_star, fp)[0].tolist()
 
     f_e = phys.F_e_init
     f_quad = quadrupolar_factor(phys.sigma_Q, 2, phys.t_transfer)

@@ -155,15 +155,6 @@ class ParameterSet:
     provenance: dict[str, str] = field(default_factory=dict)
 
 
-@dataclass
-class ValidationReport:
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 _KEYS = {f.name: f.metadata for cls in (PhysicalParams, LinkParams)
          for f in fields(cls)}
 
@@ -319,9 +310,9 @@ def build_parameter_set(raw: dict[str, str],
                       for cls in (PhysicalParams, LinkParams))
     ps = ParameterSet(physical=physical, link=link, provenance=provenance)
 
-    report = validate(ps)
-    if not report.ok:
-        raise ConfigError("invalid parameters: " + "; ".join(report.violations))
+    violations = validate(ps)
+    if violations:
+        raise ConfigError("invalid parameters: " + "; ".join(violations))
     return ps
 
 
@@ -352,18 +343,18 @@ def default_parameters(overrides: list[str] | None = None) -> ParameterSet:
     return _build_with_overrides({}, {}, overrides)
 
 
-def validate(ps: ParameterSet) -> ValidationReport:
-    """Range checks of every key; report-style, never raises."""
-    report = ValidationReport()
+def validate(ps: ParameterSet) -> list[str]:
+    """Range checks of every key: one line per violation, never raises."""
+    violations = []
     for obj in (ps.physical, ps.link):
         for f in fields(obj):
             lo, hi, positive = f.metadata["range"]
             v = getattr(obj, f.name)
             if not ((lo < v if positive else lo <= v) and v <= hi):
-                report.violations.append(
+                violations.append(
                     f"{f.name} must lie in {'(' if positive else '['}{lo:g}, "
                     f"{hi:g}], got {v}")
-    return report
+    return violations
 
 
 def to_dict(ps: ParameterSet) -> dict[str, object]:

@@ -388,16 +388,6 @@ def apply_cz(rho: DensityMatrix, q1: int, q2: int,
     return out.apply_kraus(_two_qubit_depolarizing_kraus(F_gate), [q1, q2])
 
 
-def _correction(record_z: int, record_x: int) -> np.ndarray:
-    """Pauli fixing the swapped pair to |psi_plus> for a given record."""
-    op = np.eye(2, dtype=complex)
-    if record_z == 0:
-        op = PAULI_X @ op
-    if record_x == 1:
-        op = PAULI_Z @ op
-    return op
-
-
 @functools.cache
 def _swap_unitary() -> np.ndarray:
     """(H (x) H) CZ (H (x) I) on [D2, D3]: the swap's gates as one unitary."""
@@ -407,9 +397,9 @@ def _swap_unitary() -> np.ndarray:
 
 @functools.cache
 def _pair_corrections() -> np.ndarray:
-    """kron(I, correction) on the [D1, D4] pair, at 2*record_z + record_x."""
-    return np.stack([np.kron(PAULI_I, _correction(r2, r3))
-                     for r2 in (0, 1) for r3 in (0, 1)])
+    """kron(I, P) restoring |psi_plus> on [D1, D4], at 2*record_z + record_x."""
+    return np.stack([np.kron(PAULI_I, P) for P in
+                     (PAULI_X, PAULI_Z @ PAULI_X, PAULI_I, PAULI_Z)])
 
 
 def swap_branches(rho: DensityMatrix, F_gate: float, F_readout: float):
@@ -474,15 +464,14 @@ def chain_fidelity_oracle(l: int, F_ent: float, F_transfer: float,
 
     Each link starts as a depolarized pair of fidelity
     F_e_init**2 * F_ent * F_transfer**2 (two initialized dots, one heralded
-    generation, two write-read cycles); the l-1 noisy swaps are applied
-    hierarchically, so l must be a power of two (l = 2**n_nest).  No register
-    ever holds more than the four qubits of one swap.
+    generation, two write-read cycles), so all pairs of a level are one state
+    and one noisy swap per level composes the chain (Dur et al., PRA 59, 169
+    (1999)); l must be a power of two (l = 2**n_nest).  No register ever
+    holds more than the four qubits of one swap.
     """
     if l < 1 or l & (l - 1):
         raise ValueError(f"chain oracle needs a power-of-two length, got {l}")
-    pair_fidelity = F_e_init**2 * F_ent * F_transfer**2
-    level = [werner_pair(pair_fidelity) for _ in range(l)]
-    while len(level) > 1:
-        level = [averaged_swap(level[i], level[i + 1], F_gate, F_readout)
-                 for i in range(0, len(level), 2)]
-    return bell_fidelity(level[0])
+    pair = werner_pair(F_e_init**2 * F_ent * F_transfer**2)
+    for _ in range(l.bit_length() - 1):
+        pair = averaged_swap(pair, pair, F_gate, F_readout)
+    return bell_fidelity(pair)

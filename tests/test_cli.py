@@ -244,6 +244,16 @@ def test_validate_stubbed_pass_and_fail(capsys, monkeypatch):
     assert "0/1 criteria passed" in out
 
 
+def test_validate_refuses_an_unevaluable_budget_before_the_criteria(
+        capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(acceptance, "run_all", lambda: calls.append(1) or [])
+    code, out, err = run(capsys, ["validate", "--param", "kappa=1e300 rad/s"])
+    assert (code, out, calls) == (1, "", [])
+    assert err.startswith("F_ent quadrature did not converge")
+    assert len(err.splitlines()) == 1
+
+
 def test_validate_surfaces_gate_regime_warning(capsys, monkeypatch):
     monkeypatch.setattr(acceptance, "CHECKS",
                         [(1, "stub", lambda: (FINE,))])
@@ -491,20 +501,23 @@ _UNIT_SUFFIX = {"angular": " GHz", "freq": " Hz", "time": " s",
                 "length": " m"}
 
 
-def extreme_value_failures(key: str, *fixed: str) -> list[str]:
-    """The calls of each swept command, with ``key`` set to each extreme
-    value and the ``fixed`` overrides, that raise or warn, exit outside 0-3,
-    print a traceback, or exit non-zero without exactly one stderr line.
+def extreme_value_failures(key: str, *fixed: str, suffix: str | None = None,
+                           values=EXTREMES) -> list[str]:
+    """The calls of each swept command, with ``key`` set to each of
+    ``values`` and the ``fixed`` overrides, that raise or warn, exit outside
+    0-3, print a traceback, or exit non-zero without exactly one stderr line.
 
+    A value carries ``suffix``, by default the key's ``_UNIT_SUFFIX``.
     ``validate`` runs without its acceptance criteria, which do not read the
     parameter set.
     """
-    suffix = _UNIT_SUFFIX.get(_KEYS[key]["kind"], "")
+    if suffix is None:
+        suffix = _UNIT_SUFFIX.get(_KEYS[key]["kind"], "")
     fixed = [arg for override in fixed for arg in ("--param", override)]
     failures = []
     run_all, acceptance.run_all = acceptance.run_all, lambda: []
     try:
-        for value, command in itertools.product(EXTREMES, SWEPT_COMMANDS):
+        for value, command in itertools.product(values, SWEPT_COMMANDS):
             argv = [*command, *fixed, "--param", f"{key}={value}{suffix}"]
             err = io.StringIO()
             try:
@@ -529,6 +542,10 @@ def extreme_value_failures(key: str, *fixed: str) -> list[str]:
 def test_extreme_parameter_value_is_a_result_or_one_error_line(key):
     if key != "n_nest":
         assert extreme_value_failures(key) == []
+        if _KEYS[key]["kind"] == "angular":
+            # in GHz, values above about 1.4e154 rad/s are refused on parsing
+            assert extreme_value_failures(key, suffix=" rad/s",
+                                          values=(*EXTREMES, "1e308")) == []
         return
     # 2**n_nest once grew until memory ran out: a child process whose address
     # space is capped at 2 GiB runs these calls
@@ -578,6 +595,33 @@ def test_unwritable_out_is_one_usage_error(capsys, argv, path):
     assert code == 2
     assert err.startswith(f"cannot write {path}: ")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("out, reason", [
+    ("missing/x.csv", "No such file or directory"),
+    ("file/x.csv", "Not a directory"),
+    ("dir", "Is a directory")])
+def test_unwritable_out_is_refused_before_the_work(capsys, monkeypatch,
+                                                   tmp_path, out, reason):
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    calls = []
+    monkeypatch.setattr(mcsim, "run_trials", lambda cfg: calls.append(cfg))
+    path = str(tmp_path / out)
+    code, stdout, err = run(capsys, ["mc", "--trials", "200000",
+                                     "--out", path])
+    assert (code, stdout, calls) == (2, "", [])
+    assert err == f"cannot write {path}: {reason}\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir", "file"]
+
+
+def test_unwritable_meta_json_is_one_usage_error(capsys, tmp_path):
+    # the early check passes; the write of the companion file fails
+    (tmp_path / "x.csv.meta.json").mkdir()
+    path = str(tmp_path / "x.csv")
+    code, out, err = run(capsys, ["rates", "--l-points", "3", "--out", path])
+    assert (code, out) == (2, "")
+    assert err == f"cannot write {path}.meta.json: Is a directory\n"
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -447,6 +447,36 @@ def test_overall_fidelity_monotone(f, n):
             fidelity.overall_fidelity(n, **lo)
 
 
+def _python_chain_product(n_nest, F_ent, F_transfer, F_gate, F_readout,
+                          F_e_init):
+    """Reference product in Python floats; raises OverflowError where a
+    power overflows."""
+    l = 2**n_nest
+    return (F_e_init ** (2 * l)
+            * F_readout ** (2 * (l - 1))
+            * (F_ent * F_transfer**2) ** l
+            * F_gate ** (l - 1))
+
+
+def test_overall_fidelity_equals_python_float_product():
+    rng = np.random.default_rng(196)
+    names = ("F_ent", "F_transfer", "F_gate", "F_readout", "F_e_init")
+    for i in range(3000):
+        n_nest = int(rng.integers(0, 13)) if i % 100 else 62 + i // 100 % 3
+        comp = dict(zip(names, rng.uniform(0.5, 1.0, len(names)).tolist()))
+        if rng.random() < 0.2:
+            comp[names[rng.integers(len(names))]] = float(rng.uniform(-2, 3))
+        value = fidelity.overall_fidelity(n_nest, **comp)
+        assert type(value) is float
+        try:
+            expected = _python_chain_product(n_nest, **comp)
+        except OverflowError:
+            assert math.isinf(value) or math.isnan(value), (n_nest, comp)
+            continue
+        assert (value == expected
+                or math.isnan(value) and math.isnan(expected)), (n_nest, comp)
+
+
 def test_electron_init_override_propagates_linearly(params):
     base = fidelity.fidelity_budget(params)
     poor = fidelity.fidelity_budget(with_physical(params, F_e_init=0.9))

@@ -200,21 +200,18 @@ def test_value_not_finite_in_stored_units_is_refused(key, text):
 # ---------------------------------------------------------------- validate
 
 def test_defaults_validate_clean(params):
-    report = validate(params)
-    assert report.ok
-    assert report.violations == []
+    assert validate(params) == []
 
 
 def test_negative_polarization_is_one_violation(params):
-    bad = with_physical(params, nuclear_polarization=-0.1)
-    report = validate(bad)
-    assert len(report.violations) == 1
-    assert "nuclear_polarization" in report.violations[0]
+    violations = validate(with_physical(params, nuclear_polarization=-0.1))
+    assert len(violations) == 1
+    assert "nuclear_polarization" in violations[0]
 
 
 def test_changed_emitter_rate_still_validates(params):
     # no stored linewidth is left behind to disagree with gamma_r
-    assert validate(with_physical(params, gamma_r=TWO_PI * 0.3e9)).ok
+    assert validate(with_physical(params, gamma_r=TWO_PI * 0.3e9)) == []
 
 
 def test_linewidth_below_the_decay_rates_is_one_range_violation():

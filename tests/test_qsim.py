@@ -631,6 +631,30 @@ def test_chain_oracle_eight_links_matches_werner_closed_form():
         (1 + 3 * w) / 4, abs=1e-12)
 
 
+def _chain_by_pairs(l, F_ent, F_transfer, F_gate, F_readout, F_e_init):
+    """Reference chain: l Werner pairs, swapped pairwise level by level
+    (l - 1 swaps in all)."""
+    level = [qsim.werner_pair(F_e_init**2 * F_ent * F_transfer**2)
+             for _ in range(l)]
+    while len(level) > 1:
+        level = [qsim.averaged_swap(level[i], level[i + 1], F_gate, F_readout)
+                 for i in range(0, len(level), 2)]
+    return qsim.bell_fidelity(level[0])
+
+
+def test_chain_oracle_equals_pairwise_reduction_bit_for_bit():
+    # every pair on a level is the same state, so one swap per level suffices
+    rng = np.random.default_rng(20)
+    names = ("F_ent", "F_transfer", "F_gate", "F_readout", "F_e_init")
+    for _ in range(20):
+        values = rng.uniform(0.6, 1.0, len(names))
+        values[rng.random(len(names)) < 0.2] = 1.0
+        comp = dict(zip(names, values.tolist()))
+        for l in (1, 2, 4, 8, 16):
+            assert (qsim.chain_fidelity_oracle(l, **comp)
+                    == _chain_by_pairs(l, **comp)), (l, comp)
+
+
 # ------------------------------------------------------------ invariants
 
 def test_swap_branch_probabilities_sum_to_one():
