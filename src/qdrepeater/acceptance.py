@@ -142,7 +142,7 @@ def check_overall_fidelity_anchors():
                (500.0, 0.999): 0.858}
     return tuple(
         Measure(f"F_total({fp:.0f},{pol:g})",
-                contour.total[contour.fp_grid.index(fp),
+                contour.F_total[contour.fp_grid.index(fp),
                               contour.polarization_grid.index(pol)],
                 target, 0.01)
         for (fp, pol), target in targets.items())

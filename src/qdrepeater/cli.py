@@ -211,35 +211,38 @@ def cmd_contour(args, ps: ParameterSet, argv: list[str]) -> int:
         print(f"invalid sweep: {exc}", file=sys.stderr)
         return 2
 
-    contour = fidelity.fidelity_contour(ps, fp_grid, pol_grid)
-    warned = [(fp, pol, b.warnings) for fp, pol, b in contour.rows()
-              if b.warnings]
+    c = fidelity.fidelity_contour(ps, fp_grid, pol_grid)
+    warned = [(fp, notes) for fp, notes in zip(c.fp_grid, c.warnings) if notes]
     if warned and not args.force:
-        fp, pol, notes = warned[0]
+        fp, notes = warned[0]
         print(f"refusing to compose out-of-regime budgets "
-              f"(first at F_p={fp:g}, pol={pol:g}: {notes[0]}); "
-              f"re-run with --force to override", file=sys.stderr)
+              f"(first at F_p={fp:g}, pol={c.polarization_grid[0]:g}: "
+              f"{notes[0]}); re-run with --force to override", file=sys.stderr)
         return 1
-    for fp, pol, notes in warned:
-        for note in notes:
+    for fp, notes in warned:
+        for pol, note in itertools.product(c.polarization_grid, notes):
             print(f"warning: F_p={fp:g} pol={pol:g}: {note}", file=sys.stderr)
 
-    rows = [(fp, pol, b.F_ent, b.F_transfer, b.F_gate, b.F_readout,
-             b.F_total) for fp, pol, b in contour.rows()]
+    # one row per grid point, F_p-major: F_p down, polarization across
+    grid = np.broadcast_arrays(fp_grid[:, None], pol_grid, c.F_ent[:, None],
+                               c.F_transfer, c.F_gate[:, None],
+                               c.F_readout[:, None], c.F_total)
     return _emit(_csv("F_p,polarization,F_ent,F_transfer,F_gate,F_readout,"
-                      "F_total", ",".join([_FMT] * 7), zip(*rows)),
+                      "F_total", ",".join([_FMT] * 7),
+                      (column.ravel().tolist() for column in grid)),
                  args, ps, argv)
 
 
 def cmd_validate(args, ps: ParameterSet, argv: list[str]) -> int:
     budget = fidelity.fidelity_budget(ps)
+    notes = budget.warnings[0]
     results = acceptance.run_all()
     for result in results:
         print(result)
-    for note in budget.warnings:
+    for note in notes:
         print(f"config warning: {note}")
-    print(f"config F_total (n={budget.n_nest}) = {budget.F_total:.4f}"
-          + ("  [out of validity regime]" if budget.warnings else ""))
+    print(f"config F_total (n={budget.n_nest}) = {budget.F_total[0, 0]:.4f}"
+          + ("  [out of validity regime]" if notes else ""))
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
     return 1 if failed else 0

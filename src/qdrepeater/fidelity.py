@@ -18,10 +18,15 @@ summing each point in the same order as a lone point.  Node doubling
 (21, 42, 84, ...) goes on only for the points whose last two estimates still
 differ by more than :data:`ENT_RTOL` (1e-6); each point keeps the estimate
 at which it converged.  Node tables are built on first use, once per order,
-and are read-only.  A single budget is the one-point case of the grid code,
-and :func:`fidelity_contour` evaluates each component once on the grid axis
-it depends on: F_ent, the gate and the readout per Purcell factor, F_n_init
-per polarization.
+and are read-only.
+
+:func:`fidelity_contour` makes one pass over a (Purcell factor,
+polarization) grid and returns one :class:`FidelityBudget`, which holds each
+component on the grid axis it depends on: F_ent, the gate and the readout
+per Purcell factor, F_n_init and F_transfer per polarization.  F_total is
+composed once for the whole grid, by squarings and products only, so each
+point has the bits it would have alone.  A single configuration is the
+1 x 1 grid (:func:`fidelity_budget`).
 """
 
 from __future__ import annotations
@@ -87,22 +92,32 @@ class ReadoutResult:
     warnings: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # arrays have no one truth value
 class FidelityBudget:
-    """Per-component fidelities and their composition for one configuration."""
+    """Component fidelities on a (resonant Purcell factor, polarization)
+    grid and their composition; one configuration is the 1 x 1 grid.
 
-    F_e_init: float
-    F_n_init: float
-    F_quad: float
-    F_transfer: float
-    F_BK_nominal: float
-    F_ent: float
-    F_gate: float
-    F_readout: float
-    F_total: float
-    gate_time: float
+    Each component is held on the axis it depends on.  Along ``fp_grid``:
+    ``F_ent``, ``F_BK_nominal``, ``F_gate``, ``F_readout``, and ``warnings``,
+    the validity notes of the gate and the readout as one tuple per Purcell
+    factor.  Along ``polarization_grid``: ``F_n_init`` and ``F_transfer``.
+    ``F_total`` is the (len(fp_grid), len(polarization_grid)) array;
+    ``F_e_init`` and ``F_quad`` are the same everywhere.
+    """
+
+    fp_grid: tuple[float, ...]
+    polarization_grid: tuple[float, ...]
     n_nest: int
-    warnings: tuple[str, ...]
+    F_e_init: float
+    F_quad: float
+    F_ent: np.ndarray
+    F_BK_nominal: np.ndarray
+    F_gate: np.ndarray
+    F_readout: np.ndarray
+    warnings: tuple[tuple[str, ...], ...]
+    F_n_init: np.ndarray
+    F_transfer: np.ndarray
+    F_total: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +387,8 @@ def nuclear_init_fidelity(polarization: float) -> float:
 
     Monotone cubic interpolation through tabulated anchor points; the table
     starts at 80% polarization and no extrapolation below it is allowed.
+    At 1.0 it returns 0.9999999999999999, one ulp below the anchor: the last
+    interval's cubic is summed from its left end, as scipy's PCHIP sums it.
     """
     return float(_nuclear_init(np.array([polarization], dtype=float))[0])
 
@@ -494,115 +511,88 @@ def zeeman_splittings(B_x: float, g_e: float, g_h: float, polarization: float,
 # composition
 # ---------------------------------------------------------------------------
 
-def overall_fidelity(n_nest: int, *, F_ent: float, F_transfer: float,
-                     F_gate: float, F_readout: float, F_e_init: float) -> float:
+def overall_fidelity(n_nest: int, *, F_ent, F_transfer, F_gate, F_readout,
+                     F_e_init):
     """Multiplicative end-to-end fidelity over l = 2**n_nest links.
 
     F_total = F_e_init^(2l) * F_readout^(2(l-1)) * (F_ent*F_transfer^2)^l
             * F_gate^(l-1).  Accurate only in the high-fidelity regime.  The
     components are named as :func:`qsim.chain_fidelity_oracle` names them.
-    A component far outside [0, 1] gives +-inf or nan, never an error.
+
+    Composed level by level, as the chain is built: a link has
+    F_e_init^2 * F_ent * F_transfer^2, and each nesting level squares the
+    chain and multiplies in one swap, F_gate * F_readout^2.  That is n_nest
+    squarings and products and no ``**``, so every element of a broadcast
+    array has exactly the bits of the same components composed alone, on
+    any CPU.  The components broadcast against one another: scalars give a
+    float, arrays their broadcast shape, in one pass.  A component far
+    outside [0, 1] gives +-inf or nan, never an error.
     """
-    l = 2**n_nest
-    f = np.float64
+    e, t, r = (np.asarray(v, dtype=float)
+               for v in (F_e_init, F_transfer, F_readout))
     with np.errstate(all="ignore"):
-        return float(f(F_e_init) ** (2 * l)
-                     * f(F_readout) ** (2 * (l - 1))
-                     * (f(F_ent) * f(F_transfer)**2) ** l
-                     * f(F_gate) ** (l - 1))
+        total = e * e * F_ent * (t * t)
+        swap = F_gate * (r * r)
+        for _ in range(n_nest):
+            total = total * total * swap
+    return total if total.ndim else float(total)
 
 
-def _budget_grid(params: ParameterSet, fp_grid,
-                 pol_grid) -> tuple[tuple[FidelityBudget, ...], ...]:
-    """Budgets on a (resonant Purcell factor, polarization) grid, composed
-    over the parameter set's own nesting level.
+def fidelity_contour(params: ParameterSet, fp_grid,
+                     polarization_grid) -> FidelityBudget:
+    """The budget on a (resonant Purcell factor, nuclear polarization) grid,
+    composed over the parameter set's own nesting level.
 
-    Each component is evaluated once on the axis it depends on: F_ent,
-    F_BK_nominal, the gate and the readout once per Purcell factor (F_ent for
-    the whole axis in one quadrature), F_n_init once per polarization.  Only
-    F_transfer's product and the composition run per point.
+    Each grid Purcell value sets both the gate cooperativity and the resonant
+    factor feeding the detuned entanglement-generation average; the transfer
+    duration stays fixed at the configured write-read time.  Each component
+    is evaluated once on the axis it depends on: F_ent for the whole Purcell
+    axis in one quadrature, the gate and the readout once per Purcell
+    factor, F_n_init for the whole polarization axis.  F_total is composed
+    over the whole grid in one :func:`overall_fidelity` call.
     """
+    fp_grid = tuple(float(v) for v in fp_grid)
+    pol_grid = tuple(float(v) for v in polarization_grid)
+    if not fp_grid or not pol_grid:
+        raise ValueError("grids must be non-empty")
     phys, link = params.physical, params.link
-    n_nest = link.n_nest
-    fp = np.asarray(fp_grid, dtype=float)
-    pol = np.asarray(pol_grid, dtype=float)
+    fp = np.array(fp_grid)
 
-    f_ent = _ent_adaptive(phys, fp, ENT_RTOL).tolist()
-    f_bk = _nominal_bk(phys, fp).tolist()
+    f_ent = _ent_adaptive(phys, fp, ENT_RTOL)
     with np.errstate(over="ignore"):     # inf at an extreme Purcell factor
         gamma_prime_res = enhanced_rates(phys.gamma_r, phys.gamma_nr,
                                          phys.gamma_star, fp)[0].tolist()
 
     f_e = phys.F_e_init
     f_quad = quadrupolar_factor(phys.sigma_Q, 2, phys.t_transfer)
-    f_n = _nuclear_init(pol).tolist()
-    f_tr = [transfer_fidelity(f_e, v, f_quad) for v in f_n]
+    f_n = _nuclear_init(np.array(pol_grid))
+    f_tr = transfer_fidelity(f_e, f_n, f_quad)
 
-    budgets = []
-    for F_res, f_ent_i, f_bk_i, gp_res in zip(fp.tolist(), f_ent, f_bk,
-                                              gamma_prime_res):
-        gate = gate_fidelity(replace(phys, F_res=F_res))
-        readout = readout_fidelity(phys.T_readout, phys.D_dark, link.eta_c,
-                                   link.eta_d, phys.Omega_readout, gp_res)
-        budgets.append(tuple(
-            FidelityBudget(
-                F_e_init=f_e, F_n_init=f_n_j, F_quad=f_quad,
-                F_transfer=f_tr_j, F_BK_nominal=f_bk_i, F_ent=f_ent_i,
-                F_gate=gate.fidelity, F_readout=readout.fidelity,
-                F_total=overall_fidelity(
-                    n_nest, F_ent=f_ent_i, F_transfer=f_tr_j,
-                    F_gate=gate.fidelity, F_readout=readout.fidelity,
-                    F_e_init=f_e),
-                gate_time=gate.gate_time, n_nest=n_nest,
-                warnings=gate.warnings + readout.warnings)
-            for f_n_j, f_tr_j in zip(f_n, f_tr)))
-    return tuple(budgets)
+    gates = [gate_fidelity(replace(phys, F_res=v)) for v in fp_grid]
+    readouts = [readout_fidelity(phys.T_readout, phys.D_dark, link.eta_c,
+                                 link.eta_d, phys.Omega_readout, gp)
+                for gp in gamma_prime_res]
+    f_gate = np.array([g.fidelity for g in gates])
+    f_ro = np.array([r.fidelity for r in readouts])
+    return FidelityBudget(
+        fp_grid=fp_grid, polarization_grid=pol_grid, n_nest=link.n_nest,
+        F_e_init=f_e, F_quad=f_quad, F_ent=f_ent,
+        F_BK_nominal=_nominal_bk(phys, fp),
+        F_gate=f_gate, F_readout=f_ro,
+        warnings=tuple(g.warnings + r.warnings
+                       for g, r in zip(gates, readouts)),
+        F_n_init=f_n, F_transfer=f_tr,
+        F_total=overall_fidelity(
+            link.n_nest, F_ent=f_ent[:, None], F_transfer=f_tr,
+            F_gate=f_gate[:, None], F_readout=f_ro[:, None], F_e_init=f_e))
 
 
 def fidelity_budget(params: ParameterSet) -> FidelityBudget:
-    """Evaluate every component fidelity for one parameter set and compose
-    over its nesting level.
+    """The budget of one parameter set: :func:`fidelity_contour` on the
+    1 x 1 grid of its own Purcell factor and polarization.
 
     Entanglement generation runs detuned (Purcell suppressed); the gate and
-    readout run on resonance with C = F_res.  The validity notes of the gate
-    and the readout are collected in ``warnings``.
+    readout run on resonance with C = F_res.
     """
     phys = params.physical
-    return _budget_grid(params, [phys.F_res],
-                        [phys.nuclear_polarization])[0][0]
-
-
-@dataclass(frozen=True)
-class ContourResult:
-    """Grid evaluation of the full pipeline over Purcell factor x polarization."""
-
-    fp_grid: tuple[float, ...]
-    polarization_grid: tuple[float, ...]
-    total: np.ndarray                    # shape (len(fp), len(pol))
-    budgets: tuple[tuple[FidelityBudget, ...], ...]
-
-    def rows(self):
-        """Flat (F_p, pol, budget) triplets in deterministic grid order."""
-        for i, fp in enumerate(self.fp_grid):
-            for j, pol in enumerate(self.polarization_grid):
-                yield fp, pol, self.budgets[i][j]
-
-
-def fidelity_contour(params: ParameterSet, fp_grid,
-                     polarization_grid) -> ContourResult:
-    """Evaluate F_total on a (Purcell factor, nuclear polarization) grid.
-
-    Each grid Purcell value sets both the gate cooperativity and the resonant
-    factor feeding the detuned entanglement-generation average; the transfer
-    duration stays fixed at the configured write-read time.  Every budget
-    equals :func:`fidelity_budget` at that point, at the parameter set's
-    nesting level.
-    """
-    fp_grid = tuple(float(v) for v in fp_grid)
-    pol_grid = tuple(float(v) for v in polarization_grid)
-    if not fp_grid or not pol_grid:
-        raise ValueError("grids must be non-empty")
-    budgets = _budget_grid(params, fp_grid, pol_grid)
-    total = np.array([[b.F_total for b in row] for row in budgets])
-    return ContourResult(fp_grid=fp_grid, polarization_grid=pol_grid,
-                         total=total, budgets=budgets)
+    return fidelity_contour(params, [phys.F_res], [phys.nuclear_polarization])

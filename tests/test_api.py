@@ -80,7 +80,7 @@ def test_benchmark_builds_configs_and_reads_no_removed_column(monkeypatch):
     "swap_entanglement", "TrialRecord", "bell_state", "_within",
     "pulse_spacing", "serialize", "branching_ratio", "mean_time_sequential",
     "electron_init_fidelity", "SweepSpec", "ValidationReport", "_correction",
-    "_chain_product"])
+    "_chain_product", "ContourResult", "_budget_grid"])
 def test_removed_names_stay_out_of_the_package(name):
     assert not any(hasattr(mod, name) for mod in (
         qdrepeater, acceptance, cli, fidelity, mcsim, params, qsim, rates))

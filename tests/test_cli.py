@@ -11,6 +11,7 @@ import warnings
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qdrepeater import acceptance, fidelity, mcsim, rates
@@ -163,6 +164,49 @@ def test_contour_refuses_out_of_regime_without_force(capsys):
     assert code == 0
     assert "warning" in err
     assert out.startswith("F_p,polarization")
+
+
+GATE_NOTES_AT_20 = (
+    "gate 1/C correction 0.125 exceeds 0.05; first-order expansion unreliable",
+    "gate spectral correction 0.11 exceeds 0.05; first-order expansion "
+    "unreliable")
+
+
+def test_contour_warning_lines_and_rows_byte_for_byte(capsys):
+    # warning lines run per F_p, then per polarization, then per note
+    argv = ["contour", "--fp-min", "20", "--fp-max", "500", "--fp-points", "3",
+            "--pol-min", "0.9", "--pol-max", "0.95", "--pol-points", "2"]
+    assert run(capsys, argv) == (1, "", (
+        "refusing to compose out-of-regime budgets (first at F_p=20, "
+        f"pol=0.9: {GATE_NOTES_AT_20[0]}); re-run with --force to override\n"))
+    assert run(capsys, argv + ["--force"]) == (0, (
+        "F_p,polarization,F_ent,F_transfer,F_gate,F_readout,F_total\n"
+        "2.000000e+01,9.000000e-01,9.201046e-01,9.893050e-01,7.647078e-01,"
+        "9.998500e-01,6.595680e-02\n"
+        "2.000000e+01,9.500000e-01,9.201046e-01,9.936224e-01,7.647078e-01,"
+        "9.998500e-01,7.071614e-02\n"
+        "2.600000e+02,9.000000e-01,9.896037e-01,9.893050e-01,9.897125e-01,"
+        "9.998500e-01,7.183679e-01\n"
+        "2.600000e+02,9.500000e-01,9.896037e-01,9.936224e-01,9.897125e-01,"
+        "9.998500e-01,7.702042e-01\n"
+        "5.000000e+02,9.000000e-01,9.946133e-01,9.893050e-01,9.948039e-01,"
+        "9.998337e-01,7.751590e-01\n"
+        "5.000000e+02,9.500000e-01,9.946133e-01,9.936224e-01,9.948039e-01,"
+        "9.998337e-01,8.310933e-01\n"), "".join(
+        f"warning: F_p=20 pol={pol}: {note}\n"
+        for pol in ("0.9", "0.95") for note in GATE_NOTES_AT_20))
+
+
+def test_validate_config_lines_byte_for_byte(capsys, monkeypatch):
+    monkeypatch.setattr(acceptance, "CHECKS", [(1, "stub", lambda: (FINE,))])
+    code, out, err = run(capsys, ["validate", "--param",
+                                  "Omega_readout=2pi*500 GHz"])
+    assert (code, err) == (0, "")
+    assert [line for line in out.splitlines()
+            if line.startswith("config ")] == [
+        "config warning: readout drive 1.69 x gamma' is not weak (above 0.2 x "
+        "gamma'); emission-rate formula degrades",
+        "config F_total (n=3) = 0.8313  [out of validity regime]"]
 
 
 def test_contour_unconverged_quadrature_is_one_error_line():
@@ -615,6 +659,18 @@ def test_unwritable_out_is_refused_before_the_work(capsys, monkeypatch,
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir", "file"]
 
 
+def test_out_in_a_directory_without_write_access_is_refused(capsys,
+                                                            monkeypatch,
+                                                            tmp_path):
+    # the tests may run as root, for whom os.access always grants write
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
+    path = str(tmp_path / "x.csv")
+    code, out, err = run(capsys, ["rates", "--l-points", "3", "--out", path])
+    assert (code, out) == (2, "")
+    assert err == f"cannot write {path}: Permission denied\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unwritable_meta_json_is_one_usage_error(capsys, tmp_path):
     # the early check passes; the write of the companion file fails
     (tmp_path / "x.csv.meta.json").mkdir()
@@ -662,7 +718,10 @@ def test_every_parameter_key_changes_what_a_command_computes(capsys):
         mc_inputs = (rates.link_success_probability(link),
                      rates.swap_success_probability(link),
                      rates.slot_time(link), link.n_nest)
-        return fidelity.fidelity_budget(ps), rates_csv, mc_inputs
+        # the budget's fields by value: a budget compares by identity
+        budget = fidelity.fidelity_budget(ps)
+        return ([np.asarray(getattr(budget, f.name)).tolist()
+                 for f in fields(budget)], rates_csv, mc_inputs)
 
     baseline = computed([])
     dead = [f.name for cls in (PhysicalParams, LinkParams)

@@ -2,7 +2,7 @@ import itertools
 import math
 import warnings
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -256,7 +256,9 @@ def test_electron_init_is_configured_value(params):
 def test_nuclear_init_anchors():
     assert fidelity.nuclear_init_fidelity(0.95) == pytest.approx(0.998, abs=1e-12)
     assert fidelity.nuclear_init_fidelity(0.80) == pytest.approx(0.977, abs=1e-12)
-    assert fidelity.nuclear_init_fidelity(1.0) == pytest.approx(1.0, abs=1e-12)
+    # the cubic is summed from the left end of the last interval, so the
+    # anchor at 1.0 comes back one ulp low, as it does from scipy's PCHIP
+    assert fidelity.nuclear_init_fidelity(1.0) == 0.9999999999999999
 
 
 def test_nuclear_init_no_extrapolation():
@@ -447,20 +449,41 @@ def test_overall_fidelity_monotone(f, n):
             fidelity.overall_fidelity(n, **lo)
 
 
-def _python_chain_product(n_nest, F_ent, F_transfer, F_gate, F_readout,
-                          F_e_init):
-    """Reference product in Python floats; raises OverflowError where a
-    power overflows."""
+def _python_pow_product(n_nest, F_ent, F_transfer, F_gate, F_readout,
+                        F_e_init):
+    """The closed form with Python-float ``**``, or None where a power or a
+    partial product leaves the normal range (1e-300 to inf in magnitude) and
+    with it float64 precision; raises OverflowError where a power
+    overflows."""
     l = 2**n_nest
-    return (F_e_init ** (2 * l)
-            * F_readout ** (2 * (l - 1))
-            * (F_ent * F_transfer**2) ** l
-            * F_gate ** (l - 1))
+    value = 1.0
+    for factor in (F_e_init ** (2 * l), F_readout ** (2 * (l - 1)),
+                   (F_ent * F_transfer**2) ** l, F_gate ** (l - 1)):
+        value *= factor
+        if not (abs(factor) > 1e-300 and abs(value) > 1e-300):
+            return None
+    return value if math.isfinite(value) else None
+
+
+def _python_squaring_chain(n_nest, F_ent, F_transfer, F_gate, F_readout,
+                           F_e_init):
+    """Level-by-level composition in Python floats: a link, then one
+    squaring and one swap per nesting level."""
+    value = F_e_init * F_e_init * F_ent * (F_transfer * F_transfer)
+    swap = F_gate * (F_readout * F_readout)
+    for _ in range(n_nest):
+        value = value * value * swap
+    return value
+
+
+def _same(a, b):
+    return a == b or math.isnan(a) and math.isnan(b)
 
 
 def test_overall_fidelity_equals_python_float_product():
     rng = np.random.default_rng(196)
     names = ("F_ent", "F_transfer", "F_gate", "F_readout", "F_e_init")
+    gaps = []
     for i in range(3000):
         n_nest = int(rng.integers(0, 13)) if i % 100 else 62 + i // 100 % 3
         comp = dict(zip(names, rng.uniform(0.5, 1.0, len(names)).tolist()))
@@ -468,20 +491,43 @@ def test_overall_fidelity_equals_python_float_product():
             comp[names[rng.integers(len(names))]] = float(rng.uniform(-2, 3))
         value = fidelity.overall_fidelity(n_nest, **comp)
         assert type(value) is float
+        assert _same(value, _python_squaring_chain(n_nest, **comp)), (
+            n_nest, comp)
+        # the squarings round differently from pow, by at most 8 l 2^-52
         try:
-            expected = _python_chain_product(n_nest, **comp)
+            pow_value = _python_pow_product(n_nest, **comp)
         except OverflowError:
-            assert math.isinf(value) or math.isnan(value), (n_nest, comp)
             continue
-        assert (value == expected
-                or math.isnan(value) and math.isnan(expected)), (n_nest, comp)
+        if pow_value is not None:
+            gaps.append(abs(value - pow_value) / abs(pow_value) / 2**n_nest)
+    assert len(gaps) > 1900
+    assert max(gaps) <= 8 * 2**-52
+
+
+def test_overall_fidelity_of_arrays_equals_it_per_element():
+    rng = np.random.default_rng(21)
+    for n_nest in (0, 1, 3, 6, 12, 64):
+        comp = dict(F_ent=rng.uniform(0.5, 1.0, (7, 1)),
+                    F_transfer=rng.uniform(0.5, 1.0, 5),
+                    F_gate=rng.uniform(-2.0, 3.0, (7, 1)),
+                    F_readout=rng.uniform(0.5, 1.0, (7, 1)),
+                    F_e_init=0.99996)
+        grid = fidelity.overall_fidelity(n_nest, **comp)
+        assert grid.shape == (7, 5)
+        for i, j in itertools.product(range(7), range(5)):
+            alone = fidelity.overall_fidelity(
+                n_nest, F_ent=float(comp["F_ent"][i, 0]),
+                F_transfer=float(comp["F_transfer"][j]),
+                F_gate=float(comp["F_gate"][i, 0]),
+                F_readout=float(comp["F_readout"][i, 0]), F_e_init=0.99996)
+            assert _same(float(grid[i, j]), alone), (n_nest, i, j)
 
 
 def test_electron_init_override_propagates_linearly(params):
     base = fidelity.fidelity_budget(params)
     poor = fidelity.fidelity_budget(with_physical(params, F_e_init=0.9))
-    assert poor.F_transfer / base.F_transfer == pytest.approx(0.9 / 0.99996,
-                                                              rel=1e-12)
+    assert poor.F_transfer[0] / base.F_transfer[0] == pytest.approx(
+        0.9 / 0.99996, rel=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -497,17 +543,25 @@ def test_entanglement_fidelity_stays_in_physical_range(f_res, det, sigma):
 
 def test_budget_pipeline_matches_components(params):
     b = fidelity.fidelity_budget(params)
-    assert b.F_ent == pytest.approx(F_ENT_500_AT_275, abs=1e-8)
-    assert b.F_BK_nominal == pytest.approx(F_BK_NOMINAL_500, abs=1e-9)
-    assert b.F_transfer == pytest.approx(
-        b.F_e_init * b.F_n_init * b.F_quad, rel=1e-12)
-    assert b.F_total == fidelity.overall_fidelity(
-        params.link.n_nest, F_ent=b.F_ent, F_transfer=b.F_transfer,
-        F_gate=b.F_gate, F_readout=b.F_readout, F_e_init=b.F_e_init)
-    assert b.warnings == ()
-    assert all(0.0 <= c <= 1.0 for c in (b.F_e_init, b.F_n_init, b.F_quad,
-                                          b.F_transfer, b.F_ent, b.F_gate,
-                                          b.F_readout))
+    phys = params.physical
+    assert (b.fp_grid, b.polarization_grid) == ((phys.F_res,),
+                                                (phys.nuclear_polarization,))
+    (F_ent,), (F_BK,), (F_gate,), (F_readout,) = (b.F_ent, b.F_BK_nominal,
+                                                  b.F_gate, b.F_readout)
+    (F_n_init,), (F_transfer,) = b.F_n_init, b.F_transfer
+    assert F_ent == pytest.approx(F_ENT_500_AT_275, abs=1e-8)
+    assert F_BK == pytest.approx(F_BK_NOMINAL_500, abs=1e-9)
+    assert F_transfer == pytest.approx(
+        b.F_e_init * F_n_init * b.F_quad, rel=1e-12)
+    assert b.F_total.shape == (1, 1)
+    assert b.F_total[0, 0] == fidelity.overall_fidelity(
+        params.link.n_nest, F_ent=float(F_ent), F_transfer=float(F_transfer),
+        F_gate=float(F_gate), F_readout=float(F_readout),
+        F_e_init=b.F_e_init)
+    assert b.warnings == ((),)
+    assert all(0.0 <= c <= 1.0 for c in (b.F_e_init, F_n_init, b.F_quad,
+                                          F_transfer, F_ent, F_gate,
+                                          F_readout))
 
 
 def test_contour_anchors(params):
@@ -515,7 +569,7 @@ def test_contour_anchors(params):
     contour = fidelity.fidelity_contour(params, [200.0, 500.0],
                                         [0.80, 0.95, 0.999])
     def at(fp, pol):
-        return contour.total[contour.fp_grid.index(fp),
+        return contour.F_total[contour.fp_grid.index(fp),
                              contour.polarization_grid.index(pol)]
     assert at(500.0, 0.95) == pytest.approx(0.831, abs=0.01)
     assert at(200.0, 0.95) == pytest.approx(0.734, abs=0.01)
@@ -544,9 +598,16 @@ def test_contour_composes_at_the_parameter_sets_nesting_level(params):
     two_levels = with_link(params, n_nest=2)
     budget = fidelity.fidelity_budget(two_levels)
     contour = fidelity.fidelity_contour(two_levels, [500.0], [0.95])
-    assert contour.budgets[0][0] == budget
+    assert _values(contour) == _values(budget)
     assert budget.n_nest == 2
-    assert budget.F_total == pytest.approx(0.914, abs=5e-4)
+    assert budget.F_total[0, 0] == pytest.approx(0.914, abs=5e-4)
+
+
+def _values(budget):
+    """Every field of a budget as plain Python values, for ``==``."""
+    values = {f.name: getattr(budget, f.name) for f in fields(budget)}
+    return {name: v.tolist() if isinstance(v, np.ndarray) else v
+            for name, v in values.items()}
 
 
 def test_contour_rejects_empty_grid(params):
@@ -557,22 +618,45 @@ def test_contour_rejects_empty_grid(params):
 def test_contour_equals_budget_at_every_point(params):
     contour = fidelity.fidelity_contour(params, DEFAULT_FP_GRID,
                                         DEFAULT_POL_GRID)
-    assert contour.total.shape == (10, 22)
-    for i, fp in enumerate(contour.fp_grid):
-        for j, pol in enumerate(contour.polarization_grid):
+    assert contour.F_total.shape == (10, 22)
+    c = contour
+    for i, fp in enumerate(c.fp_grid):
+        for j, pol in enumerate(c.polarization_grid):
             point = with_physical(params, F_res=fp, nuclear_polarization=pol)
-            expected = fidelity.fidelity_budget(point)
-            assert contour.budgets[i][j] == expected
-            assert contour.total[i, j] == expected.F_total
+            b = fidelity.fidelity_budget(point)
+            assert (c.n_nest, c.F_e_init, c.F_quad) == (b.n_nest, b.F_e_init,
+                                                        b.F_quad)
+            assert (c.F_ent[i], c.F_BK_nominal[i], c.F_gate[i],
+                    c.F_readout[i], c.warnings[i]) == (
+                b.F_ent[0], b.F_BK_nominal[0], b.F_gate[0], b.F_readout[0],
+                b.warnings[0])
+            assert (c.F_n_init[j], c.F_transfer[j]) == (b.F_n_init[0],
+                                                        b.F_transfer[0])
+            assert c.F_total[i, j] == b.F_total[0, 0]
+
+
+def test_contour_composes_the_whole_grid_in_one_call(params, monkeypatch):
+    calls = []
+    compose = fidelity.overall_fidelity
+
+    def counting(n_nest, **components):
+        calls.append(n_nest)
+        return compose(n_nest, **components)
+
+    monkeypatch.setattr(fidelity, "overall_fidelity", counting)
+    contour = fidelity.fidelity_contour(params, DEFAULT_FP_GRID,
+                                        DEFAULT_POL_GRID)
+    assert calls == [params.link.n_nest]
+    assert contour.F_total.shape == (10, 22)
 
 
 def test_default_contour_f_ent_matches_high_order_rule(params):
     contour = fidelity.fidelity_contour(params, DEFAULT_FP_GRID,
                                         DEFAULT_POL_GRID)
-    for fp, _, budget in contour.rows():
+    for fp, f_ent in zip(contour.fp_grid, contour.F_ent):
         ref = _reference_fixed_nodes(with_physical(params, F_res=fp).physical,
                                      168)
-        assert abs(budget.F_ent - ref) <= 1e-6
+        assert abs(f_ent - ref) <= 1e-6
 
 
 def test_budget_carries_readout_drive_note():
@@ -582,4 +666,4 @@ def test_budget_carries_readout_drive_note():
         budget = fidelity.fidelity_budget(strong)
     assert caught == []
     assert any("readout drive" in note and "weak" in note
-               for note in budget.warnings)
+               for note in budget.warnings[0])
