@@ -151,8 +151,9 @@ def check_overall_fidelity_anchors():
 def check_rates():
     ps = default_parameters()
     measures = []
-    for product, target in ((0.72, 0.58), (0.5, 0.41), (0.4, 0.32)):
-        link = with_link(ps, p_emit=product, eta_c=1.0, eta_s=product).link
+    for curve, target in (("B", 0.58), ("C", 0.41), ("D", 0.32)):
+        product = rates.CURVE_PRODUCTS[curve]
+        link = rates.curve_parameters(ps, product).link
         measures.append(Measure(f"p_gate({product})",
                                 rates.swap_success_probability(link),
                                 target, 0.005))
@@ -161,19 +162,12 @@ def check_rates():
     scaled = rates.mean_time_parallel(with_link(ps, eta_fc=0.4))
     ratio = scaled.rate / base.rate
 
-    def curve(product, L):
-        return rates.mean_time_parallel(
-            with_link(ps, p_emit=product, eta_c=1.0, eta_s=product,
-                      L_total=L)).rate
+    rate_b, rate_c, rate_d = rates.curve_rates(ps,
+                                               np.linspace(200e3, 1000e3, 9))
+    rises = int(np.sum(~(rate_b[:-1] > rate_b[1:])))
+    disorder = int(np.sum(~((rate_b > rate_c) & (rate_c > rate_d))))
 
-    grid = np.linspace(200e3, 1000e3, 9)
-    rate_b = [curve(0.72, L) for L in grid]
-    rate_c = [curve(0.5, L) for L in grid]
-    rate_d = [curve(0.4, L) for L in grid]
-    rises = sum(not b1 > b2 for b1, b2 in zip(rate_b, rate_b[1:]))
-    disorder = sum(not b > c > d for b, c, d in zip(rate_b, rate_c, rate_d))
-
-    curve_b = with_link(ps, p_emit=0.72, eta_c=1.0, eta_s=0.72)
+    curve_b = rates.curve_parameters(ps, rates.CURVE_PRODUCTS["B"])
     crossover = rates.crossover_distance(curve_b)
     return (*measures,
             # the rate scales as eta_fc**2, so eta_fc = 0.4 gives 0.16

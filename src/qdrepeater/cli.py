@@ -57,57 +57,64 @@ def _csv(header: str, row_format: str, columns) -> str:
     return f"{header}\n" + (row_format + "\n") * rows % values
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="parameter file (flat key = value text)")
-    common.add_argument("--param", action="append", default=[],
-                        metavar="KEY=VALUE",
-                        help="override one parameter; repeatable")
-    writes = argparse.ArgumentParser(add_help=False)
-    writes.add_argument("--out", help="write CSV here instead of stdout")
+_CONFIG = ("--config", {"help": "parameter file (flat key = value text)"})
+_PARAM = ("--param", {"action": "append", "metavar": "KEY=VALUE",
+                      "help": "override one parameter; repeatable"})
+_OUT = ("--out", {"help": "write CSV here instead of stdout"})
 
+#: Each subcommand's help text and its ``(flag, add_argument kwargs)``
+#: options, in the order ``--help`` lists them.
+_SUBCOMMANDS = {
+    "rates": ("distribution rate vs distance sweep", (
+        _CONFIG, _PARAM, _OUT,
+        ("--l-min-km", {"type": float, "default": 100.0}),
+        ("--l-max-km", {"type": float, "default": 1000.0}),
+        ("--l-points", {"type": int, "default": 19}),
+        ("--log", {"action": "store_true",
+                   "help": "logarithmic distance spacing"}),
+        ("--source-rate", {"type": float, "default": 1e10,
+                           "help": "direct-transmission source rate (Hz)"}))),
+    "contour": ("overall fidelity on a Purcell x polarization grid", (
+        _CONFIG, _PARAM, _OUT,
+        ("--fp-min", {"type": float, "default": 100.0}),
+        ("--fp-max", {"type": float, "default": 1000.0}),
+        ("--fp-points", {"type": int, "default": 10}),
+        ("--pol-min", {"type": float}),
+        ("--pol-max", {"type": float}),
+        ("--pol-points", {"type": int}),
+        ("--force", {"action": "store_true",
+                     "help": "compose even when validity warnings fire"}))),
+    "validate": ("run the full acceptance suite", (_CONFIG, _PARAM)),
+    "mc": ("Monte Carlo waiting-time simulation", (
+        _CONFIG, _PARAM, _OUT,
+        ("--seed", {"type": int, "default": 1, "help": "RNG seed"}),
+        ("--trials", {"type": int, "default": 10_000,
+                      "help": "Monte Carlo trial count"}),
+        ("--p0", {"type": float,
+                  "help": "override the derived link success probability"}),
+        ("--p-swap", {"type": float, "help": "override the derived swap "
+                                             "success probability"}),
+        ("--cutoff", {"type": float,
+                      "help": "memory storage cutoff in seconds"}))),
+    "qsim": ("exact quantum-oracle consistency checks", ()),
+}
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for ``argv``: every subcommand is registered, so the
+    top-level help and usage errors list them all, but only those named in
+    ``argv`` get their options.  argparse dispatches on one argument of
+    ``argv``, so the subcommand it parses is always among them."""
     parser = argparse.ArgumentParser(
         prog="qdrepeater",
         description="performance model of a spin-photon repeater chain")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_rates = sub.add_parser("rates", parents=[common, writes],
-                             help="distribution rate vs distance sweep")
-    p_rates.add_argument("--l-min-km", type=float, default=100.0)
-    p_rates.add_argument("--l-max-km", type=float, default=1000.0)
-    p_rates.add_argument("--l-points", type=int, default=19)
-    p_rates.add_argument("--log", action="store_true",
-                         help="logarithmic distance spacing")
-    p_rates.add_argument("--source-rate", type=float, default=1e10,
-                         help="direct-transmission source rate (Hz)")
-
-    p_cont = sub.add_parser("contour", parents=[common, writes],
-                            help="overall fidelity on a Purcell x polarization grid")
-    p_cont.add_argument("--fp-min", type=float, default=100.0)
-    p_cont.add_argument("--fp-max", type=float, default=1000.0)
-    p_cont.add_argument("--fp-points", type=int, default=10)
-    p_cont.add_argument("--pol-min", type=float, default=None)
-    p_cont.add_argument("--pol-max", type=float, default=None)
-    p_cont.add_argument("--pol-points", type=int, default=None)
-    p_cont.add_argument("--force", action="store_true",
-                        help="compose even when validity warnings fire")
-
-    sub.add_parser("validate", parents=[common],
-                   help="run the full acceptance suite")
-
-    p_mc = sub.add_parser("mc", parents=[common, writes],
-                          help="Monte Carlo waiting-time simulation")
-    p_mc.add_argument("--seed", type=int, default=1, help="RNG seed")
-    p_mc.add_argument("--trials", type=int, default=10_000,
-                      help="Monte Carlo trial count")
-    p_mc.add_argument("--p0", type=float, default=None,
-                      help="override the derived link success probability")
-    p_mc.add_argument("--p-swap", type=float, default=None,
-                      help="override the derived swap success probability")
-    p_mc.add_argument("--cutoff", type=float, default=None,
-                      help="memory storage cutoff in seconds")
-
-    sub.add_parser("qsim", help="exact quantum-oracle consistency checks")
+    named = set(argv)
+    for name, (help_text, options) in _SUBCOMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        if name in named:
+            for flag, kwargs in options:
+                command.add_argument(flag, **kwargs)
     return parser
 
 
@@ -154,9 +161,6 @@ def _unwritable(path: str) -> str | None:
     return os.strerror(err)
 
 
-_CURVE_PRODUCTS = {"B": 0.72, "C": 0.5, "D": 0.4}
-
-
 def cmd_rates(args, ps: ParameterSet, argv: list[str]) -> int:
     try:
         grid = _sweep("L_km", args.l_min_km, args.l_max_km, args.l_points,
@@ -165,24 +169,21 @@ def cmd_rates(args, ps: ParameterSet, argv: list[str]) -> int:
         print(f"invalid distance sweep: {exc}", file=sys.stderr)
         return 2
 
-    # Python floats: a tiny L_att gives exp(-inf) = 0, not a numpy warning
-    distances = (grid * 1e3).tolist()
+    # one array pass per curve, each over every distance of the sweep
+    distances = grid * 1e3
     try:
-        direct = [rates.direct_transmission_rate(L, args.source_rate,
-                                                 ps.link.L_att)
-                  for L in distances]
+        direct = rates.direct_transmission_rate(distances, args.source_rate,
+                                                ps.link.L_att)
     except ValueError as exc:
         print(f"invalid rates input: {exc}", file=sys.stderr)
         return 2
-    curves = [[rates.mean_time_parallel(
-                  with_link(ps, L_total=L, p_emit=product, eta_c=1.0,
-                            eta_s=product)).rate for L in distances]
-              for product in _CURVE_PRODUCTS.values()]
-    pair_scheme = with_link(ps, eta_s=0.65)
-    pairs = [rates.mean_time_two_plus_two(
-                 with_link(pair_scheme, L_total=L)).rate for L in distances]
+    curves = rates.curve_rates(ps, distances)
+    pairs = rates.mean_time_two_plus_two(
+        with_link(ps, L_total=distances, eta_s=0.65)).rate
     return _emit(_csv("L_km,rate_direct,rate_B,rate_C,rate_D,rate_2plus2",
-                      ",".join([_FMT] * 6), (grid, direct, *curves, pairs)),
+                      ",".join([_FMT] * 6),
+                      (column.tolist()
+                       for column in (grid, direct, *curves, pairs))),
                  args, ps, argv)
 
 
@@ -300,7 +301,7 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

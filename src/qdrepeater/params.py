@@ -141,9 +141,10 @@ class LinkParams:
 
     @property
     def L0(self) -> float:
-        """Elementary link length (m): L_total / 2**n_nest, scaled by ldexp
-        so that a huge n_nest gives 0 rather than an OverflowError."""
-        return math.ldexp(self.L_total, -self.n_nest)
+        """Elementary link length (m): L_total / 2**n_nest, per element of an
+        array ``L_total``.  Scaling by the exact power 0.5**n_nest gives 0,
+        not an OverflowError, at a huge n_nest."""
+        return self.L_total * 0.5**self.n_nest
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,11 @@
 All functions are pure; a chain configuration is summarized by a
 :class:`RateResult`.  Unreachable configurations (a vanishing success
 probability) are flagged rather than raised.
+
+The distance-dependent forms broadcast over an array of lengths, so a
+whole sweep is one array pass: a link whose ``L_total`` is an array gives
+arrays, and scalar inputs give Python floats.  Every element has the bits
+of the same distance evaluated alone.
 """
 
 from __future__ import annotations
@@ -10,12 +15,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .params import LinkParams, ParameterSet, with_link
+
+#: Extraction-efficiency products p*eta_c of the rate curves B, C and D.
+CURVE_PRODUCTS = {"B": 0.72, "C": 0.5, "D": 0.4}
 
 
 @dataclass(frozen=True)
 class RateResult:
-    """Success probabilities and mean waiting time for one chain configuration."""
+    """Success probabilities and mean waiting time for one chain
+    configuration, or for each distance of a sweep."""
 
     p0: float          # elementary-link success probability per attempt
     p_swap: float      # swap success probability per attempt
@@ -23,16 +34,19 @@ class RateResult:
     rate: float        # Hz; 0 when unreachable
 
 
-def transmission_probability(L0: float, L_att: float) -> float:
-    """Photon transmission probability over half a link, exp(-L0/(2*L_att))."""
-    if L_att <= 0:
+def transmission_probability(L0, L_att):
+    """Photon transmission probability over half a link, exp(-L0/(2*L_att)),
+    per element of ``L0``."""
+    if np.count_nonzero(L_att <= 0):
         raise ValueError("attenuation length must be positive")
-    if L0 < 0:
+    if np.count_nonzero(L0 < 0):
         raise ValueError("link length must be non-negative")
-    return math.exp(-L0 / (2.0 * L_att))
+    with np.errstate(over="ignore"):     # a tiny L_att: exp(-inf) = 0
+        eta_t = np.exp(np.negative(L0) / (2.0 * L_att))
+    return eta_t if eta_t.ndim else float(eta_t)
 
 
-def link_success_probability(link: LinkParams) -> float:
+def link_success_probability(link: LinkParams):
     """Two-photon heralding success probability of one elementary link.
 
     p0 = 0.5 * (zeta * eta_t * p * eta_c * eta_d * eta_fc)**2.  Frequency
@@ -50,24 +64,26 @@ def swap_success_probability(link: LinkParams) -> float:
     return link.eta_s * link.eta_c * link.eta_cav * link.eta_d
 
 
-def slot_time(link: LinkParams) -> float:
+def slot_time(link: LinkParams):
     """Duration of one heralded attempt, L0/c + tau_init, in seconds."""
-    return link.L0 / link.c_fiber + link.tau_init
+    with np.errstate(over="ignore"):     # a tiny c_fiber: an infinite slot
+        return link.L0 / link.c_fiber + link.tau_init
 
 
-def parallel_closed_form(p0: float, p_swap: float, slot: float,
-                         n: int) -> RateResult:
+def parallel_closed_form(p0, p_swap, slot, n: int) -> RateResult:
     """<T> = (3/2)**n * slot / (p0 * p_swap**n), all links generated in
     parallel, or unreachable when the denominator vanishes.
 
     The n = 0 case is the plain geometric mean slot/p0.  This is the closed
-    form the Monte Carlo is checked against.
+    form the Monte Carlo is checked against.  Each element of array inputs
+    is flagged on its own.
     """
-    denom = p0 * p_swap**n
-    if denom <= 0.0:
-        return RateResult(p0=p0, p_swap=p_swap, mean_time=math.inf, rate=0.0)
-    mean = 1.5**n * slot / denom
-    rate = 1.0 / mean if mean > 0.0 else math.inf
+    denom = np.multiply(p0, p_swap**n)   # numpy even for scalars: x/0 = inf
+    with np.errstate(all="ignore"):      # unreachable quotients are dropped
+        mean = np.where(denom <= 0.0, math.inf, 1.5**n * slot / denom)
+        rate = np.where(mean > 0.0, 1.0 / mean, math.inf)
+    if not mean.ndim:
+        mean, rate = float(mean), float(rate)
     return RateResult(p0=p0, p_swap=p_swap, mean_time=mean, rate=rate)
 
 
@@ -91,22 +107,43 @@ def mean_time_two_plus_two(params: ParameterSet) -> RateResult:
     """
     link = params.link
     eta_t = transmission_probability(link.L0, link.L_att)
-    p0 = 0.5 * (eta_t * link.eta_s * link.eta_d) ** 2
+    amp = eta_t * link.eta_s * link.eta_d
     p_swap = 0.5 * link.eta_d**2 * link.eta_m**4
-    return parallel_closed_form(p0, p_swap, link.L0 / link.c_fiber,
-                                link.n_nest)
+    with np.errstate(over="ignore"):     # a tiny c_fiber: an infinite slot
+        slot = link.L0 / link.c_fiber
+    return parallel_closed_form(0.5 * amp * amp, p_swap, slot, link.n_nest)
 
 
-def direct_transmission_rate(L: float, source_rate: float, L_att: float) -> float:
-    """Photon arrival rate of a repeaterless source through lossy fiber."""
-    if L < 0:
+def curve_parameters(params: ParameterSet, product: float,
+                     **changes) -> ParameterSet:
+    """``params`` on a rate curve: the extraction-efficiency product
+    p*eta_c folded into p_emit (eta_c = 1), and a gate photon source of the
+    same efficiency, plus any other link ``changes``."""
+    return with_link(params, p_emit=product, eta_c=1.0, eta_s=product,
+                     **changes)
+
+
+def curve_rates(params: ParameterSet, distances) -> list:
+    """The rates of curves B, C and D (:data:`CURVE_PRODUCTS`) at each of
+    ``distances`` (m), one array pass per curve."""
+    return [mean_time_parallel(curve_parameters(params, product,
+                                                L_total=distances)).rate
+            for product in CURVE_PRODUCTS.values()]
+
+
+def direct_transmission_rate(L, source_rate: float, L_att: float):
+    """Photon arrival rate of a repeaterless source through lossy fiber, per
+    element of ``L``."""
+    if np.count_nonzero(L < 0):
         raise ValueError("distance must be non-negative")
-    if L_att <= 0:
+    if np.count_nonzero(L_att <= 0):
         raise ValueError("attenuation length must be positive")
     if not (math.isfinite(source_rate) and source_rate > 0):
         raise ValueError(f"source rate must be positive and finite, "
                          f"got {source_rate:g}")
-    return source_rate * math.exp(-L / L_att)
+    with np.errstate(over="ignore"):     # a tiny L_att: exp(-inf) = 0
+        rate = source_rate * np.exp(np.negative(L) / L_att)
+    return rate if rate.ndim else float(rate)
 
 
 def crossover_distance(params: ParameterSet,

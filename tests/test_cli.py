@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qdrepeater import acceptance, fidelity, mcsim, rates
+from qdrepeater import acceptance, fidelity, mcsim, params, rates
 from qdrepeater.cli import main
 from qdrepeater.params import (_KEYS, LinkParams, PhysicalParams,
                                default_parameters, to_dict, with_link)
@@ -97,6 +97,28 @@ def test_rates_conversion_override_scales_by_016(capsys):
     for a, b in zip(rows_a, rows_b):
         assert float(b["rate_B"]) / float(a["rate_B"]) == \
             pytest.approx(0.16, rel=1e-5)
+
+
+def test_rates_parameter_copies_do_not_grow_with_the_point_count(
+        capsys, monkeypatch):
+    calls = []
+    original = params.with_link
+
+    def counting(ps, **changes):
+        calls.append(sorted(changes))
+        return original(ps, **changes)
+
+    # every module that bound the name, params itself included
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "qdrepeater"
+                and getattr(module, "with_link", None) is original):
+            monkeypatch.setattr(module, "with_link", counting)
+    counts = []
+    for points in ("19", "190"):
+        calls.clear()
+        assert run(capsys, ["rates", "--l-points", points])[0] == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_rates_invalid_sweep_is_usage_error(capsys):
@@ -801,6 +823,21 @@ def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
     assert code == 2
     assert out == ""
     assert "unrecognized arguments" in err
+
+
+# exit code, stdout and stderr of help and usage errors, byte for byte as
+# Python 3.11's argparse renders them at 80 columns
+USAGE_TEXT = json.loads(
+    (Path(__file__).parent / "cli_usage_text.json").read_text())
+
+
+@pytest.mark.parametrize("case", USAGE_TEXT,
+                         ids=[" ".join(c["argv"]) or "(none)"
+                              for c in USAGE_TEXT])
+def test_help_and_usage_text_byte_for_byte(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, case["argv"]) == (case["code"], case["stdout"],
+                                         case["stderr"])
 
 
 def test_validate_out_is_usage_error_and_writes_nothing(capsys, tmp_path):

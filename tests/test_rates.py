@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -217,3 +219,74 @@ def test_crossover_exists_below_1000km(curve_b):
         rates.direct_transmission_rate(lo.link.L_total, 1e10, 25e3)
     assert rates.mean_time_parallel(hi).rate > \
         rates.direct_transmission_rate(hi.link.L_total, 1e10, 25e3)
+
+
+# ------------------------------------------------------------ array pass
+
+GRIDS = {"default": np.linspace(100e3, 1000e3, 19),
+         "log": np.logspace(0.0, math.log10(2000.0), 200) * 1e3}
+
+
+def _configs(ps):
+    """Curves B, C and D, then the comparison scheme's pair source."""
+    return [rates.curve_parameters(ps, product)
+            for product in rates.CURVE_PRODUCTS.values()] + [
+        with_link(ps, eta_s=0.65)]
+
+
+@pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS)
+@pytest.mark.parametrize("overrides", [[], ["eta_d=0"], ["L_att=100 m"]],
+                         ids=["defaults", "dead-detector", "mixed-reach"])
+def test_array_pass_equals_per_point(grid, overrides):
+    ps = default_parameters(overrides)
+    points = grid.tolist()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cfg in _configs(ps):
+            whole = with_link(cfg, L_total=grid).link
+            alone = [with_link(cfg, L_total=L).link for L in points]
+            for form in (lambda link: link.L0, rates.slot_time,
+                         rates.link_success_probability,
+                         lambda link: rates.transmission_probability(
+                             link.L0, link.L_att)):
+                each = [form(link) for link in alone]
+                assert all(type(v) is float for v in each)
+                assert form(whole).tolist() == each
+            for chain in (rates.mean_time_parallel,
+                          rates.mean_time_two_plus_two):
+                whole_result = chain(with_link(cfg, L_total=grid))
+                each = [chain(with_link(cfg, L_total=L)) for L in points]
+                for name in ("p0", "mean_time", "rate"):
+                    values = [getattr(r, name) for r in each]
+                    assert all(type(v) is float for v in values)
+                    assert getattr(whole_result, name).tolist() == values
+        direct = [rates.direct_transmission_rate(L, 1e10, ps.link.L_att)
+                  for L in points]
+        assert all(type(v) is float for v in direct)
+        assert rates.direct_transmission_rate(
+            grid, 1e10, ps.link.L_att).tolist() == direct
+        curves = rates.curve_rates(ps, grid)
+    assert [curve.tolist() for curve in curves] == [
+        [rates.mean_time_parallel(cfg).rate
+         for cfg in (with_link(c, L_total=L) for L in points)]
+        for c in _configs(ps)[:3]]
+    if overrides == ["eta_d=0"]:
+        for cfg in _configs(ps):
+            for chain in (rates.mean_time_parallel,
+                          rates.mean_time_two_plus_two):
+                result = chain(with_link(cfg, L_total=grid))
+                assert (result.rate == 0.0).all()
+                assert np.isinf(result.mean_time).all()
+    if overrides == ["L_att=100 m"]:
+        # the shortest links reach, the longest do not, in one array
+        rate = curves[0]
+        assert rate[0] > 0.0 and rate[-1] == 0.0
+
+
+def test_negative_length_in_an_array_is_refused():
+    with pytest.raises(ValueError, match="non-negative"):
+        rates.transmission_probability(np.array([1e3, -1.0]), 25e3)
+    with pytest.raises(ValueError, match="non-negative"):
+        rates.direct_transmission_rate(np.array([1e3, -1.0]), 1e10, 25e3)
+    with pytest.raises(ValueError, match="attenuation"):
+        rates.transmission_probability(np.array([1e3]), 0.0)
