@@ -6,8 +6,9 @@ order; passing ``--out`` also writes a ``<out>.meta.json`` companion recording
 the fully resolved parameter set.
 
 Exit codes: 0 success, 1 validation failure (also a refused out-of-regime
-contour and an F_ent quadrature that does not converge), 2 usage error,
-3 config error.  Errors print one line on stderr.
+contour and an F_ent quadrature that does not converge), 2 usage error
+(also a count too large to allocate), 3 config error.  Errors print one
+line on stderr.
 """
 
 from __future__ import annotations
@@ -187,19 +188,14 @@ def cmd_rates(args, ps: ParameterSet, argv: list[str]) -> int:
                  args, ps, argv)
 
 
-def _default_pol_grid() -> list[float]:
-    grid = [round(0.80 + 0.01 * i, 2) for i in range(20)]  # 0.80 .. 0.99
-    return grid + [0.999, 1.0]
-
-
 def cmd_contour(args, ps: ParameterSet, argv: list[str]) -> int:
     try:
         if args.fp_min <= 0:
             raise ValueError("F_p: sweep must start above zero")
         fp_grid = _sweep("F_p", args.fp_min, args.fp_max, args.fp_points)
         pol = (args.pol_min, args.pol_max, args.pol_points)
-        if pol == (None, None, None):
-            pol_grid = np.array(_default_pol_grid())
+        if pol == (None, None, None):   # 0.80 .. 0.99, then 0.999 and 1
+            pol_grid = np.append(np.arange(80, 100) / 100, [0.999, 1.0])
         elif None in pol:
             raise ValueError("polarization: a sweep needs --pol-min, "
                              "--pol-max and --pol-points")
@@ -220,9 +216,9 @@ def cmd_contour(args, ps: ParameterSet, argv: list[str]) -> int:
               f"(first at F_p={fp:g}, pol={c.polarization_grid[0]:g}: "
               f"{notes[0]}); re-run with --force to override", file=sys.stderr)
         return 1
-    for fp, notes in warned:
-        for pol, note in itertools.product(c.polarization_grid, notes):
-            print(f"warning: F_p={fp:g} pol={pol:g}: {note}", file=sys.stderr)
+    for fp, notes in warned:   # a note depends on F_p alone
+        for note in notes:
+            print(f"warning: F_p={fp:g}: {note}", file=sys.stderr)
 
     # one row per grid point, F_p-major: F_p down, polarization across
     grid = np.broadcast_arrays(fp_grid[:, None], pol_grid, c.F_ent[:, None],
@@ -320,6 +316,9 @@ def main(argv: list[str] | None = None) -> int:
     except fidelity.ConvergenceError as exc:
         print(f"F_ent {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print(f"out of memory: {args.command} input too large", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

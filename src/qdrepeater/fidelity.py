@@ -23,10 +23,10 @@ and are read-only.
 :func:`fidelity_contour` makes one pass over a (Purcell factor,
 polarization) grid and returns one :class:`FidelityBudget`, which holds each
 component on the grid axis it depends on: F_ent, the gate and the readout
-per Purcell factor, F_n_init and F_transfer per polarization.  F_total is
-composed once for the whole grid, by squarings and products only, so each
-point has the bits it would have alone.  A single configuration is the
-1 x 1 grid (:func:`fidelity_budget`).
+per Purcell factor, F_n_init and F_transfer per polarization, each in one
+array call.  F_total is composed once for the whole grid, by squarings and
+products only, so each point has the bits it would have alone.  A single
+configuration is the 1 x 1 grid (:func:`fidelity_budget`).
 """
 
 from __future__ import annotations
@@ -425,13 +425,14 @@ def gate_fidelity(phys: PhysicalParams) -> GateResult:
     (C = F_p when the population lifetime is radiative).  Gate time is twice
     the FWHM duration of the Gaussian gate photon.  Each correction term above
     0.05, or not finite, triggers a validity warning since the expansion is
-    first order.
+    first order.  An array ``phys.F_res`` gives an array and one tuple of
+    warnings per element, each as that Purcell factor alone gives it.
     """
-    if phys.F_res <= 0:
+    if np.count_nonzero(phys.F_res <= 0):
         raise ValueError("cooperativity must be positive")
     if phys.delta_p <= 0:
         raise ValueError("gate photon spectral width must be positive")
-    # numpy scalars: an extreme input overflows to +-inf or nan, not an error
+    # numpy: an extreme input overflows to +-inf or nan, not an error
     f = np.float64
     C, gamma, delta_p = f(phys.F_res), f(phys.gamma_r), f(phys.delta_p)
     with np.errstate(all="ignore"):
@@ -445,41 +446,43 @@ def gate_fidelity(phys: PhysicalParams) -> GateResult:
         term_xi = xi * gate_time
         ratio = 2.0 * phys.g_cav / f(phys.kappa)
         bracket = 11.0 - 20.0 * ratio**2 + 12.0 * ratio**4
-        term_spec = ((sigma_p**2 + delta_p**2) / (4.0 * gamma**2 * C**2)
+        # C * C, not C**2: numpy squares an array but pow()s a scalar
+        term_spec = ((sigma_p**2 + delta_p**2) / (4.0 * gamma**2 * (C * C))
                      * bracket)
         value = 1.0 - term_c - term_eps - term_xi - term_spec
-
-    warn: list[str] = []
-    for name, term in (("1/C", term_c), ("detuning-asymmetry", term_eps),
-                       ("decoherence", term_xi), ("spectral", term_spec)):
-        if not term <= 0.05:
-            warn.append(f"gate {name} correction {term:.3g} exceeds 0.05; "
-                        "first-order expansion unreliable")
-    return GateResult(fidelity=float(value), gate_time=float(gate_time),
-                      warnings=tuple(warn))
+    names = ("1/C", "detuning-asymmetry", "decoherence", "spectral")
+    notes = tuple(tuple(f"gate {name} correction {term:.3g} exceeds 0.05; "
+                        "first-order expansion unreliable"
+                        for name, term in zip(names, r) if not term <= 0.05)
+                  for r in np.broadcast(term_c, term_eps, term_xi, term_spec))
+    return GateResult(fidelity=value if value.ndim else float(value),
+                      gate_time=float(gate_time),
+                      warnings=notes if value.ndim else notes[0])
 
 
 def readout_fidelity(T: float, D: float, eta_c: float, eta_d: float,
-                     Omega: float, gamma_prime: float) -> ReadoutResult:
+                     Omega: float, gamma_prime) -> ReadoutResult:
     """Spin readout fidelity with Poissonian signal and dark counts.
 
     F = 1/2 * [1 + exp(-T*D) - exp(-T*eta_c*eta_d*Omega**2/gamma')], with the
     weak continuous drive emitting at rate Omega**2/gamma'.  The formula
     needs a weak drive, Omega <= gamma'/5; a stronger one adds a note to
-    ``warnings``, which :func:`fidelity_budget` carries over.
+    ``warnings``, which :func:`fidelity_budget` carries over.  An array
+    ``gamma_prime`` gives an array and one tuple of warnings per element.
     """
     if T < 0 or D < 0:
         raise ValueError("readout window and dark-count rate must be non-negative")
-    notes: tuple[str, ...] = ()
-    if Omega > gamma_prime / 5.0:
-        notes = (f"readout drive {Omega / gamma_prime:.3g} x gamma' is not weak "
-                 "(above 0.2 x gamma'); emission-rate formula degrades",)
-    # numpy scalars: a huge Omega saturates the signal, not an OverflowError
+    # numpy: a huge Omega saturates the signal, not an OverflowError
     with np.errstate(all="ignore"):
         signal = T * eta_c * eta_d * np.float64(Omega)**2 / gamma_prime
-    return ReadoutResult(
-        fidelity=0.5 * (1.0 + math.exp(-T * D) - math.exp(-signal)),
-        warnings=notes)
+        value = 0.5 * (1.0 + math.exp(-T * D) - np.exp(-signal))
+        strong = zip(np.ravel(Omega > gamma_prime / 5.0).tolist(),
+                     np.ravel(np.divide(Omega, gamma_prime)).tolist())
+    notes = tuple((f"readout drive {ratio:.3g} x gamma' is not weak (above 0.2 "
+                   "x gamma'); emission-rate formula degrades",) if flag else ()
+                  for flag, ratio in strong)
+    return ReadoutResult(fidelity=value if value.ndim else float(value),
+                         warnings=notes if value.ndim else notes[0])
 
 
 def invert_readout_drive(F_target: float, T: float, D: float, eta_c: float,
@@ -547,8 +550,8 @@ def fidelity_contour(params: ParameterSet, fp_grid,
     factor feeding the detuned entanglement-generation average; the transfer
     duration stays fixed at the configured write-read time.  Each component
     is evaluated once on the axis it depends on: F_ent for the whole Purcell
-    axis in one quadrature, the gate and the readout once per Purcell
-    factor, F_n_init for the whole polarization axis.  F_total is composed
+    axis in one quadrature, the gate and the readout in one call each,
+    F_n_init for the whole polarization axis.  F_total is composed
     over the whole grid in one :func:`overall_fidelity` call.
     """
     fp_grid = tuple(float(v) for v in fp_grid)
@@ -561,30 +564,27 @@ def fidelity_contour(params: ParameterSet, fp_grid,
     f_ent = _ent_adaptive(phys, fp, ENT_RTOL)
     with np.errstate(over="ignore"):     # inf at an extreme Purcell factor
         gamma_prime_res = enhanced_rates(phys.gamma_r, phys.gamma_nr,
-                                         phys.gamma_star, fp)[0].tolist()
+                                         phys.gamma_star, fp)[0]
 
     f_e = phys.F_e_init
     f_quad = quadrupolar_factor(phys.sigma_Q, 2, phys.t_transfer)
     f_n = _nuclear_init(np.array(pol_grid))
     f_tr = transfer_fidelity(f_e, f_n, f_quad)
 
-    gates = [gate_fidelity(replace(phys, F_res=v)) for v in fp_grid]
-    readouts = [readout_fidelity(phys.T_readout, phys.D_dark, link.eta_c,
-                                 link.eta_d, phys.Omega_readout, gp)
-                for gp in gamma_prime_res]
-    f_gate = np.array([g.fidelity for g in gates])
-    f_ro = np.array([r.fidelity for r in readouts])
+    gate = gate_fidelity(replace(phys, F_res=fp))
+    readout = readout_fidelity(phys.T_readout, phys.D_dark, link.eta_c,
+                               link.eta_d, phys.Omega_readout, gamma_prime_res)
     return FidelityBudget(
         fp_grid=fp_grid, polarization_grid=pol_grid, n_nest=link.n_nest,
         F_e_init=f_e, F_quad=f_quad, F_ent=f_ent,
         F_BK_nominal=_nominal_bk(phys, fp),
-        F_gate=f_gate, F_readout=f_ro,
-        warnings=tuple(g.warnings + r.warnings
-                       for g, r in zip(gates, readouts)),
+        F_gate=gate.fidelity, F_readout=readout.fidelity,
+        warnings=tuple(map(tuple.__add__, gate.warnings, readout.warnings)),
         F_n_init=f_n, F_transfer=f_tr,
         F_total=overall_fidelity(
             link.n_nest, F_ent=f_ent[:, None], F_transfer=f_tr,
-            F_gate=f_gate[:, None], F_readout=f_ro[:, None], F_e_init=f_e))
+            F_gate=gate.fidelity[:, None], F_readout=readout.fidelity[:, None],
+            F_e_init=f_e))
 
 
 def fidelity_budget(params: ParameterSet) -> FidelityBudget:

@@ -195,7 +195,7 @@ GATE_NOTES_AT_20 = (
 
 
 def test_contour_warning_lines_and_rows_byte_for_byte(capsys):
-    # warning lines run per F_p, then per polarization, then per note
+    # a note depends on F_p alone: one warning line per (F_p, note)
     argv = ["contour", "--fp-min", "20", "--fp-max", "500", "--fp-points", "3",
             "--pol-min", "0.9", "--pol-max", "0.95", "--pol-points", "2"]
     assert run(capsys, argv) == (1, "", (
@@ -215,8 +215,7 @@ def test_contour_warning_lines_and_rows_byte_for_byte(capsys):
         "9.998337e-01,7.751590e-01\n"
         "5.000000e+02,9.500000e-01,9.946133e-01,9.936224e-01,9.948039e-01,"
         "9.998337e-01,8.310933e-01\n"), "".join(
-        f"warning: F_p=20 pol={pol}: {note}\n"
-        for pol in ("0.9", "0.95") for note in GATE_NOTES_AT_20))
+        f"warning: F_p=20: {note}\n" for note in GATE_NOTES_AT_20))
 
 
 def test_validate_config_lines_byte_for_byte(capsys, monkeypatch):
@@ -290,6 +289,10 @@ def test_contour_refuses_strong_readout_drive_without_force(capsys):
     assert lines
     assert all(line.startswith("warning: ") for line in lines)
     assert any("readout drive" in line for line in lines)
+    # one line per (F_p, note), in F_p order: none repeats per polarization
+    assert len(lines) == len(set(lines)) == 10
+    assert [line.split(":")[1] for line in lines] == [
+        f" F_p={fp:g}" for fp in np.linspace(100.0, 1000.0, 10)]
 
 
 # ------------------------------------------------------------ validate
@@ -845,6 +848,23 @@ def test_validate_out_is_usage_error_and_writes_nothing(capsys, tmp_path):
     code, out, _ = run(capsys, ["validate", "--out", str(target)])
     assert code == 2
     assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["rates", "--l-points", "100000000000"], "cli._sweep"),
+    (["contour", "--fp-points", "100000000000"], "cli._sweep"),
+    (["mc", "--trials", "100000000000"], "mcsim.run_trials")])
+def test_a_count_too_large_to_allocate_is_one_usage_error(
+        capsys, monkeypatch, tmp_path, argv, target):
+    # the allocation is stubbed: a real one would ask for 800 GB
+    def allocate(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+    module, name = target.split(".")
+    monkeypatch.setattr(sys.modules[f"qdrepeater.{module}"], name, allocate)
+    code, out, err = run(capsys, argv + ["--out", str(tmp_path / "x.csv")])
+    assert (code, out) == (2, "")
+    assert err == f"out of memory: {argv[0]} input too large\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -594,6 +594,67 @@ def test_overflowing_gate_terms_are_notes_not_errors(params):
         F_e_init=0.99) == -math.inf
 
 
+def _same(array_value, scalar_value):
+    return array_value == scalar_value or (math.isnan(array_value)
+                                           and math.isnan(scalar_value))
+
+
+@pytest.mark.parametrize("overrides, fp_grid", [
+    ((), DEFAULT_FP_GRID),
+    # the readout note is on below F_p of about 41 and off above it
+    (("Omega_readout=2pi*5 GHz",), np.logspace(0.0, 6.0, 200)),
+    # numpy scalars square by pow(), arrays by a product; these two
+    # differ in the last bit, and so would F_gate if the gate wrote C**2
+    ((), np.array([7.964, 12.457])),
+    ((), np.array([1e-300, 1.0, 500.0])),
+    (("T2_electron=1e-300 s",), DEFAULT_FP_GRID),
+    (("kappa=1e-300 rad/s",), DEFAULT_FP_GRID),
+    (("gamma_r=1e-300 rad/s",), DEFAULT_FP_GRID)],
+    ids=["default", "readout-note-switches", "pow-vs-product", "tiny-F_res",
+         "tiny-T2", "tiny-kappa", "tiny-gamma_r"])
+def test_gate_and_readout_arrays_equal_per_point_calls(overrides, fp_grid):
+    ps = default_parameters(list(overrides))
+    phys, link = ps.physical, ps.link
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gamma_prime = fidelity.enhanced_rates(phys.gamma_r, phys.gamma_nr,
+                                              phys.gamma_star, fp_grid)[0]
+
+        def readout(gp):
+            return fidelity.readout_fidelity(phys.T_readout, phys.D_dark,
+                                             link.eta_c, link.eta_d,
+                                             phys.Omega_readout, gp)
+
+        gate = fidelity.gate_fidelity(replace(phys, F_res=fp_grid))
+        ro = readout(gamma_prime)
+        assert len(gate.warnings) == len(ro.warnings) == len(fp_grid)
+        for i, fp in enumerate(fp_grid.tolist()):
+            g = fidelity.gate_fidelity(replace(phys, F_res=fp))
+            r = readout(gamma_prime[i].item())
+            for result in (g, r):
+                assert type(result.fidelity) is float
+                assert type(result.warnings) is tuple
+                assert all(type(note) is str for note in result.warnings)
+            assert _same(gate.fidelity[i], g.fidelity), fp
+            assert _same(ro.fidelity[i], r.fidelity), fp
+            assert (gate.warnings[i], ro.warnings[i]) == (g.warnings,
+                                                          r.warnings)
+            assert gate.gate_time == g.gate_time
+    if overrides == ("Omega_readout=2pi*5 GHz",):
+        assert 0 < sum(map(bool, ro.warnings)) < len(fp_grid)
+
+
+def test_readout_at_zero_gamma_prime_is_a_note_not_an_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lone = fidelity.readout_fidelity(600e-9, 500.0, 0.9, 0.9, 1e9, 0.0)
+        array = fidelity.readout_fidelity(600e-9, 500.0, 0.9, 0.9, 1e9,
+                                          np.array([0.0]))
+    assert (lone.fidelity, lone.warnings) == (array.fidelity[0],
+                                              array.warnings[0])
+    assert lone.warnings[0].startswith("readout drive inf x gamma'")
+
+
 def test_contour_composes_at_the_parameter_sets_nesting_level(params):
     two_levels = with_link(params, n_nest=2)
     budget = fidelity.fidelity_budget(two_levels)
@@ -644,10 +705,26 @@ def test_contour_composes_the_whole_grid_in_one_call(params, monkeypatch):
         return compose(n_nest, **components)
 
     monkeypatch.setattr(fidelity, "overall_fidelity", counting)
-    contour = fidelity.fidelity_contour(params, DEFAULT_FP_GRID,
-                                        DEFAULT_POL_GRID)
-    assert calls == [params.link.n_nest]
-    assert contour.F_total.shape == (10, 22)
+    # and one gate call, one readout call and one parameter copy per grid
+    evaluations = Counter()
+
+    def counted(name, original):
+        def call(*args, **kwargs):
+            evaluations[name] += 1
+            return original(*args, **kwargs)
+        return call
+
+    for name in ("gate_fidelity", "readout_fidelity", "replace"):
+        monkeypatch.setattr(fidelity, name,
+                            counted(name, getattr(fidelity, name)))
+    for fp_grid in (DEFAULT_FP_GRID[:2], DEFAULT_FP_GRID):
+        calls.clear()
+        evaluations.clear()
+        contour = fidelity.fidelity_contour(params, fp_grid, DEFAULT_POL_GRID)
+        assert calls == [params.link.n_nest]
+        assert evaluations == {"gate_fidelity": 1, "readout_fidelity": 1,
+                               "replace": 1}
+        assert contour.F_total.shape == (len(fp_grid), 22)
 
 
 def test_default_contour_f_ent_matches_high_order_rule(params):
