@@ -9,16 +9,16 @@ same registry backs the test suite and the ``validate`` CLI command.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import fidelity, mcsim, qsim, rates
-from .params import TWO_PI, default_parameters, with_link, with_physical
+from .params import (TWO_PI, default_parameters, record, with_link,
+                     with_physical)
 
 
-@dataclass(frozen=True)
+@record
 class Measure:
     """One sub-check of a criterion: ``value`` against ``target`` and ``tol``.
 
@@ -53,8 +53,10 @@ class Measure:
         return text if self.passed else text + " FAIL"
 
 
-@dataclass(frozen=True)
+@record
 class CheckResult:
+    """One criterion's number, name and the measures it passes on."""
+
     criterion: int
     name: str
     measures: tuple[Measure, ...]

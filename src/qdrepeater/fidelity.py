@@ -32,12 +32,12 @@ configuration is the 1 x 1 grid (:func:`fidelity_budget`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import cache
 
 import numpy as np
 
-from .params import ParameterSet, PhysicalParams
+from .params import ParameterSet, PhysicalParams, record
 
 #: Bohr magneton over Planck constant (Hz/T), CODATA 2022.
 MU_B_OVER_H = 13996244917.1
@@ -66,7 +66,7 @@ class ConvergenceError(RuntimeError):
             f"{estimates}")
 
 
-@dataclass(frozen=True)
+@record
 class SplittingResult:
     """Electron ground / trion level splittings in Hz."""
 
@@ -75,7 +75,7 @@ class SplittingResult:
     dE_OH: float
 
 
-@dataclass(frozen=True)
+@record
 class GateResult:
     """Photon-scattering gate fidelity with its gate time and validity notes."""
 
@@ -84,7 +84,7 @@ class GateResult:
     warnings: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@record
 class ReadoutResult:
     """Spin readout fidelity with its validity notes."""
 
@@ -92,7 +92,7 @@ class ReadoutResult:
     warnings: tuple[str, ...]
 
 
-@dataclass(frozen=True, eq=False)   # arrays have no one truth value
+@record(eq=False)   # arrays have no one truth value
 class FidelityBudget:
     """Component fidelities on a (resonant Purcell factor, polarization)
     grid and their composition; one configuration is the 1 x 1 grid.

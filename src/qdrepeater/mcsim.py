@@ -48,10 +48,12 @@ The end memories of a trial add one more hold, until delivery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from numbers import Integral
 
 import numpy as np
+
+from .params import record
 
 #: expected tree nodes sampled per chunk of trials
 CHUNK_NODES = 1 << 14
@@ -75,7 +77,7 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-@dataclass(frozen=True)
+@record
 class ProtocolConfig:
     """Inputs of one simulation campaign.
 
@@ -116,7 +118,7 @@ class ProtocolConfig:
                              f"per trial")
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class TrialRecords:
     """Columnar records of a campaign, one row per trial in trial order.
 
@@ -155,7 +157,7 @@ class TrialRecords:
                    for f in fields(self))
 
 
-@dataclass(frozen=True)
+@record
 class TimingStats:
     """Aggregate waiting-time statistics over the successful trials."""
 
@@ -170,8 +172,10 @@ class TimingStats:
     seed: int
 
 
-@dataclass(frozen=True)
+@record
 class ComparisonReport:
+    """Monte Carlo mean against a closed-form time: ratio and pass/fail."""
+
     mc_mean: float
     mc_stderr: float
     analytic_time: float
@@ -185,7 +189,7 @@ class ComparisonReport:
                 f"ratio {self.ratio:.4f} | tol {ANALYTIC_BAND:.0%} | {verdict}")
 
 
-@dataclass
+@record(eq=False, frozen=False)
 class StorageHistogram:
     """Distribution of the maximum memory storage time of successful trials."""
 

@@ -12,6 +12,12 @@ Each key is declared once, as a field of :class:`PhysicalParams` or
 range and provenance note; loading and validation both read those
 declarations.
 
+Every record class of the package is declared with :func:`record`: a
+dataclass, so ``fields`` and ``replace`` work, whose ``__init__``,
+``__repr__``, ``__eq__``, ``__hash__`` and frozen ``__setattr__`` are this
+module's functions, shared rather than generated and compiled per class on
+every import.
+
 Config files are flat ``key = value`` text.  Frequency-like values must carry
 a unit suffix (``Hz``, ``kHz``, ``MHz``, ``GHz``, or ``rad/s``) and may use a
 ``2pi*`` prefix, e.g. ``gamma_r = "2pi*0.59 GHz"``.  Keys documented as
@@ -22,9 +28,11 @@ the prefix on a non-angular key is an explicit factor of 2*pi.  Times accept
 
 from __future__ import annotations
 
+import inspect
 import math
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import (_HAS_DEFAULT_FACTORY, MISSING, FrozenInstanceError,
+                         dataclass, field, fields, replace)
 
 TWO_PI = 2.0 * math.pi
 
@@ -40,6 +48,91 @@ def fwhm_to_sigma(fwhm: float) -> float:
     if fwhm < 0:
         raise ValueError(f"FWHM must be non-negative, got {fwhm}")
     return fwhm / _GAUSSIAN_FWHM
+
+
+def record(cls=None, /, *, eq: bool = True, frozen: bool = True):
+    """Class decorator: the dataclass ``dataclass(eq=eq, frozen=frozen)``
+    makes, with methods shared by every record class in place of methods
+    generated and compiled for each one at import."""
+    if cls is None:
+        return lambda cls: record(cls, eq=eq, frozen=frozen)
+    declared = fields(dataclass(init=False, repr=False, eq=False)(cls))
+    cls._record_spec = (
+        {f.name: f.default for f in declared},
+        {f.name for f in declared
+         if f.default is MISSING and f.default_factory is MISSING},
+        {f.name: f.default_factory for f in declared
+         if f.default_factory is not MISSING},
+        getattr(cls, "__post_init__", None))
+    cls.__init__, cls.__repr__ = _record_init, _record_repr
+    cls.__signature__ = _RecordSignature()
+    if eq:
+        cls.__eq__, cls.__hash__ = _record_eq, _record_hash if frozen else None
+    if frozen:
+        cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
+    return cls
+
+
+def _record_init(self, *args, **kwargs):
+    """Each field from ``args``, ``kwargs``, its default or a fresh call of
+    its default factory, then ``__post_init__``."""
+    defaults, required, factories, post_init = self._record_spec
+    values = dict(zip(defaults, args), **kwargs) if args else kwargs
+    if (len(values) < len(args) + len(kwargs) or not values.keys() >= required
+            or not values.keys() <= defaults.keys()):
+        try:
+            self.__signature__.bind(*args, **kwargs)
+        except TypeError as exc:
+            raise TypeError(f"{type(self).__qualname__}.__init__() {exc}"
+                            ) from None
+    state = self.__dict__
+    if len(values) < len(defaults):     # defaults first, in field order
+        state.update(defaults)
+        for name in factories.keys() - values.keys():
+            state[name] = factories[name]()
+    state.update(values)
+    if post_init is not None:
+        post_init(self)
+
+
+def _record_values(obj) -> tuple:
+    return tuple(getattr(obj, name) for name in obj._record_spec[0])
+
+
+def _record_repr(self) -> str:
+    pairs = map("{}={!r}".format, self._record_spec[0], _record_values(self))
+    return f"{type(self).__qualname__}({', '.join(pairs)})"
+
+
+def _record_eq(self, other):
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return _record_values(self) == _record_values(other)
+
+
+def _record_hash(self) -> int:
+    return hash(_record_values(self))
+
+
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class _RecordSignature:
+    """A record class's ``__signature__``, that of a generated ``__init__``,
+    built when ``inspect.signature`` asks for it rather than at import."""
+
+    def __get__(self, obj, cls) -> inspect.Signature:
+        empty = inspect.Parameter.empty
+        return inspect.Signature([inspect.Parameter(
+            f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD, annotation=f.type,
+            default=(_HAS_DEFAULT_FACTORY if f.default_factory is not MISSING
+                     else empty if f.default is MISSING else f.default))
+            for f in fields(cls)], return_annotation=None)
 
 
 def _param(default: float | None, kind: str, note: str, lo: float = 0.0,
@@ -60,7 +153,7 @@ def _probability(default: float, note: str):
     return _param(default, "dimensionless", note, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
+@record
 class PhysicalParams:
     """Emitter, cavity, spin and readout parameters (rad/s, s)."""
 
@@ -112,7 +205,7 @@ class PhysicalParams:
         330e-9, "time", "full write-read cycle, 2 x 165 ns")
 
 
-@dataclass(frozen=True)
+@record
 class LinkParams:
     """Channel geometry and efficiency budget for one repeater configuration."""
 
@@ -147,7 +240,7 @@ class LinkParams:
         return self.L_total * 0.5**self.n_nest
 
 
-@dataclass(frozen=True)
+@record
 class ParameterSet:
     """Validated bundle of physical and link parameters with provenance notes."""
 

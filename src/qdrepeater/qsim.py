@@ -37,9 +37,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from .params import record
 
 _NORM_TOL = 1e-9
 _TRACE_TOL = 1e-10
@@ -70,7 +71,7 @@ PSI_PLUS = np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2.0)
 # transfer dynamics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class TransferParams:
     """Flip-flop transfer configuration.
 
@@ -90,7 +91,7 @@ class TransferParams:
         return math.sqrt(self.n_nuclei) * self.coupling
 
 
-@dataclass(frozen=True)
+@record
 class PureState:
     """State vector over a labeled register.
 

@@ -13,17 +13,16 @@ of the same distance evaluated alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .params import LinkParams, ParameterSet, with_link
+from .params import LinkParams, ParameterSet, record, with_link
 
 #: Extraction-efficiency products p*eta_c of the rate curves B, C and D.
 CURVE_PRODUCTS = {"B": 0.72, "C": 0.5, "D": 0.4}
 
 
-@dataclass(frozen=True)
+@record
 class RateResult:
     """Success probabilities and mean waiting time for one chain
     configuration, or for each distance of a sweep."""
@@ -151,21 +150,33 @@ def crossover_distance(params: ParameterSet,
     """Distance where the repeater rate first beats direct transmission.
 
     Bisection to 1 m on the (monotone-difference) closed forms between 1 and
-    2000 km; returns None when no sign change exists there.
+    2000 km; returns None when no sign change exists there.  One array pass
+    evaluates the gap at every midpoint that the next seven steps can visit;
+    the steps then go as a scalar bisection's do, on the same midpoints.
     """
-    def gap(L: float) -> float:
-        r = mean_time_parallel(with_link(params, L_total=L)).rate
-        return r - direct_transmission_rate(L, source_rate, params.link.L_att)
+    def bisection_pass(lo: float, hi: float) -> tuple[list, list]:
+        # [lo, hi] cut in 128, each point 0.5 * (a + b) of its neighbours
+        grid = np.array([lo, hi])
+        for _ in range(7):
+            finer = np.empty(2 * grid.size - 1)
+            finer[::2], finer[1::2] = grid, 0.5 * (grid[:-1] + grid[1:])
+            grid = finer
+        r = mean_time_parallel(with_link(params, L_total=grid)).rate
+        direct = direct_transmission_rate(grid, source_rate, params.link.L_att)
+        return grid.tolist(), (r - direct).tolist()
 
     lo, hi = 1e3, 2000e3
-    if gap(lo) > 0:
+    grid, gaps = bisection_pass(lo, hi)
+    if gaps[0] > 0:
         return lo
-    if gap(hi) < 0:
+    if gaps[-1] < 0:
         return None
-    while hi - lo > 1.0:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) > 0:
-            hi = mid
+    while hi - lo > 1.0:        # grid and gaps cover [lo, hi]
+        if len(grid) == 2:
+            grid, gaps = bisection_pass(lo, hi)
+        mid = len(grid) // 2
+        if gaps[mid] > 0:
+            hi, grid, gaps = grid[mid], grid[:mid + 1], gaps[:mid + 1]
         else:
-            lo = mid
+            lo, grid, gaps = grid[mid], grid[mid:], gaps[mid:]
     return 0.5 * (lo + hi)

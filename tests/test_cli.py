@@ -942,3 +942,31 @@ def test_cli_import_loads_no_scipy():
     # argparse's gettext loads locale on the first parse; the CLI loads it
     assert proc.stdout.splitlines() == (
         ["import [] True"] + [f"{argv} 0 []" for argv in commands])
+
+
+def test_cli_import_runs_no_generated_code_and_defers_nothing():
+    # dataclass methods compiled by exec carry the file name "<string>";
+    # the records share functions of params.py instead.  The package
+    # modules that import qdrepeater.cli loads stay the same eight.
+    script = "\n".join([
+        "import json, sys",
+        "import qdrepeater.cli",
+        "mods = sorted(m for m in sys.modules",
+        "              if m.split('.')[0] == 'qdrepeater')",
+        "generated = sorted(",
+        "    f'{name}.{cls.__qualname__}.{attr}'",
+        "    for name in mods for cls in vars(sys.modules[name]).values()",
+        "    if isinstance(cls, type) and cls.__module__ == name",
+        "    for attr, value in vars(cls).items()",
+        "    if getattr(getattr(value, '__code__', None), 'co_filename',",
+        "               None) == '<string>')",
+        "print(json.dumps([mods, generated]))",
+    ])
+    proc = run_python(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    mods, generated = json.loads(proc.stdout)
+    assert generated == []
+    assert mods == ["qdrepeater", "qdrepeater.acceptance", "qdrepeater.cli",
+                    "qdrepeater.fidelity", "qdrepeater.mcsim",
+                    "qdrepeater.params", "qdrepeater.qsim",
+                    "qdrepeater.rates"]

@@ -221,6 +221,61 @@ def test_crossover_exists_below_1000km(curve_b):
         rates.direct_transmission_rate(hi.link.L_total, 1e10, 25e3)
 
 
+def _reference_crossover(params, source_rate=1e10):
+    """The crossover by one scalar closed-form evaluation per bisection
+    step, as ``crossover_distance`` computed it before its array passes."""
+    def gap(L):
+        r = rates.mean_time_parallel(with_link(params, L_total=L)).rate
+        return r - rates.direct_transmission_rate(L, source_rate,
+                                                  params.link.L_att)
+
+    lo, hi = 1e3, 2000e3
+    if gap(lo) > 0:
+        return lo
+    if gap(hi) < 0:
+        return None
+    while hi - lo > 1.0:
+        mid = 0.5 * (lo + hi)
+        if gap(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("overrides, product, source_rate", [
+    ([], "B", 1e10), ([], "C", 1e10), ([], "D", 1e10), ([], None, 1e10),
+    (["n_nest=1"], "B", 1e10), (["n_nest=6"], "B", 1e12),
+    (["L_att=50 km"], "C", 1e8),
+    ([], "B", 1.0),                 # the repeater wins at 1 km: lo
+    ([], "B", 1e300),               # direct wins at 2000 km: None
+    (["eta_d=0"], "B", 1e10),       # no repeater rate anywhere: None
+], ids=["B", "C", "D", "defaults", "n_nest-1", "n_nest-6", "L_att-50km",
+        "wins-at-1km", "loses-at-2000km", "dead-detector"])
+def test_crossover_passes_equal_the_scalar_bisection(
+        monkeypatch, overrides, product, source_rate):
+    ps = default_parameters(overrides)
+    if product is not None:
+        ps = rates.curve_parameters(ps, rates.CURVE_PRODUCTS[product])
+    expected = _reference_crossover(ps, source_rate)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return with_link(*args, **kwargs)
+
+    monkeypatch.setattr(rates, "with_link", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = rates.crossover_distance(ps, source_rate)
+    assert found == expected and type(found) is type(expected)
+    if source_rate == 1.0:
+        assert found == 1e3
+    if source_rate == 1e300 or overrides == ["eta_d=0"]:
+        assert found is None
+    assert 1 <= len(calls) <= 6
+
+
 # ------------------------------------------------------------ array pass
 
 GRIDS = {"default": np.linspace(100e3, 1000e3, 19),
