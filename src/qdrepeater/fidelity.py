@@ -23,9 +23,9 @@ and are read-only.
 :func:`fidelity_contour` makes one pass over a (Purcell factor,
 polarization) grid and returns one :class:`FidelityBudget`, which holds each
 component on the grid axis it depends on: F_ent, the gate and the readout
-per Purcell factor, F_n_init and F_transfer per polarization, each in one
-array call.  F_total is composed once for the whole grid, by squarings and
-products only, so each point has the bits it would have alone.  A single
+per Purcell factor, F_transfer per polarization, each in one array call.
+F_total is composed once for the whole grid, by squarings and products
+only, so each point has the bits it would have alone.  A single
 configuration is the 1 x 1 grid (:func:`fidelity_budget`).
 """
 
@@ -72,15 +72,13 @@ class SplittingResult:
 
     dE_g: float
     dE_e: float
-    dE_OH: float
 
 
 @record
 class GateResult:
-    """Photon-scattering gate fidelity with its gate time and validity notes."""
+    """Photon-scattering gate fidelity with its validity notes."""
 
     fidelity: float
-    gate_time: float
     warnings: tuple[str, ...]
 
 
@@ -98,24 +96,21 @@ class FidelityBudget:
     grid and their composition; one configuration is the 1 x 1 grid.
 
     Each component is held on the axis it depends on.  Along ``fp_grid``:
-    ``F_ent``, ``F_BK_nominal``, ``F_gate``, ``F_readout``, and ``warnings``,
-    the validity notes of the gate and the readout as one tuple per Purcell
-    factor.  Along ``polarization_grid``: ``F_n_init`` and ``F_transfer``.
-    ``F_total`` is the (len(fp_grid), len(polarization_grid)) array;
-    ``F_e_init`` and ``F_quad`` are the same everywhere.
+    ``F_ent``, ``F_gate``, ``F_readout``, and ``warnings``, the validity
+    notes of the gate and the readout as one tuple per Purcell factor.
+    Along ``polarization_grid``: ``F_transfer``.  ``F_total`` is the
+    (len(fp_grid), len(polarization_grid)) array; ``F_e_init`` is the same
+    everywhere.
     """
 
     fp_grid: tuple[float, ...]
     polarization_grid: tuple[float, ...]
     n_nest: int
     F_e_init: float
-    F_quad: float
     F_ent: np.ndarray
-    F_BK_nominal: np.ndarray
     F_gate: np.ndarray
     F_readout: np.ndarray
     warnings: tuple[tuple[str, ...], ...]
-    F_n_init: np.ndarray
     F_transfer: np.ndarray
     F_total: np.ndarray
 
@@ -456,7 +451,6 @@ def gate_fidelity(phys: PhysicalParams) -> GateResult:
                         for name, term in zip(names, r) if not term <= 0.05)
                   for r in np.broadcast(term_c, term_eps, term_xi, term_spec))
     return GateResult(fidelity=value if value.ndim else float(value),
-                      gate_time=float(gate_time),
                       warnings=notes if value.ndim else notes[0])
 
 
@@ -507,7 +501,7 @@ def zeeman_splittings(B_x: float, g_e: float, g_h: float, polarization: float,
     dE_OH = polarization * dE_OH_max
     dE_g = abs(MU_B_OVER_H * g_e * B_x) + dE_OH
     dE_e = abs(MU_B_OVER_H * g_h * B_x) + dE_OH
-    return SplittingResult(dE_g=dE_g, dE_e=dE_e, dE_OH=dE_OH)
+    return SplittingResult(dE_g=dE_g, dE_e=dE_e)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +545,7 @@ def fidelity_contour(params: ParameterSet, fp_grid,
     duration stays fixed at the configured write-read time.  Each component
     is evaluated once on the axis it depends on: F_ent for the whole Purcell
     axis in one quadrature, the gate and the readout in one call each,
-    F_n_init for the whole polarization axis.  F_total is composed
+    F_transfer for the whole polarization axis.  F_total is composed
     over the whole grid in one :func:`overall_fidelity` call.
     """
     fp_grid = tuple(float(v) for v in fp_grid)
@@ -567,20 +561,19 @@ def fidelity_contour(params: ParameterSet, fp_grid,
                                          phys.gamma_star, fp)[0]
 
     f_e = phys.F_e_init
-    f_quad = quadrupolar_factor(phys.sigma_Q, 2, phys.t_transfer)
-    f_n = _nuclear_init(np.array(pol_grid))
-    f_tr = transfer_fidelity(f_e, f_n, f_quad)
+    f_tr = transfer_fidelity(
+        f_e, _nuclear_init(np.array(pol_grid)),
+        quadrupolar_factor(phys.sigma_Q, 2, phys.t_transfer))
 
     gate = gate_fidelity(replace(phys, F_res=fp))
     readout = readout_fidelity(phys.T_readout, phys.D_dark, link.eta_c,
                                link.eta_d, phys.Omega_readout, gamma_prime_res)
     return FidelityBudget(
         fp_grid=fp_grid, polarization_grid=pol_grid, n_nest=link.n_nest,
-        F_e_init=f_e, F_quad=f_quad, F_ent=f_ent,
-        F_BK_nominal=_nominal_bk(phys, fp),
+        F_e_init=f_e, F_ent=f_ent,
         F_gate=gate.fidelity, F_readout=readout.fidelity,
         warnings=tuple(map(tuple.__add__, gate.warnings, readout.warnings)),
-        F_n_init=f_n, F_transfer=f_tr,
+        F_transfer=f_tr,
         F_total=overall_fidelity(
             link.n_nest, F_ent=f_ent[:, None], F_transfer=f_tr,
             F_gate=gate.fidelity[:, None], F_readout=readout.fidelity[:, None],

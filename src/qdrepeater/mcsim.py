@@ -162,13 +162,8 @@ class TimingStats:
     """Aggregate waiting-time statistics over the successful trials."""
 
     mean: float
-    variance: float
     stderr: float
-    p50: float
-    p90: float
-    p99: float
     trials: int
-    n_success: int
     seed: int
 
 
@@ -194,14 +189,13 @@ class StorageHistogram:
     """Distribution of the maximum memory storage time of successful trials."""
 
     values: np.ndarray
-    bin_edges: np.ndarray
     counts: np.ndarray
 
     @classmethod
     def from_records(cls, records: TrialRecords) -> "StorageHistogram":
         values = records.max_storage_time[records.success]
-        counts, edges = np.histogram(values, bins=HISTOGRAM_BINS)
-        return cls(values=values, bin_edges=edges, counts=counts)
+        counts, _ = np.histogram(values, bins=HISTOGRAM_BINS)
+        return cls(values=values, counts=counts)
 
     def median(self) -> float:
         """Median storage time; NaN when no trial succeeded.
@@ -457,43 +451,20 @@ def run_trials(cfg: ProtocolConfig) -> TrialRecords:
     return TrialRecords(*columns)
 
 
-def _quantiles(values: np.ndarray, q) -> list[float]:
-    """Quantiles ``q`` (in [0, 1]) of a non-empty array without NaN.
-
-    np.percentile's value bit for bit (its default linear method, at
-    percentile 100*q): the order statistics either side of the virtual index
-    (n - 1)*q, joined by numpy's two-sided interpolation.  np.percentile
-    loads ``numpy.ma`` (through np.unique) for a step this does not need.
-    """
-    n = values.size
-    at = [(n - 1) * p for p in q]
-    lo = [math.floor(v) for v in at]
-    hi = [min(i + 1, n - 1) for i in lo]
-    part = np.partition(values, lo + hi)
-    out = []
-    for v, i, j in zip(at, lo, hi):
-        a, b, t = part[i], part[j], v - i
-        d = b - a
-        out.append(float(b - d * (1 - t) if t >= 0.5 else a + d * t))
-    return out
-
-
 def timing_stats(records: TrialRecords, cfg: ProtocolConfig) -> TimingStats:
-    """Aggregate statistics over the successful trials of a campaign."""
+    """Aggregate statistics over the successful trials of a campaign.
+
+    The stderr is NaN unless at least two trials succeeded.
+    """
     times = records.total_time[records.success]
-    n_success = times.size
-    if n_success == 0:
-        nan = math.nan
-        return TimingStats(nan, nan, nan, nan, nan, nan,
-                           trials=cfg.trials, n_success=0, seed=cfg.seed)
-    mean = float(times.mean())
+    if times.size < 2:
+        mean = float(times[0]) if times.size else math.nan
+        return TimingStats(mean, math.nan, trials=cfg.trials, seed=cfg.seed)
     with np.errstate(over="ignore"):  # times near 1e300 s: variance inf
-        var = float(times.var(ddof=1)) if n_success > 1 else 0.0
-    p50, p90, p99 = _quantiles(times, (0.5, 0.9, 0.99))
-    return TimingStats(mean=mean, variance=var,
-                       stderr=math.sqrt(var / n_success),
-                       p50=p50, p90=p90, p99=p99,
-                       trials=cfg.trials, n_success=n_success, seed=cfg.seed)
+        var = float(times.var(ddof=1))
+    return TimingStats(mean=float(times.mean()),
+                       stderr=math.sqrt(var / times.size),
+                       trials=cfg.trials, seed=cfg.seed)
 
 
 def simulate_chain(cfg: ProtocolConfig) -> TimingStats:

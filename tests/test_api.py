@@ -2,9 +2,9 @@
 the reach rule: every definition in the package is reached by a command, an
 acceptance criterion or the benchmark.
 
-``BENCH_NAMES`` mirrors the list in bench/README.md, "What the benchmark
-relies on": a change that deletes or renames one of them breaks the
-benchmark, so it must fail here first.
+``BENCH_NAMES`` and ``BENCH_FIELDS`` mirror the list in bench/README.md,
+"What the benchmark relies on": a change that deletes or renames one of them
+breaks the benchmark, so it must fail here first.
 """
 
 import ast
@@ -37,6 +37,10 @@ BENCH_NAMES = [
     "params.default_parameters", "params.with_link", "params.with_physical",
     "cli.main",
 ]
+
+#: Record fields the benchmark reads, from the same list.
+BENCH_FIELDS = ["mcsim.StorageHistogram.values",
+                "mcsim.StorageHistogram.counts"]
 
 
 @pytest.mark.parametrize("dotted", BENCH_NAMES)
@@ -113,27 +117,38 @@ def test_no_module_reaches_into_private_rates_names():
 # ------------------------------------------------------------ reach
 
 #: Where the reach walk starts, besides every module's top-level statements:
-#: the CLI, its commands, the acceptance criteria and the benchmark's names.
-REACH_ROOTS = ["cli.main", "cli._COMMANDS", "acceptance.CHECKS", *BENCH_NAMES]
+#: the CLI, its commands, the acceptance criteria and the benchmark's names
+#: and fields.
+REACH_ROOTS = ["cli.main", "cli._COMMANDS", "acceptance.CHECKS", *BENCH_NAMES,
+               *BENCH_FIELDS]
 
 
 def _dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
+def _field_name(item: ast.stmt) -> str | None:
+    """The name an annotated class-body statement declares, if any."""
+    return (item.target.id if isinstance(item, ast.AnnAssign)
+            and isinstance(item.target, ast.Name) else None)
+
+
 def unreached_names(src: Path, roots) -> list[str]:
     """Definitions in the modules under ``src`` that nothing reaches.
 
     A definition is a top-level function, class or constant, keyed
-    (module, name), or a method or property, keyed (module, class, name).
-    The walk follows Name and Attribute loads, transitively, from ``roots``
-    (dotted names) and from every top-level statement that defines nothing.
-    A Name resolves through its module's definitions and ``from .x import``
-    aliases; ``module.name`` and ``Class.member`` resolve exactly, and any
-    other ``.name`` reaches every method or property so named.  A constant's
-    value belongs to the constant.  A reached class reaches its other class
-    body statements and its dunder methods, which, like dunder constants,
-    are never reported.  Imports, docstrings and comments reference nothing.
+    (module, name), or a method, property or annotated field, keyed
+    (module, class, name).  The walk follows Name and Attribute loads,
+    transitively, from ``roots`` (dotted names) and from every top-level
+    statement that defines nothing.  A Name resolves through its module's
+    definitions and ``from .x import`` aliases; ``module.name`` and
+    ``Class.member`` resolve exactly, and any other ``.name`` reaches every
+    method, property or field so named.  Writing a field, by a constructor
+    keyword or otherwise, does not reach it.  A constant's value belongs to
+    the constant.  A reached class reaches its other class body statements,
+    fields' annotations and defaults included, and its dunder methods,
+    which, like dunder constants, are never reported.  Imports, docstrings
+    and comments reference nothing.
     """
     defs, members, aliases, todo = {}, {}, {}, []
     for path in sorted(src.glob("*.py")):
@@ -150,11 +165,12 @@ def unreached_names(src: Path, roots) -> list[str]:
             elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs[mod, node.name] = node
                 for item in getattr(node, "body", []):
-                    if (isinstance(node, ast.ClassDef)
-                            and isinstance(item, ast.FunctionDef)):
-                        defs[mod, node.name, item.name] = item
-                        members.setdefault(item.name, []).append(
-                            (mod, node.name, item.name))
+                    name = (item.name if isinstance(item, ast.FunctionDef)
+                            else _field_name(item))
+                    if isinstance(node, ast.ClassDef) and name:
+                        defs[mod, node.name, name] = item
+                        members.setdefault(name, []).append(
+                            (mod, node.name, name))
             elif names:
                 defs.update(((mod, name), node) for name in names)
             else:
@@ -223,7 +239,8 @@ def test_reach_walk_reports_what_only_dead_code_uses(tmp_path):
         "SPARE = 3  # read only by dead()\n"
         "def main():\n"
         "    \"\"\"orphan() is named here, not called.\"\"\"\n"
-        "    return used(LIMIT).size + b.Box.make().size\n"
+        "    pair = b.Pair(left=1, right=2)  # right is only written\n"
+        "    return used(LIMIT).size + b.Box.make().size + pair.left\n"
         "def dead():\n"
         "    return SPARE\n")
     (tmp_path / "b.py").write_text(
@@ -239,9 +256,14 @@ def test_reach_walk_reports_what_only_dead_code_uses(tmp_path):
         "    @classmethod\n"
         "    def make(cls):\n"
         "        return cls()\n"
+        "class Pair:\n"
+        "    left: int\n"
+        "    right: int = fallback()\n"
+        "def fallback():\n"
+        "    return 0\n"
         "def used(n):\n"
         "    return Box()\n"
         "def orphan():\n"
         "    return Box().volume\n")
     assert unreached_names(tmp_path, ["a.main"]) == [
-        "a.SPARE", "a.dead", "b.Box.volume", "b.orphan"]
+        "a.SPARE", "a.dead", "b.Box.volume", "b.Pair.right", "b.orphan"]

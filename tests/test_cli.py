@@ -419,6 +419,12 @@ def test_mc_without_successes_still_reports_success_fraction(capsys):
                         "fraction exceeding 1 s: nan")
 
 
+def test_mc_with_one_successful_trial_has_no_stderr(capsys):
+    code, out, _ = run(capsys, ["mc", "--trials", "1"])
+    assert code == 0
+    assert re.match(r"MC mean \S+ \+- nan s \|", out)
+
+
 def test_mc_cutoff_reduces_success_fraction(capsys):
     code, out, _ = run(capsys, ["mc", "--param", "n_nest=1", "--p0", "0.5",
                                 "--p-swap", "1.0", "--trials", "2000",

@@ -326,8 +326,12 @@ def test_gate_fidelity_anchors(params):
     g500 = fidelity.gate_fidelity(params.physical)
     assert g500.fidelity == pytest.approx(0.995, abs=0.001)
     assert g500.fidelity == pytest.approx(0.9948039404, abs=1e-9)
-    assert g500.gate_time == pytest.approx(2e-9, abs=5e-11)
     assert g500.warnings == ()
+    # the decoherence term is xi * gate time, with a 2 ns gate
+    no_xi = fidelity.gate_fidelity(replace(params.physical,
+                                           T2_electron=math.inf))
+    assert (no_xi.fidelity - g500.fidelity) * 2.0 * \
+        params.physical.T2_electron == pytest.approx(2e-9, abs=5e-11)
     g200 = fidelity.gate_fidelity(with_physical(params, F_res=200.0).physical)
     assert g200.fidelity == pytest.approx(0.986, abs=0.001)
     assert g200.fidelity == pytest.approx(0.9863776511, abs=1e-9)
@@ -405,12 +409,14 @@ def test_zeeman_splittings_anchor():
     s = fidelity.zeeman_splittings(6.6, -0.076, 1.309, 0.80, 31e9)
     assert s.dE_g == pytest.approx(32e9, abs=0.5e9)
     assert s.dE_e == pytest.approx(146e9, abs=1e9)
-    assert s.dE_OH == pytest.approx(24.8e9, rel=1e-12)
+    # at zero field only the Overhauser shift is left
+    s = fidelity.zeeman_splittings(0.0, -0.076, 1.309, 0.80, 31e9)
+    assert (s.dE_g, s.dE_e) == pytest.approx((24.8e9, 24.8e9), rel=1e-12)
 
 
 def test_zeeman_splittings_zero_field():
     s = fidelity.zeeman_splittings(0.0, -0.076, 1.309, 0.0, 31e9)
-    assert (s.dE_g, s.dE_e, s.dE_OH) == (0.0, 0.0, 0.0)
+    assert (s.dE_g, s.dE_e) == (0.0, 0.0)
 
 
 def _components(F_e, F_ro, F_ent, F_tr, F_gate):
@@ -546,20 +552,22 @@ def test_budget_pipeline_matches_components(params):
     phys = params.physical
     assert (b.fp_grid, b.polarization_grid) == ((phys.F_res,),
                                                 (phys.nuclear_polarization,))
-    (F_ent,), (F_BK,), (F_gate,), (F_readout,) = (b.F_ent, b.F_BK_nominal,
-                                                  b.F_gate, b.F_readout)
-    (F_n_init,), (F_transfer,) = b.F_n_init, b.F_transfer
+    (F_ent,), (F_gate,), (F_readout,) = b.F_ent, b.F_gate, b.F_readout
+    (F_transfer,) = b.F_transfer
+    F_n_init = fidelity.nuclear_init_fidelity(phys.nuclear_polarization)
+    F_quad = fidelity.quadrupolar_factor(phys.sigma_Q, 2, phys.t_transfer)
     assert F_ent == pytest.approx(F_ENT_500_AT_275, abs=1e-8)
-    assert F_BK == pytest.approx(F_BK_NOMINAL_500, abs=1e-9)
+    nominal = fidelity.fidelity_budget(with_physical(params, sigma_sd=0.0))
+    assert nominal.F_ent[0] == pytest.approx(F_BK_NOMINAL_500, abs=1e-9)
     assert F_transfer == pytest.approx(
-        b.F_e_init * F_n_init * b.F_quad, rel=1e-12)
+        b.F_e_init * F_n_init * F_quad, rel=1e-12)
     assert b.F_total.shape == (1, 1)
     assert b.F_total[0, 0] == fidelity.overall_fidelity(
         params.link.n_nest, F_ent=float(F_ent), F_transfer=float(F_transfer),
         F_gate=float(F_gate), F_readout=float(F_readout),
         F_e_init=b.F_e_init)
     assert b.warnings == ((),)
-    assert all(0.0 <= c <= 1.0 for c in (b.F_e_init, F_n_init, b.F_quad,
+    assert all(0.0 <= c <= 1.0 for c in (b.F_e_init, F_n_init, F_quad,
                                           F_transfer, F_ent, F_gate,
                                           F_readout))
 
@@ -639,7 +647,6 @@ def test_gate_and_readout_arrays_equal_per_point_calls(overrides, fp_grid):
             assert _same(ro.fidelity[i], r.fidelity), fp
             assert (gate.warnings[i], ro.warnings[i]) == (g.warnings,
                                                           r.warnings)
-            assert gate.gate_time == g.gate_time
     if overrides == ("Omega_readout=2pi*5 GHz",):
         assert 0 < sum(map(bool, ro.warnings)) < len(fp_grid)
 
@@ -685,14 +692,11 @@ def test_contour_equals_budget_at_every_point(params):
         for j, pol in enumerate(c.polarization_grid):
             point = with_physical(params, F_res=fp, nuclear_polarization=pol)
             b = fidelity.fidelity_budget(point)
-            assert (c.n_nest, c.F_e_init, c.F_quad) == (b.n_nest, b.F_e_init,
-                                                        b.F_quad)
-            assert (c.F_ent[i], c.F_BK_nominal[i], c.F_gate[i],
-                    c.F_readout[i], c.warnings[i]) == (
-                b.F_ent[0], b.F_BK_nominal[0], b.F_gate[0], b.F_readout[0],
-                b.warnings[0])
-            assert (c.F_n_init[j], c.F_transfer[j]) == (b.F_n_init[0],
-                                                        b.F_transfer[0])
+            assert (c.n_nest, c.F_e_init) == (b.n_nest, b.F_e_init)
+            assert (c.F_ent[i], c.F_gate[i], c.F_readout[i],
+                    c.warnings[i]) == (b.F_ent[0], b.F_gate[0],
+                                       b.F_readout[0], b.warnings[0])
+            assert c.F_transfer[j] == b.F_transfer[0]
             assert c.F_total[i, j] == b.F_total[0, 0]
 
 

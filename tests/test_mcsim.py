@@ -25,9 +25,11 @@ def cfg(**kw):
 # ------------------------------------------------------------ means
 
 def test_single_link_matches_geometric_mean():
-    stats = mcsim.simulate_chain(cfg(trials=100_000, seed=7))
+    c = cfg(trials=100_000, seed=7)
+    records = mcsim.run_trials(c)
+    stats = mcsim.timing_stats(records, c)
     assert abs(stats.mean - 10.0) <= 3 * stats.stderr
-    assert stats.n_success == stats.trials
+    assert np.count_nonzero(records.success) == stats.trials
 
 
 def test_two_links_match_exact_closed_form():
@@ -126,11 +128,27 @@ def test_mean_monotone_in_p_swap_with_common_randoms():
 # ------------------------------------------------------------ records/stats
 
 def test_stats_invariants():
-    stats = mcsim.simulate_chain(cfg(trials=5_000))
+    c = cfg(trials=5_000)
+    records = mcsim.run_trials(c)
+    times = records.total_time[records.success]
+    stats = mcsim.timing_stats(records, c)
+    assert stats == mcsim.simulate_chain(c)
     assert stats.stderr == pytest.approx(
-        math.sqrt(stats.variance / stats.trials), rel=1e-12)
-    assert stats.p50 <= stats.p90 <= stats.p99
+        np.std(times, ddof=1) / math.sqrt(times.size), rel=1e-12)
     assert stats.seed == 1234
+
+
+def test_stderr_needs_two_successful_trials():
+    c = cfg(trials=3)
+    times = np.array([4.0, 6.0, 9.0])
+    for success, mean, stderr in (([0, 0, 0], math.nan, math.nan),
+                                  ([1, 0, 0], 4.0, math.nan),
+                                  ([1, 1, 0], 5.0, 1.0)):
+        records = mcsim.TrialRecords(times, np.array(success, dtype=bool),
+                                     np.zeros(3, dtype=int), np.zeros(3))
+        stats = mcsim.timing_stats(records, c)
+        assert (stats.mean, stats.stderr) == pytest.approx(
+            (mean, stderr), nan_ok=True), success
 
 
 def _order_statistic_cases():
@@ -150,22 +168,15 @@ def _order_statistic_cases():
     yield records.max_storage_time[records.success]
 
 
-def test_quantiles_are_numpy_percentile_bit_for_bit():
-    q = (0.0, 0.25, 0.5, 0.9, 0.99, 1.0)
-    for values in _order_statistic_cases():
-        want = np.percentile(values, [0, 25, 50, 90, 99, 100]).tolist()
-        assert mcsim._quantiles(values, q) == want, values.size
-
-
 def test_storage_median_is_numpy_median_bit_for_bit():
     # np.median averages the middle pair where np.percentile interpolates,
     # and the two can round apart; the median must follow np.median
     rounded_apart = 0
     for values in _order_statistic_cases():
-        hist = mcsim.StorageHistogram(values, np.empty(0), np.empty(0))
+        hist = mcsim.StorageHistogram(values, np.empty(0))
         want = float(np.median(values))
         assert hist.median() == want, values.size
-        rounded_apart += want != mcsim._quantiles(values, (0.5,))[0]
+        rounded_apart += want != float(np.percentile(values, 50))
     assert rounded_apart >= 1
 
 
@@ -334,7 +345,7 @@ def test_finite_cutoff_fails_trials_and_truncates_storage():
     uncut = mcsim.simulate_chain(cfg(n_nest=1, p0=0.5, p_swap=1.0,
                                      trials=10_000, seed=21))
     cut = mcsim.simulate_chain(c)
-    assert cut.n_success < cut.trials
+    assert np.count_nonzero(records.success) < cut.trials
     assert cut.mean < uncut.mean
 
 

@@ -106,13 +106,8 @@ class TrialRecords:
 @dataclass(frozen=True)
 class TimingStats:
     mean: float
-    variance: float
     stderr: float
-    p50: float
-    p90: float
-    p99: float
     trials: int
-    n_success: int
     seed: int
 
 
@@ -128,7 +123,6 @@ class ComparisonReport:
 @dataclass(eq=False)        # compares by identity, unlike the old @dataclass
 class StorageHistogram:
     values: np.ndarray
-    bin_edges: np.ndarray
     counts: np.ndarray
 
 
@@ -136,13 +130,11 @@ class StorageHistogram:
 class SplittingResult:
     dE_g: float
     dE_e: float
-    dE_OH: float
 
 
 @dataclass(frozen=True)
 class GateResult:
     fidelity: float
-    gate_time: float
     warnings: tuple[str, ...]
 
 
@@ -158,13 +150,10 @@ class FidelityBudget:
     polarization_grid: tuple[float, ...]
     n_nest: int
     F_e_init: float
-    F_quad: float
     F_ent: np.ndarray
-    F_BK_nominal: np.ndarray
     F_gate: np.ndarray
     F_readout: np.ndarray
     warnings: tuple[tuple[str, ...], ...]
-    F_n_init: np.ndarray
     F_transfer: np.ndarray
     F_total: np.ndarray
 
