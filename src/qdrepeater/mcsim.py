@@ -19,13 +19,16 @@ and campaigns that differ only in p0 or p_swap share their random numbers
 (common random numbers, monotone pathwise).  Bit-reproducible means on a
 given numpy build and CPU dispatch: numpy's ``log1p`` can differ by one ulp
 between dispatch targets, and that can move a draw by one slot once counts
-reach about 1e13 slots.  Trials run in chunks of about ``CHUNK_NODES`` tree
-nodes, which bounds the working memory; a configuration whose trial alone is
-expected to grow more than ``MAX_TRIAL_NODES`` is refused.  A chunk's arrays
-are freed level by level as soon as they are dead, and the per-round arrays
-that only the abort pass reads are kept only under a finite cutoff.  The
-working set stays small, so the next chunk mostly reuses heap the allocator
-still holds instead of faulting in pages that were handed back to the OS.
+reach about 1e13 slots.  Trials run in chunks whose expected tree nodes,
+plus ``TRIAL_NODES`` per trial, come to about ``CHUNK_NODES``, so that a
+chunk's working set (some 30 bytes per node and 30-120 per trial, about
+1 MB) stays in a 2 MiB per-core L2 cache; a configuration whose trial alone
+is expected to grow more than ``MAX_TRIAL_NODES`` is refused.  A chunk's
+arrays are freed level by level as soon as they are dead, the per-round
+arrays that only the abort pass reads are kept only under a finite cutoff,
+and records go straight into the output columns, so the next chunk mostly
+reuses heap the allocator still holds instead of faulting in pages that
+were handed back to the OS.
 
 Times are held as slot counts, whole numbers in float64: exact below 2**53,
 and wide enough for the counts of a link with tiny p0 (a direct 1000 km link
@@ -55,12 +58,19 @@ import numpy as np
 
 from .params import record
 
-#: expected tree nodes sampled per chunk of trials
-CHUNK_NODES = 1 << 14
+#: budget of a chunk of trials, in tree nodes.  Sampling takes about 25-45
+#: bytes of working memory per node and 30-120 more per trial, its output
+#: columns included (peak traced allocations over chunks of this budget,
+#: n_nest 0-8, with and without a cutoff), so a chunk of one budget peaks
+#: at 0.5-1.1 MiB.
+CHUNK_NODES = 1 << 15
 
-#: most tree nodes a trial may be expected to grow.  Sampling takes about
-#: 30-45 bytes of working memory per node (peak traced allocations over
-#: chunks of 16k to 256k nodes, n_nest 1-8, with and without a cutoff), so
+#: nodes each trial of a chunk counts against CHUNK_NODES for its own arrays
+#: (the output columns, its swap failures, longest hold, end memories and
+#: abort time), about three nodes' worth of bytes
+TRIAL_NODES = 3
+
+#: most tree nodes a trial may be expected to grow: at 25-45 bytes per node
 #: an expected trial stays below about 45 MB, and one ten times its
 #: expected size below 0.5 GB.
 MAX_TRIAL_NODES = 1 << 20
@@ -220,11 +230,12 @@ def _mix(z: np.ndarray) -> np.ndarray:
     """SplitMix64 step on a uint64 array, in place: a bijection with full
     avalanche."""
     z += _GOLDEN
-    z ^= z >> np.uint64(30)
+    shifted = z >> np.uint64(30)
+    z ^= shifted
     z *= _MIX1
-    z ^= z >> np.uint64(27)
+    z ^= np.right_shift(z, np.uint64(27), out=shifted)
     z *= _MIX2
-    z ^= z >> np.uint64(31)
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
     return z
 
 
@@ -261,8 +272,10 @@ def _expected_nodes(n_nest: int, p_swap: float) -> float:
 
 
 def _trials_per_chunk(cfg: ProtocolConfig) -> int:
-    """Trials whose trees hold about CHUNK_NODES nodes on average."""
-    return max(1, int(CHUNK_NODES // _expected_nodes(cfg.n_nest, cfg.p_swap)))
+    """Trials whose trees and per-trial arrays weigh about CHUNK_NODES nodes
+    on average, and at least one."""
+    weight = _expected_nodes(cfg.n_nest, cfg.p_swap) + TRIAL_NODES
+    return max(1, int(CHUNK_NODES // weight))
 
 
 def _children(keys: np.ndarray, owner: np.ndarray,
@@ -270,16 +283,18 @@ def _children(keys: np.ndarray, owner: np.ndarray,
     """Keys of the two subtrees of each round, side-major: those of the j-th
     of r rounds sit at j (side 0) and r + j (side 1), at addresses 2i + 1
     and 2i + 2 under the key of the subtree that owns the round, where i
-    numbers the round among that subtree's; ``head`` is each subtree's
-    first round."""
+    numbers the round among that subtree's; ``head``, each subtree's first
+    round, is doubled in place."""
     r = owner.size
     children = np.empty(2 * r, dtype=np.uint64)
     side0, side1 = children[:r], children[r:]
-    # side 1 first serves as scratch for twice each round's head, 2(j - i)
-    np.take((2 * head).astype(np.uint64), owner, out=side1)
+    # side 1 first serves as scratch for twice each round's head, 2(j - i);
+    # mode "clip" writes to ``out`` unbuffered (the indices are in range)
+    head <<= 1
+    np.take(head, owner, out=side1.view(np.int64), mode="clip")
     address = np.arange(2, 2 * r + 1, 2, dtype=np.uint64)
     address -= side1
-    np.take(keys, owner, out=side0)
+    np.take(keys, owner, out=side0, mode="clip")
     np.bitwise_xor(side0, address, out=side1)
     address -= np.uint64(1)
     side0 ^= address
@@ -308,12 +323,13 @@ def _descend(cfg: ProtocolConfig, root: np.ndarray, first: int, count: int):
         failures += np.bincount(trial, weights=rounds - 1.0, minlength=count)
         rounds = rounds.astype(np.int64)
         owner = np.repeat(np.arange(rounds.size), rounds)
-        last = np.cumsum(rounds) - 1
+        last = np.cumsum(rounds)
+        head = last - rounds
+        last -= 1
+        del rounds
         trial_of = trial[owner]
         del trial
         levels.append((owner, last, trial_of))
-        head = last - rounds + 1
-        del rounds
         keys = _children(keys, owner, head)
         del head
     return failures, levels, _geometric(keys, cfg.p0)
@@ -404,29 +420,33 @@ def _abort_pass(kept: list, abort: np.ndarray, failures: np.ndarray,
 
 
 def _sample_chunk(cfg: ProtocolConfig, root: np.ndarray, first: int,
-                  count: int):
-    """TrialRecords columns of trials ``first`` .. ``first + count - 1``,
-    under the campaign's mixed seed ``root``.
+                  out: list) -> None:
+    """Write into the TrialRecords column views ``out`` the records of trials
+    ``first`` onwards, under the campaign's mixed seed ``root``.
 
     Each helper's temporaries die as it returns, and each level's arrays as
     soon as they are read, but for what the abort pass reads under a finite
     cutoff; without one, no trial aborts.
     """
     slot, cutoff = cfg.slot_time, cfg.memory_cutoff
+    total, success, swap_failures, max_storage = out
     failures, dur, first_write, longest, kept = _ascend(cfg, root, first,
-                                                        count)
+                                                        total.size)
+    np.multiply(dur, slot, out=total)
     # the end memories hold until delivery (nothing is stored at n_nest 0)
-    hold = dur - first_write
-    max_storage = np.maximum(longest, hold) * slot
-    success = ~(max_storage > cutoff)
-
-    abort = np.full(count, math.inf)
+    hold = np.subtract(dur, first_write, out=dur)
+    np.maximum(longest, hold, out=longest)
+    np.multiply(longest, slot, out=max_storage)
+    np.logical_not(np.greater(max_storage, cutoff, out=success), out=success)
     if not success.all():
+        abort = np.full(total.size, math.inf)
         over = hold * slot > cutoff
         abort[over] = first_write[over] * slot + cutoff
         _abort_pass(kept, abort, failures, slot, cutoff)
-    return (np.where(success, dur * slot, abort), success,
-            failures.astype(np.int64), np.where(success, max_storage, cutoff))
+        failed = ~success
+        total[failed] = abort[failed]
+        max_storage[failed] = cutoff
+    swap_failures[:] = failures
 
 
 def run_trials(cfg: ProtocolConfig) -> TrialRecords:
@@ -442,9 +462,8 @@ def run_trials(cfg: ProtocolConfig) -> TrialRecords:
     root = _mix(np.array([cfg.seed & _MASK], dtype=np.uint64))
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n, step):
-            chunk = _sample_chunk(cfg, root, lo, min(step, n - lo))
-            for column, part in zip(columns, chunk):
-                column[lo:lo + len(part)] = part
+            _sample_chunk(cfg, root, lo,
+                          [column[lo:lo + step] for column in columns])
     if not (np.isfinite(columns[0]).all() and np.isfinite(columns[3]).all()):
         raise ValueError(f"trial times overflow float64 at p0 {cfg.p0:.3g}, "
                          f"slot_time {cfg.slot_time:.3g} s")

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from qdrepeater import mcsim, rates
 from qdrepeater.params import default_parameters, with_link
@@ -248,12 +250,24 @@ def test_expected_tree_beyond_the_node_budget_is_refused():
 
 
 #: traced peak bytes per CHUNK_NODES node of a campaign of three chunks.
-#: The campaigns below read 30 (n = 3) and 33 (cutoff); sampling that held
-#: each level's temporaries to the end of its chunk read 55 and 73.
+#: The campaigns below read 27 (n = 0), 29 (n = 1), 30 (n = 3) and 30
+#: (cutoff); sampling that held each level's temporaries to the end of its
+#: chunk read 55 and 73 at n = 3 and the cutoff, and chunks sized by tree
+#: nodes alone, which copied each chunk's columns into the output, 181 at
+#: n = 0 and 51 at n = 1.
 WORKING_SET_BOUND = 45
 
 
-@pytest.mark.parametrize("campaign", ["criterion 9, n = 3", "mc --cutoff 4"])
+#: criterion 9's Monte Carlo campaigns (acceptance.check_monte_carlo)
+CRITERION_9 = {
+    "criterion 9, n = 0": dict(n_nest=0, p0=0.1, p_swap=1.0, seed=20240801),
+    "criterion 9, n = 1": dict(n_nest=1, p0=0.01, p_swap=0.5, seed=20240802),
+    "criterion 9, n = 3": dict(n_nest=3, p0=0.01, p_swap=0.5832,
+                               seed=20240803),
+}
+
+
+@pytest.mark.parametrize("campaign", [*CRITERION_9, "mc --cutoff 4"])
 def test_working_memory_per_chunk_node_stays_small(campaign):
     link = default_parameters().link
     base = (mcsim.ProtocolConfig(
@@ -262,7 +276,7 @@ def test_working_memory_per_chunk_node_stays_small(campaign):
                 slot_time=rates.slot_time(link), trials=1, seed=1,
                 memory_cutoff=4.0)
             if campaign == "mc --cutoff 4" else
-            cfg(n_nest=3, p0=0.01, p_swap=0.5832, trials=1, seed=20240803))
+            cfg(trials=1, **CRITERION_9[campaign]))
     three_chunks = replace(base, trials=3 * mcsim._trials_per_chunk(base))
     mcsim.run_trials(replace(base, trials=10))   # numpy's first-call set-up
     tracemalloc.start()
@@ -274,6 +288,21 @@ def test_working_memory_per_chunk_node_stays_small(campaign):
     finally:
         tracemalloc.stop()
     assert peak / mcsim.CHUNK_NODES < WORKING_SET_BOUND
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=9),
+       st.floats(min_value=0.05, max_value=1.0, exclude_min=True))
+def test_chunk_fills_its_budget_of_nodes_and_trials(n_nest, p_swap):
+    try:
+        c = cfg(n_nest=n_nest, p_swap=p_swap)
+    except ValueError:
+        reject()    # expects more than MAX_TRIAL_NODES nodes
+    weight = mcsim._expected_nodes(n_nest, p_swap) + mcsim.TRIAL_NODES
+    step = mcsim._trials_per_chunk(c)
+    assert step >= 1
+    assert step == 1 or step * weight <= mcsim.CHUNK_NODES
+    assert (step + 1) * weight > mcsim.CHUNK_NODES
 
 
 # ------------------------------------------------------------ storage

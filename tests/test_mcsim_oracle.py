@@ -10,6 +10,7 @@ as the sampler does: libm's ``math.log1p`` can differ from numpy's by one
 ulp, which flips a draw once counts near 1e13 slots.
 """
 
+import hashlib
 import math
 from dataclasses import fields, replace
 
@@ -138,6 +139,22 @@ def mc_cutoff_config(trials):
         memory_cutoff=4.0)
 
 
+#: criterion 9's campaigns (acceptance.check_monte_carlo)
+CRITERION_9 = {
+    "criterion 9, n = 0": mcsim.ProtocolConfig(
+        n_nest=0, p0=0.1, p_swap=1.0, slot_time=1.0, trials=100_000,
+        seed=20240801),
+    "criterion 9, n = 1": mcsim.ProtocolConfig(
+        n_nest=1, p0=0.01, p_swap=0.5, slot_time=1.0, trials=100_000,
+        seed=20240802),
+    "criterion 9, n = 3": mcsim.ProtocolConfig(
+        n_nest=3, p0=0.01, p_swap=0.5832, slot_time=1.0, trials=20_000,
+        seed=20240803),
+    "criterion 9, rerun": mcsim.ProtocolConfig(
+        n_nest=1, p0=0.05, p_swap=0.6, slot_time=1.0, trials=2_000, seed=7),
+}
+
+
 def test_mc_cutoff_default_configuration_matches_scalar_replay():
     # `qdrepeater mc --cutoff 4` at the default parameters: n_nest 3,
     # p0 ~ 1.25e-3 and a 0.625 ms slot, so the cutoff is 6400 slots and the
@@ -155,12 +172,13 @@ def test_mc_cutoff_default_configuration_matches_scalar_replay():
 
 @pytest.mark.parametrize("campaign", ["criterion 9, n = 3", "mc --cutoff 4"])
 def test_records_match_scalar_replay_across_production_chunks(campaign):
-    # 900 trials span four chunks of the production chunk size: the n = 3
+    # three and a half chunks of the production chunk size: the n = 3
     # campaign keeps nothing for an abort pass, the cutoff one runs it
-    cfg = (mc_cutoff_config(900) if campaign == "mc --cutoff 4" else
-           mcsim.ProtocolConfig(n_nest=3, p0=0.01, p_swap=0.5832,
-                                slot_time=1.0, trials=900, seed=20240803))
-    assert 3 * mcsim._trials_per_chunk(cfg) < cfg.trials
+    cfg = (mc_cutoff_config(1) if campaign == "mc --cutoff 4" else
+           CRITERION_9[campaign])
+    step = mcsim._trials_per_chunk(cfg)
+    cfg = replace(cfg, trials=3 * step + step // 2)
+    assert 3 * step < cfg.trials
     records = mcsim.run_trials(cfg)
     assert first_mismatch(records, cfg) is None
     assert records.success.all() == math.isinf(cfg.memory_cutoff)
@@ -241,6 +259,61 @@ def test_records_do_not_depend_on_chunk_size(monkeypatch):
     monkeypatch.setattr(mcsim, "CHUNK_NODES", 64)
     assert mcsim._trials_per_chunk(cfg) < 10
     assert mcsim.run_trials(cfg) == whole
+
+
+@pytest.mark.parametrize("campaign", ["criterion 9, n = 0",
+                                      "criterion 9, n = 1", "n = 1, cutoff"])
+def test_records_do_not_depend_on_chunk_size_where_trials_dominate(
+        monkeypatch, campaign):
+    """At n_nest 0 and 1 the per-trial term is much of a trial's weight
+    against the budget, and a tiny budget gives chunks of a few trials.
+
+    The records here stay below 5e4 slots at p0 >= 1.2e-3, where a one-ulp
+    difference in ``log1p`` between the SIMD body and the tail of an array
+    would have to land within about 1e-11 of a whole slot count to move a
+    draw, so chunk boundaries cannot realistically change one.
+    """
+    cfg = (replace(mc_cutoff_config(3000), n_nest=1, memory_cutoff=1.0)
+           if campaign == "n = 1, cutoff" else
+           replace(CRITERION_9[campaign], trials=3000))
+    whole = mcsim.run_trials(cfg)
+    assert whole.total_time.max() / cfg.slot_time < 5e4
+    if math.isfinite(cfg.memory_cutoff):
+        assert 0 < whole.success.sum() < cfg.trials
+    monkeypatch.setattr(mcsim, "CHUNK_NODES", 64)
+    assert mcsim._trials_per_chunk(cfg) < 20
+    assert mcsim.run_trials(cfg) == whole
+
+
+#: SHA-256 of the TrialRecords columns' bytes, in field order, of criterion
+#: 9's four campaigns and of `qdrepeater mc --cutoff 4 --trials 10000
+#: --seed 1`, each column's ``tobytes()`` hashed in turn as the test does.
+#: Recorded while chunks were still sized by tree nodes alone; a sampler
+#: change that keeps every record keeps them, while a change of numpy build
+#: or CPU dispatch may move them (see mcsim).
+RECORD_DIGESTS = {
+    "criterion 9, n = 0":
+        "cc0468c331cef6cfe0b83e2c651275f55276cafba577d0ca0b0014ef1d2da117",
+    "criterion 9, n = 1":
+        "b0c6e60f3f8e2cb0cede47d489bc707bcc6347d2a338d24dfe5f0948d47ae791",
+    "criterion 9, n = 3":
+        "57bd2ff47bc20acc27c8e7dcfbaed9a3cbe7981dc3a9bc0359c5edb1a50efd89",
+    "criterion 9, rerun":
+        "f1d786b3156e93538dd11245fe6d2c291ef05d6f4cced077f88a556286254f4f",
+    "mc --cutoff 4":
+        "8e9e9fd9a1f243746f15fd127d649a862595c0a59fe810daaaac5f93061fba81",
+}
+
+
+@pytest.mark.parametrize("campaign", RECORD_DIGESTS)
+def test_records_are_pinned_by_digest(campaign):
+    cfg = (mc_cutoff_config(10_000) if campaign == "mc --cutoff 4" else
+           CRITERION_9[campaign])
+    records = mcsim.run_trials(cfg)
+    digest = hashlib.sha256()
+    for name in COLUMNS:
+        digest.update(getattr(records, name).tobytes())
+    assert digest.hexdigest() == RECORD_DIGESTS[campaign]
 
 
 def test_abort_times_do_not_depend_on_chunk_size_at_huge_counts(monkeypatch):
