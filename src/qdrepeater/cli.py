@@ -1,9 +1,12 @@
 """Command-line surface: parameter sweeps, validation and simulation runs.
 
-Subcommands: ``rates``, ``contour``, ``validate``, ``mc``, ``qsim``.  All
-numeric CSV output uses the fixed ``%.6e`` format with stable headers and row
-order; passing ``--out`` also writes a ``<out>.meta.json`` companion recording
-the fully resolved parameter set.
+Subcommands: ``rates``, ``contour``, ``validate``, ``mc``, ``qsim``.  A
+command prints nothing: it returns ``(exit_code, stdout_text, stderr_lines,
+table)``, and ``main`` alone renders that, the stderr lines first, then the
+stdout text, then the table.  The table is CSV text, or None; it goes to
+stdout, or with ``--out`` to that file plus a ``<out>.meta.json`` companion
+recording the fully resolved parameter set.  All numeric CSV output uses the
+fixed ``%.6e`` format with stable headers and row order.
 
 Exit codes: 0 success, 1 validation failure (also a refused out-of-regime
 contour and an F_ent quadrature that does not converge), 2 usage error
@@ -125,12 +128,18 @@ def _load(args) -> ParameterSet:
     return default_parameters(overrides=args.param)
 
 
-def _emit(text: str, args, ps: ParameterSet, argv: list[str]) -> int:
-    """Write ``text`` to ``--out`` with its meta.json, or to stdout; the exit
-    code, 2 when a file cannot be written."""
-    if not args.out:
-        sys.stdout.write(text)
-        return 0
+def _lines(lines) -> str:
+    return "".join(f"{line}\n" for line in lines)
+
+
+def _fail(code: int, line: str) -> tuple:
+    """The result of a command that stops with one stderr line."""
+    return code, "", [line], None
+
+
+def _emit(text: str, args, ps: ParameterSet, argv: list[str]) -> str | None:
+    """Write ``text`` to ``--out`` with its meta.json; the error line when a
+    file cannot be written, else None."""
     meta = {"command": argv, "parameters": to_dict(ps),
             "provenance": ps.provenance}
     if "seed" in args:
@@ -143,9 +152,8 @@ def _emit(text: str, args, ps: ParameterSet, argv: list[str]) -> int:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
     except OSError as exc:
-        print(f"cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
-        return 2
-    return 0
+        return f"cannot write {path}: {exc.strerror or exc}"
+    return None
 
 
 def _unwritable(path: str) -> str | None:
@@ -162,13 +170,12 @@ def _unwritable(path: str) -> str | None:
     return os.strerror(err)
 
 
-def cmd_rates(args, ps: ParameterSet, argv: list[str]) -> int:
+def cmd_rates(args, ps: ParameterSet) -> tuple:
     try:
         grid = _sweep("L_km", args.l_min_km, args.l_max_km, args.l_points,
                       log=args.log)
     except ValueError as exc:
-        print(f"invalid distance sweep: {exc}", file=sys.stderr)
-        return 2
+        return _fail(2, f"invalid distance sweep: {exc}")
 
     # one array pass per curve, each over every distance of the sweep
     distances = grid * 1e3
@@ -176,19 +183,17 @@ def cmd_rates(args, ps: ParameterSet, argv: list[str]) -> int:
         direct = rates.direct_transmission_rate(distances, args.source_rate,
                                                 ps.link.L_att)
     except ValueError as exc:
-        print(f"invalid rates input: {exc}", file=sys.stderr)
-        return 2
+        return _fail(2, f"invalid rates input: {exc}")
     curves = rates.curve_rates(ps, distances)
     pairs = rates.mean_time_two_plus_two(
         with_link(ps, L_total=distances, eta_s=0.65)).rate
-    return _emit(_csv("L_km,rate_direct,rate_B,rate_C,rate_D,rate_2plus2",
-                      ",".join([_FMT] * 6),
-                      (column.tolist()
-                       for column in (grid, direct, *curves, pairs))),
-                 args, ps, argv)
+    return 0, "", [], _csv("L_km,rate_direct,rate_B,rate_C,rate_D,rate_2plus2",
+                           ",".join([_FMT] * 6),
+                           (column.tolist()
+                            for column in (grid, direct, *curves, pairs)))
 
 
-def cmd_contour(args, ps: ParameterSet, argv: list[str]) -> int:
+def cmd_contour(args, ps: ParameterSet) -> tuple:
     try:
         if args.fp_min <= 0:
             raise ValueError("F_p: sweep must start above zero")
@@ -205,47 +210,41 @@ def cmd_contour(args, ps: ParameterSet, argv: list[str]) -> int:
         else:
             pol_grid = _sweep("polarization", *pol)
     except ValueError as exc:
-        print(f"invalid sweep: {exc}", file=sys.stderr)
-        return 2
+        return _fail(2, f"invalid sweep: {exc}")
 
     c = fidelity.fidelity_contour(ps, fp_grid, pol_grid)
     warned = [(fp, notes) for fp, notes in zip(c.fp_grid, c.warnings) if notes]
     if warned and not args.force:
         fp, notes = warned[0]
-        print(f"refusing to compose out-of-regime budgets "
-              f"(first at F_p={fp:g}, pol={c.polarization_grid[0]:g}: "
-              f"{notes[0]}); re-run with --force to override", file=sys.stderr)
-        return 1
-    for fp, notes in warned:   # a note depends on F_p alone
-        for note in notes:
-            print(f"warning: F_p={fp:g}: {note}", file=sys.stderr)
+        return _fail(1, f"refusing to compose out-of-regime budgets "
+                        f"(first at F_p={fp:g}, pol={c.polarization_grid[0]:g}: "
+                        f"{notes[0]}); re-run with --force to override")
+    # a note depends on F_p alone
+    notes = [f"warning: F_p={fp:g}: {note}"
+             for fp, fp_notes in warned for note in fp_notes]
 
     # one row per grid point, F_p-major: F_p down, polarization across
     grid = np.broadcast_arrays(fp_grid[:, None], pol_grid, c.F_ent[:, None],
                                c.F_transfer, c.F_gate[:, None],
                                c.F_readout[:, None], c.F_total)
-    return _emit(_csv("F_p,polarization,F_ent,F_transfer,F_gate,F_readout,"
-                      "F_total", ",".join([_FMT] * 7),
-                      (column.ravel().tolist() for column in grid)),
-                 args, ps, argv)
+    return 0, "", notes, _csv("F_p,polarization,F_ent,F_transfer,F_gate,"
+                              "F_readout,F_total", ",".join([_FMT] * 7),
+                              (column.ravel().tolist() for column in grid))
 
 
-def cmd_validate(args, ps: ParameterSet, argv: list[str]) -> int:
+def cmd_validate(args, ps: ParameterSet) -> tuple:
     budget = fidelity.fidelity_budget(ps)
     notes = budget.warnings[0]
     results = acceptance.run_all()
-    for result in results:
-        print(result)
-    for note in notes:
-        print(f"config warning: {note}")
-    print(f"config F_total (n={budget.n_nest}) = {budget.F_total[0, 0]:.4f}"
-          + ("  [out of validity regime]" if notes else ""))
     failed = [r for r in results if not r.passed]
-    print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
-    return 1 if failed else 0
+    return 1 if failed else 0, _lines([
+        *results, *(f"config warning: {note}" for note in notes),
+        f"config F_total (n={budget.n_nest}) = {budget.F_total[0, 0]:.4f}"
+        + ("  [out of validity regime]" if notes else ""),
+        f"{len(results) - len(failed)}/{len(results)} criteria passed"]), [], None
 
 
-def cmd_mc(args, ps: ParameterSet, argv: list[str]) -> int:
+def cmd_mc(args, ps: ParameterSet) -> tuple:
     link = ps.link
     p0 = (args.p0 if args.p0 is not None
           else rates.link_success_probability(link))
@@ -259,66 +258,66 @@ def cmd_mc(args, ps: ParameterSet, argv: list[str]) -> int:
                                    seed=args.seed, memory_cutoff=cutoff)
         records = mcsim.run_trials(cfg)
     except ValueError as exc:
-        print(f"invalid Monte Carlo input: {exc}", file=sys.stderr)
-        return 2
+        return _fail(2, f"invalid Monte Carlo input: {exc}")
     target = rates.parallel_closed_form(p0, p_swap, slot, cfg.n_nest).mean_time
-    print(mcsim.compare_with_analytic(mcsim.timing_stats(records, cfg),
-                                      target))
-    storage = mcsim.StorageHistogram.from_records(records)
-    print(f"success fraction {storage.values.size / len(records):.4f}; "
-          f"max-storage median {storage.median():.4g} s; "
-          f"fraction exceeding 1 s: {storage.fraction_exceeding(1.0):.4f}")
-    if not args.out:
-        return 0
-    return _emit(_csv("trial,total_time_s,swap_failures,max_storage_s",
-                      f"%d,{_FMT},%d,{_FMT}",
-                      (range(len(records)), records.total_time.tolist(),
-                       records.swap_failures.tolist(),
-                       records.max_storage_time.tolist())), args, ps, argv)
+    stored = records.max_storage_time[records.success]
+    above = float((stored > 1.0).mean()) if stored.size else math.nan
+    report = _lines([
+        mcsim.compare_with_analytic(mcsim.timing_stats(records, cfg), target),
+        f"success fraction {stored.size / len(records):.4f}; "
+        f"max-storage median {mcsim.median(stored):.4g} s; "
+        f"fraction exceeding 1 s: {above:.4f}"])
+    table = (_csv("trial,total_time_s,swap_failures,max_storage_s",
+                  f"%d,{_FMT},%d,{_FMT}",
+                  (range(len(records)), records.total_time.tolist(),
+                   records.swap_failures.tolist(),
+                   records.max_storage_time.tolist()))
+             if args.out else None)   # the per-trial CSV goes only to --out
+    return 0, report, [], table
 
 
-def cmd_qsim(args, ps: None, argv: list[str]) -> int:
+def cmd_qsim(args, ps: None) -> tuple:
     measures = acceptance.check_quantum_oracle()
-    for measure in measures:
-        print(measure)
     ok = all(m.passed for m in measures)
-    print("quantum oracle:", "PASS" if ok else "FAIL")
-    return 0 if ok else 1
+    return 0 if ok else 1, _lines(
+        [*measures, f"quantum oracle: {'PASS' if ok else 'FAIL'}"]), [], None
 
 
-_COMMANDS = {
-    "rates": cmd_rates,
-    "contour": cmd_contour,
-    "validate": cmd_validate,
-    "mc": cmd_mc,
-    "qsim": cmd_qsim,
-}
+_COMMANDS = {"rates": cmd_rates, "contour": cmd_contour,
+             "validate": cmd_validate, "mc": cmd_mc, "qsim": cmd_qsim}
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run ``qdrepeater argv`` and render its result; the exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser(argv)
-    try:
-        args = parser.parse_args(argv)
+    try:   # argparse prints help and usage errors itself
+        args = _build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    ps = None
     try:
         ps = _load(args) if "param" in args else None  # qsim reads none
+        reason = _unwritable(args.out) if getattr(args, "out", None) else None
+        result = (_fail(2, f"cannot write {args.out}: {reason}") if reason
+                  else _COMMANDS[args.command](args, ps))
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
-    reason = _unwritable(args.out) if getattr(args, "out", None) else None
-    if reason:
-        print(f"cannot write {args.out}: {reason}", file=sys.stderr)
-        return 2
-    try:
-        return _COMMANDS[args.command](args, ps, ["qdrepeater"] + argv)
+        result = _fail(3, f"config error: {exc}")
     except fidelity.ConvergenceError as exc:
-        print(f"F_ent {exc}", file=sys.stderr)
-        return 1
+        result = _fail(1, f"F_ent {exc}")
     except MemoryError:
-        print(f"out of memory: {args.command} input too large", file=sys.stderr)
-        return 2
+        result = _fail(2, f"out of memory: {args.command} input too large")
+    code, text, errors, table = result
+    # looked up per call: callers redirect sys.stdout and sys.stderr
+    sys.stderr.write(_lines(errors))
+    sys.stdout.write(text)
+    if table and args.out:
+        error = _emit(table, args, ps, ["qdrepeater", *argv])
+        if error:
+            sys.stderr.write(f"{error}\n")
+            return 2
+    elif table:
+        sys.stdout.write(table)
+    return code
 
 
 if __name__ == "__main__":

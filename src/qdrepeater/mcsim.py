@@ -196,7 +196,7 @@ class ComparisonReport:
 
 @record(eq=False, frozen=False)
 class StorageHistogram:
-    """Distribution of the maximum memory storage time of successful trials."""
+    """Longest storage times of successful trials, binned (the benchmark's)."""
 
     values: np.ndarray
     counts: np.ndarray
@@ -207,23 +207,18 @@ class StorageHistogram:
         counts, _ = np.histogram(values, bins=HISTOGRAM_BINS)
         return cls(values=values, counts=counts)
 
-    def median(self) -> float:
-        """Median storage time; NaN when no trial succeeded.
 
-        np.median's value bit for bit, the mean of the middle one or two
-        values, without the ``numpy.ma`` import that np.median costs.
-        """
-        n = self.values.size
-        if not n:
-            return math.nan
-        lo, hi = (n - 1) // 2, n // 2
-        return float(np.partition(self.values, (lo, hi))[lo:hi + 1].mean())
+def median(values: np.ndarray) -> float:
+    """Median of ``values``; NaN when there are none.
 
-    def fraction_exceeding(self, threshold: float) -> float:
-        """Share of values above ``threshold``; NaN when there are none."""
-        if not self.values.size:
-            return math.nan
-        return float((self.values > threshold).mean())
+    np.median's value bit for bit, the mean of the middle one or two values,
+    without the ``numpy.ma`` import that np.median costs.
+    """
+    n = values.size
+    if not n:
+        return math.nan
+    lo, hi = (n - 1) // 2, n // 2
+    return float(np.partition(values, (lo, hi))[lo:hi + 1].mean())
 
 
 def _mix(z: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import itertools
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qdrepeater import acceptance, fidelity, mcsim, params, rates
+from qdrepeater import acceptance, cli, fidelity, mcsim, params, rates
 from qdrepeater.cli import main
 from qdrepeater.params import (_KEYS, LinkParams, PhysicalParams,
                                default_parameters, to_dict, with_link)
@@ -917,6 +918,42 @@ def test_non_finite_or_negative_sweep_input_is_one_usage_error(capsys, argv,
     assert code == 2
     assert out == ""
     assert err.splitlines() == [message]
+
+
+# ------------------------------------------------------------ rendering
+
+def _terminal_writes(nodes) -> list:
+    """The nodes under ``nodes`` that name ``print``, ``sys.stdout`` or
+    ``sys.stderr``, or import either stream from ``sys``."""
+    return [n for node in nodes for n in ast.walk(node)
+            if isinstance(n, ast.Name) and n.id == "print"
+            or isinstance(n, ast.Attribute) and n.attr in ("stdout", "stderr")
+            and isinstance(n.value, ast.Name) and n.value.id == "sys"
+            or isinstance(n, ast.ImportFrom) and n.module == "sys"
+            and {a.name for a in n.names} & {"stdout", "stderr", "*"}]
+
+
+def test_main_alone_writes_to_stdout_and_stderr():
+    # commands return their output; main renders it, looking the streams up
+    # in its body so that capsys and redirect_stdout see every byte
+    src = Path(cli.__file__).parent
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), path.name)
+        writes = _terminal_writes([tree])
+        if path.stem == "cli":
+            main_def, = [n for n in tree.body if isinstance(n, ast.FunctionDef)
+                         and n.name == "main"]
+            in_main = _terminal_writes(main_def.body)
+            assert {n.attr for n in in_main
+                    if isinstance(n, ast.Attribute)} == {"stdout", "stderr"}
+            commands = [n.name for n in tree.body
+                        if isinstance(n, ast.FunctionDef)
+                        and n.name.startswith("cmd_")]
+            assert commands == [f.__name__ for f in cli._COMMANDS.values()]
+            writes = [n for n in writes if n not in in_main]
+        offenders += [f"{path.name}:{n.lineno}" for n in writes]
+    assert offenders == []
 
 
 # ------------------------------------------------------------ start-up
