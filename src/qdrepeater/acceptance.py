@@ -97,7 +97,7 @@ def check_entanglement_generation():
 
 
 def check_state_transfer():
-    fq = fidelity.quadrupolar_factor(5.0e4, 2, 330e-9)
+    fq = fidelity.quadrupolar_factor(5.0e4, 330e-9)
     fe = 0.99996
     f95 = fidelity.transfer_fidelity(fe, fidelity.nuclear_init_fidelity(0.95), fq)
     f80 = fidelity.transfer_fidelity(fe, fidelity.nuclear_init_fidelity(0.80), fq)
@@ -226,7 +226,7 @@ def check_quantum_oracle():
         np.array([0, 1, 0, -1], dtype=complex) / math.sqrt(2))
     plus = qsim.DensityMatrix.from_pure(
         np.array([0, 1, 0, 1], dtype=complex) / math.sqrt(2))
-    kicked = qsim.apply_cz(plus, 0, 1, 1.0)
+    kicked = plus.apply_kraus([qsim.CZ_GATE], [0, 1])
     cz_misses = (
         int(not np.array_equal(qsim.CZ_GATE, np.diag([1.0, 1.0, 1.0, -1.0])))
         + int(not np.allclose(kicked.mat, kick.mat, atol=1e-12)))

@@ -122,7 +122,7 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> ParameterSet:
+def _load(args: argparse.Namespace) -> ParameterSet:
     if args.config:
         return load_config(args.config, overrides=args.param)
     return default_parameters(overrides=args.param)
@@ -137,7 +137,8 @@ def _fail(code: int, line: str) -> tuple:
     return code, "", [line], None
 
 
-def _emit(text: str, args, ps: ParameterSet, argv: list[str]) -> str | None:
+def _emit(text: str, args: argparse.Namespace, ps: ParameterSet,
+          argv: list[str]) -> str | None:
     """Write ``text`` to ``--out`` with its meta.json; the error line when a
     file cannot be written, else None."""
     meta = {"command": argv, "parameters": to_dict(ps),
@@ -170,7 +171,7 @@ def _unwritable(path: str) -> str | None:
     return os.strerror(err)
 
 
-def cmd_rates(args, ps: ParameterSet) -> tuple:
+def cmd_rates(args: argparse.Namespace, ps: ParameterSet) -> tuple:
     try:
         grid = _sweep("L_km", args.l_min_km, args.l_max_km, args.l_points,
                       log=args.log)
@@ -193,7 +194,7 @@ def cmd_rates(args, ps: ParameterSet) -> tuple:
                             for column in (grid, direct, *curves, pairs)))
 
 
-def cmd_contour(args, ps: ParameterSet) -> tuple:
+def cmd_contour(args: argparse.Namespace, ps: ParameterSet) -> tuple:
     try:
         if args.fp_min <= 0:
             raise ValueError("F_p: sweep must start above zero")
@@ -232,7 +233,7 @@ def cmd_contour(args, ps: ParameterSet) -> tuple:
                               (column.ravel().tolist() for column in grid))
 
 
-def cmd_validate(args, ps: ParameterSet) -> tuple:
+def cmd_validate(args: argparse.Namespace, ps: ParameterSet) -> tuple:
     budget = fidelity.fidelity_budget(ps)
     notes = budget.warnings[0]
     results = acceptance.run_all()
@@ -244,7 +245,7 @@ def cmd_validate(args, ps: ParameterSet) -> tuple:
         f"{len(results) - len(failed)}/{len(results)} criteria passed"]), [], None
 
 
-def cmd_mc(args, ps: ParameterSet) -> tuple:
+def cmd_mc(args: argparse.Namespace, ps: ParameterSet) -> tuple:
     link = ps.link
     p0 = (args.p0 if args.p0 is not None
           else rates.link_success_probability(link))
@@ -276,7 +277,7 @@ def cmd_mc(args, ps: ParameterSet) -> tuple:
     return 0, report, [], table
 
 
-def cmd_qsim(args, ps: None) -> tuple:
+def cmd_qsim(args: argparse.Namespace, ps: None) -> tuple:
     measures = acceptance.check_quantum_oracle()
     ok = all(m.passed for m in measures)
     return 0 if ok else 1, _lines(

@@ -17,7 +17,8 @@ array of resonant Purcell factors, broadcasting (points, nodes, nodes) and
 summing each point in the same order as a lone point.  Node doubling
 (21, 42, 84, ...) goes on only for the points whose last two estimates still
 differ by more than :data:`ENT_RTOL` (1e-6); each point keeps the estimate
-at which it converged.  Node tables are built on first use, once per order,
+at which it converged.  A zero width runs the same rule, with every node at
+the mean detuning.  Node tables are built on first use, once per order,
 and are read-only.
 
 :func:`fidelity_contour` makes one pass over a (Purcell factor,
@@ -45,6 +46,12 @@ MU_B_OVER_H = 13996244917.1
 #: Relative tolerance at which F_ent node doubling stops.
 ENT_RTOL = 1e-6
 
+#: Gauss-Hermite order of the first F_ent estimate.
+_ENT_START_NODES = 21
+
+#: Most node doublings after the first F_ent estimate.
+_ENT_DOUBLINGS = 6
+
 
 class ConvergenceError(RuntimeError):
     """Quadrature failed to converge at one point.
@@ -61,9 +68,8 @@ class ConvergenceError(RuntimeError):
         self.rtol = rtol
         self.estimates = estimates
         super().__init__(
-            f"quadrature did not converge at F_res={F_res:g} ({nodes} "
-            f"node{'s' * (nodes != 1)}, rtol {rtol:g}), last estimates "
-            f"{estimates}")
+            f"quadrature did not converge at F_res={F_res:g} ({nodes} nodes, "
+            f"rtol {rtol:g}), last estimates {estimates}")
 
 
 @record
@@ -99,14 +105,12 @@ class FidelityBudget:
     ``F_ent``, ``F_gate``, ``F_readout``, and ``warnings``, the validity
     notes of the gate and the readout as one tuple per Purcell factor.
     Along ``polarization_grid``: ``F_transfer``.  ``F_total`` is the
-    (len(fp_grid), len(polarization_grid)) array; ``F_e_init`` is the same
-    everywhere.
+    (len(fp_grid), len(polarization_grid)) array.
     """
 
     fp_grid: tuple[float, ...]
     polarization_grid: tuple[float, ...]
     n_nest: int
-    F_e_init: float
     F_ent: np.ndarray
     F_gate: np.ndarray
     F_readout: np.ndarray
@@ -148,16 +152,6 @@ def barrett_kok_fidelity(gp_i, gp_j, Gp_i, Gp_j, delta_omega):
     num = 4.0 * gp_i * gp_j
     den = (Gp_i + Gp_j) ** 2 + 4.0 * np.asarray(delta_omega) ** 2
     return 0.5 * (1.0 + num / den)
-
-
-def _nominal_bk(phys: PhysicalParams, F_res: np.ndarray) -> np.ndarray:
-    """Heralding fidelity of two identical dots at the mean detuning; an
-    extreme input gives inf or nan without floating-point warnings."""
-    with np.errstate(all="ignore"):
-        fp = purcell_at_detuning(F_res, phys.kappa, phys.detuning)
-        gp, Gp = enhanced_rates(phys.gamma_r, phys.gamma_nr, phys.gamma_star,
-                                fp)
-        return barrett_kok_fidelity(gp, gp, Gp, Gp, 0.0)
 
 
 def _normed_hermite(x: np.ndarray, n: int) -> np.ndarray:
@@ -253,44 +247,38 @@ def _ent_product_rule(phys: PhysicalParams, F_res: np.ndarray,
     return out
 
 
-def _ent_adaptive(phys: PhysicalParams, F_res: np.ndarray, rtol: float,
-                  start_nodes: int = 21, max_doublings: int = 6) -> np.ndarray:
+def _ent_adaptive(phys: PhysicalParams, F_res: np.ndarray) -> np.ndarray:
     """Spectral-diffusion-averaged F_ent at each F_res, by node doubling.
 
-    Only the points whose last two estimates still differ by more than
-    ``rtol`` go on to the next doubling; each point keeps the estimate at
-    which it converged.  Doubling stops early at an order whose node table
-    is not finite, or at a non-finite estimate, which can never converge.
+    The first estimate uses ``_ENT_START_NODES`` nodes, and at most
+    ``_ENT_DOUBLINGS`` doublings follow.  Only the points whose last two
+    estimates still differ by more than :data:`ENT_RTOL` go on to the next
+    doubling; each point keeps the estimate at which it converged.
+    Doubling stops early at an order whose node table is not finite, or at
+    a non-finite estimate, which can never converge.
     :class:`ConvergenceError` then carries the first non-finite point, else
     the first unconverged one, and its last two estimates.
     """
     if phys.sigma_sd < 0:
         raise ValueError("sigma_sd must be non-negative")
-    if phys.sigma_sd == 0.0:
-        # every order's rule then gives the one-node value, the nominal one
-        out = _nominal_bk(phys, F_res)
-        if not np.isfinite(out).all():
-            i = int(np.argmin(np.isfinite(out)))
-            raise ConvergenceError(float(F_res[i]), 1, rtol,
-                                   (math.nan, float(out[i])))
-        return out
-    nodes = start_nodes
+    nodes = _ENT_START_NODES
     todo = np.arange(F_res.size)
     prev = _ent_product_rule(phys, F_res, nodes)
     last = np.full(F_res.size, math.nan)  # no estimate before the first
     out = np.empty(F_res.size)
-    for _ in range(max_doublings):
+    for _ in range(_ENT_DOUBLINGS):
         if not (np.isfinite(prev).all() and _finite_rule(2 * nodes)):
             break
         nodes *= 2
         cur = _ent_product_rule(phys, F_res[todo], nodes)
-        done = np.isfinite(cur) & (np.abs(cur - prev) <= rtol * np.abs(cur))
+        done = np.isfinite(cur) & (np.abs(cur - prev)
+                                   <= ENT_RTOL * np.abs(cur))
         out[todo[done]] = cur[done]
         if done.all():
             return out
         todo, last, prev = todo[~done], prev[~done], cur[~done]
     i = int(np.argmin(np.isfinite(prev)))  # first non-finite, else first
-    raise ConvergenceError(float(F_res[todo[i]]), nodes, rtol,
+    raise ConvergenceError(float(F_res[todo[i]]), nodes, ENT_RTOL,
                            (float(last[i]), float(prev[i])))
 
 
@@ -308,7 +296,7 @@ def entanglement_fidelity(phys: PhysicalParams) -> float:
     configured mean detuning.  The product Gauss-Hermite rule is refined by
     node doubling until successive estimates agree to :data:`ENT_RTOL`.
     """
-    return float(_ent_adaptive(phys, np.array([phys.F_res]), ENT_RTOL)[0])
+    return float(_ent_adaptive(phys, np.array([phys.F_res]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -388,19 +376,19 @@ def nuclear_init_fidelity(polarization: float) -> float:
     return float(_nuclear_init(np.array([polarization], dtype=float))[0])
 
 
-def quadrupolar_factor(sigma_Q: float, delta_m: int, t: float) -> float:
-    """Spin-wave survival under inhomogeneous quadrupolar dephasing.
+def quadrupolar_factor(sigma_Q: float, t: float) -> float:
+    """Spin-wave survival of the delta_m = 2 mode under inhomogeneous
+    quadrupolar dephasing.
 
-    exp(-delta_m**4 * sigma_Q**2 * t**2) with sigma_Q in s^-1.
+    exp(-delta_m**4 * sigma_Q**2 * t**2) = exp(-16 * sigma_Q**2 * t**2)
+    with sigma_Q in s^-1.
     """
-    if delta_m not in (1, 2):
-        raise ValueError("delta_m must be 1 or 2")
     if t < 0:
         raise ValueError("time must be non-negative")
     # numpy scalars: a huge sigma_Q or t overflows to inf (factor 0), not an
     # error; math.exp rather than np.exp, which can differ in the last bit
     with np.errstate(all="ignore"):
-        return math.exp(-float(delta_m) ** 4 * np.float64(sigma_Q) ** 2
+        return math.exp(-16.0 * np.float64(sigma_Q) ** 2
                         * np.float64(t) ** 2)
 
 
@@ -555,7 +543,7 @@ def fidelity_contour(params: ParameterSet, fp_grid,
     phys, link = params.physical, params.link
     fp = np.array(fp_grid)
 
-    f_ent = _ent_adaptive(phys, fp, ENT_RTOL)
+    f_ent = _ent_adaptive(phys, fp)
     with np.errstate(over="ignore"):     # inf at an extreme Purcell factor
         gamma_prime_res = enhanced_rates(phys.gamma_r, phys.gamma_nr,
                                          phys.gamma_star, fp)[0]
@@ -563,14 +551,14 @@ def fidelity_contour(params: ParameterSet, fp_grid,
     f_e = phys.F_e_init
     f_tr = transfer_fidelity(
         f_e, _nuclear_init(np.array(pol_grid)),
-        quadrupolar_factor(phys.sigma_Q, 2, phys.t_transfer))
+        quadrupolar_factor(phys.sigma_Q, phys.t_transfer))
 
     gate = gate_fidelity(replace(phys, F_res=fp))
     readout = readout_fidelity(phys.T_readout, phys.D_dark, link.eta_c,
                                link.eta_d, phys.Omega_readout, gamma_prime_res)
     return FidelityBudget(
         fp_grid=fp_grid, polarization_grid=pol_grid, n_nest=link.n_nest,
-        F_e_init=f_e, F_ent=f_ent,
+        F_ent=f_ent,
         F_gate=gate.fidelity, F_readout=readout.fidelity,
         warnings=tuple(map(tuple.__add__, gate.warnings, readout.warnings)),
         F_transfer=f_tr,

@@ -173,8 +173,6 @@ class TimingStats:
 
     mean: float
     stderr: float
-    trials: int
-    seed: int
 
 
 @record
@@ -468,17 +466,17 @@ def run_trials(cfg: ProtocolConfig) -> TrialRecords:
 def timing_stats(records: TrialRecords, cfg: ProtocolConfig) -> TimingStats:
     """Aggregate statistics over the successful trials of a campaign.
 
-    The stderr is NaN unless at least two trials succeeded.
+    The stderr is NaN unless at least two trials succeeded.  ``cfg`` is not
+    used; it stays in the signature because the benchmark passes it.
     """
     times = records.total_time[records.success]
     if times.size < 2:
         mean = float(times[0]) if times.size else math.nan
-        return TimingStats(mean, math.nan, trials=cfg.trials, seed=cfg.seed)
+        return TimingStats(mean, math.nan)
     with np.errstate(over="ignore"):  # times near 1e300 s: variance inf
         var = float(times.var(ddof=1))
     return TimingStats(mean=float(times.mean()),
-                       stderr=math.sqrt(var / times.size),
-                       trials=cfg.trials, seed=cfg.seed)
+                       stderr=math.sqrt(var / times.size))
 
 
 def simulate_chain(cfg: ProtocolConfig) -> TimingStats:

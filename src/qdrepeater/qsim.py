@@ -306,9 +306,6 @@ class DensityMatrix:
         """The matrix as a (2,)*2n tensor: row qubits, then column qubits."""
         return self.mat.reshape((2,) * (2 * self.n_qubits))
 
-    def apply_unitary(self, op: np.ndarray, qubits: list[int]) -> "DensityMatrix":
-        return self.apply_kraus([op], qubits)
-
     def apply_kraus(self, ops: list[np.ndarray],
                     qubits: list[int]) -> "DensityMatrix":
         """sum_m K_m rho K_m^dagger with each K_m acting on ``qubits``.
@@ -372,21 +369,6 @@ def _two_qubit_depolarizing_kraus(F_gate: float) -> np.ndarray:
     weights = np.full(16, p_dep / 16.0)
     weights[0] = 1.0 - 15.0 * p_dep / 16.0
     return np.sqrt(weights)[:, None, None] * _pauli_products()
-
-
-def apply_cz(rho: DensityMatrix, q1: int, q2: int,
-             F_gate: float = 1.0) -> DensityMatrix:
-    """Controlled-Z on (q1, q2) followed by depolarizing gate noise.
-
-    The two-qubit depolarizing strength is calibrated so the channel's
-    average gate fidelity equals ``F_gate`` (p = 4*(1-F)/3).
-    """
-    if q1 == q2:
-        raise ValueError("controlled-Z needs two distinct qubits")
-    out = rho.apply_unitary(CZ_GATE, [q1, q2])
-    if F_gate >= 1.0:
-        return out
-    return out.apply_kraus(_two_qubit_depolarizing_kraus(F_gate), [q1, q2])
 
 
 @functools.cache

@@ -60,6 +60,11 @@ CASES = {
     "contour-unconverged": ["contour", "--param", "sigma_sd=2pi*2 GHz",
                             "--fp-min", "10", "--fp-max", "100",
                             "--fp-points", "2"],
+    # no spectral diffusion: the same quadrature, refused at F_p = 1e300
+    "contour-zero-width-non-finite": ["contour", "--param", "sigma_sd=0 Hz",
+                                      "--fp-max", "1e300", "--fp-points", "2",
+                                      "--pol-min", "0.9", "--pol-max", "0.95",
+                                      "--pol-points", "2"],
     "validate-unknown-key": ["validate", "--param", "nope=1"],
 }
 

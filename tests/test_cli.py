@@ -256,15 +256,15 @@ def test_contour_non_finite_quadrature_is_one_error_line():
 
 
 def test_contour_non_finite_nominal_fidelity_is_one_error_line():
-    # without spectral diffusion F_ent is the nominal closed form, refused
-    # like the quadrature when F_p = 1e300 overflows it
+    # without spectral diffusion F_ent runs the same quadrature, every node
+    # at the mean detuning, and F_p = 1e300 overflows it at the first order
     proc = run_python(["-W", "error", "-m", "qdrepeater.cli", "contour",
                        "--param", "sigma_sd=0 Hz", "--fp-max", "1e300",
                        "--fp-points", "2", "--pol-min", "0.9",
                        "--pol-max", "0.95", "--pol-points", "2"])
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == ("F_ent quadrature did not converge at F_res=1e+300 "
-                           "(1 node, rtol 1e-06), last estimates (nan, nan)"
+                           "(21 nodes, rtol 1e-06), last estimates (nan, nan)"
                            "\n")
 
 
@@ -638,8 +638,8 @@ def test_extreme_parameter_value_is_a_result_or_one_error_line(key):
 
 
 def test_extreme_purcell_factor_without_spectral_diffusion():
-    # sigma_sd = 0 takes F_ent from the nominal closed form, not the
-    # quadrature, so it needs its own refusal of a non-finite value
+    # sigma_sd = 0 puts every quadrature node at the mean detuning; a
+    # non-finite F_ent there is refused as at any other width
     assert extreme_value_failures("F_res", "sigma_sd=0 Hz") == []
 
 

@@ -127,13 +127,21 @@ def test_entanglement_fidelity_quadrature_converges(params):
     assert 0.5 <= fidelity.entanglement_fidelity(params.physical) <= 1.0
 
 
-def test_entanglement_fidelity_nonconvergence_raises(params):
+def _exhausting_doubling(monkeypatch, doublings):
+    """A one-node start, an unreachable tolerance and ``doublings`` steps."""
+    monkeypatch.setattr(fidelity, "ENT_RTOL", 1e-300)
+    monkeypatch.setattr(fidelity, "_ENT_START_NODES", 1)
+    monkeypatch.setattr(fidelity, "_ENT_DOUBLINGS", doublings)
+
+
+def test_entanglement_fidelity_nonconvergence_raises(params, monkeypatch):
     # a one-node start cannot resolve the integrand; force exhaustion
+    _exhausting_doubling(monkeypatch, 1)
     with pytest.raises(fidelity.ConvergenceError) as err:
         fidelity._ent_adaptive(params.physical,
-                               np.array([params.physical.F_res]),
-                               rtol=1e-300, start_nodes=1, max_doublings=1)
+                               np.array([params.physical.F_res]))
     assert len(err.value.estimates) == 2
+    assert err.value.nodes == 2
 
 
 @pytest.mark.parametrize("nodes", [21, 42, 84])
@@ -153,17 +161,17 @@ def test_grid_kernel_matches_per_point_reference(params, monkeypatch, nodes):
 def test_adaptive_grid_matches_per_point_doubling(params):
     phys = replace(params.physical, sigma_sd=TWO_PI * 1.0e9)
     f_res = np.array([10.0, 50.0, 100.0, 500.0])
-    grid = fidelity._ent_adaptive(phys, f_res, rtol=1e-6)
+    grid = fidelity._ent_adaptive(phys, f_res)
     ref = [_reference_adaptive(replace(phys, F_res=f)) for f in f_res]
     assert len({nodes for _, nodes in ref}) >= 2
     assert grid.tolist() == pytest.approx([v for v, _ in ref], rel=1e-15,
                                           abs=0.0)
 
 
-def test_grid_nonconvergence_carries_two_estimates(params):
+def test_grid_nonconvergence_carries_two_estimates(params, monkeypatch):
+    _exhausting_doubling(monkeypatch, 2)
     with pytest.raises(fidelity.ConvergenceError) as err:
-        fidelity._ent_adaptive(params.physical, np.array([200.0, 500.0]),
-                               rtol=1e-300, start_nodes=1, max_doublings=2)
+        fidelity._ent_adaptive(params.physical, np.array([200.0, 500.0]))
     phys200 = replace(params.physical, F_res=200.0)
     assert (err.value.F_res, err.value.nodes, err.value.rtol) == (200.0, 4,
                                                                   1e-300)
@@ -204,8 +212,7 @@ def test_non_finite_estimate_stops_the_doubling_at_once(params, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(fidelity.ConvergenceError) as err:
-            fidelity._ent_adaptive(params.physical, np.array([500.0, 1e300]),
-                                   fidelity.ENT_RTOL)
+            fidelity._ent_adaptive(params.physical, np.array([500.0, 1e300]))
     assert orders == [21]
     assert (err.value.F_res, err.value.nodes) == (1e300, 21)
     assert all(math.isnan(e) for e in err.value.estimates)
@@ -249,7 +256,12 @@ def test_gauss_hermite_tables_are_read_only_and_built_once(params,
 
 def test_electron_init_is_configured_value(params):
     for ps in (params, with_physical(params, F_e_init=1.0)):
-        assert fidelity.fidelity_budget(ps).F_e_init == ps.physical.F_e_init
+        phys = ps.physical
+        assert fidelity.fidelity_budget(ps).F_transfer[0] == \
+            fidelity.transfer_fidelity(
+                phys.F_e_init,
+                fidelity.nuclear_init_fidelity(phys.nuclear_polarization),
+                fidelity.quadrupolar_factor(phys.sigma_Q, phys.t_transfer))
     assert params.physical.F_e_init == 0.99996
 
 
@@ -287,28 +299,26 @@ def test_nuclear_init_curve_and_constant_match_scipy():
 
 
 def test_quadrupolar_factor_values():
-    assert fidelity.quadrupolar_factor(5e4, 2, 0.0) == 1.0
+    assert fidelity.quadrupolar_factor(5e4, 0.0) == 1.0
     # hand evaluation: exp(-16 * (5e4 * 330e-9)^2) = exp(-16 * 0.0165^2)
     expected = math.exp(-16 * (5e4 * 330e-9) ** 2)
     assert expected == pytest.approx(0.99565, abs=1e-5)
-    assert fidelity.quadrupolar_factor(5e4, 2, 330e-9) == \
+    assert fidelity.quadrupolar_factor(5e4, 330e-9) == \
         pytest.approx(expected, rel=1e-12)
-    assert fidelity.quadrupolar_factor(5e4, 1, 330e-9) == \
-        pytest.approx(math.exp(-(5e4 * 330e-9) ** 2), rel=1e-12)
     # sigma_Q**2 * t**2 beyond float64: fully dephased, without a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert fidelity.quadrupolar_factor(1e300, 2, 330e-9) == 0.0
-        assert fidelity.quadrupolar_factor(5e4, 1, 1e300) == 0.0
+        assert fidelity.quadrupolar_factor(1e300, 330e-9) == 0.0
+        assert fidelity.quadrupolar_factor(5e4, 1e300) == 0.0
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.floats(min_value=1e3, max_value=1e6),
        st.floats(min_value=1e-9, max_value=1e-5))
 def test_quadrupolar_mode_power_law(sigma, t):
-    one = fidelity.quadrupolar_factor(sigma, 1, t)
-    two = fidelity.quadrupolar_factor(sigma, 2, t)
-    assert two == pytest.approx(one**16, rel=1e-9)
+    # the delta_m = 2 mode dephases as exp(-delta_m**4 * (sigma * t)**2)
+    assert fidelity.quadrupolar_factor(sigma, t) == pytest.approx(
+        math.exp(-2**4 * (sigma * t) ** 2), rel=1e-12)
 
 
 def test_transfer_fidelity_products():
@@ -555,19 +565,19 @@ def test_budget_pipeline_matches_components(params):
     (F_ent,), (F_gate,), (F_readout,) = b.F_ent, b.F_gate, b.F_readout
     (F_transfer,) = b.F_transfer
     F_n_init = fidelity.nuclear_init_fidelity(phys.nuclear_polarization)
-    F_quad = fidelity.quadrupolar_factor(phys.sigma_Q, 2, phys.t_transfer)
+    F_quad = fidelity.quadrupolar_factor(phys.sigma_Q, phys.t_transfer)
     assert F_ent == pytest.approx(F_ENT_500_AT_275, abs=1e-8)
     nominal = fidelity.fidelity_budget(with_physical(params, sigma_sd=0.0))
     assert nominal.F_ent[0] == pytest.approx(F_BK_NOMINAL_500, abs=1e-9)
     assert F_transfer == pytest.approx(
-        b.F_e_init * F_n_init * F_quad, rel=1e-12)
+        phys.F_e_init * F_n_init * F_quad, rel=1e-12)
     assert b.F_total.shape == (1, 1)
     assert b.F_total[0, 0] == fidelity.overall_fidelity(
         params.link.n_nest, F_ent=float(F_ent), F_transfer=float(F_transfer),
         F_gate=float(F_gate), F_readout=float(F_readout),
-        F_e_init=b.F_e_init)
+        F_e_init=phys.F_e_init)
     assert b.warnings == ((),)
-    assert all(0.0 <= c <= 1.0 for c in (b.F_e_init, F_n_init, F_quad,
+    assert all(0.0 <= c <= 1.0 for c in (phys.F_e_init, F_n_init, F_quad,
                                           F_transfer, F_ent, F_gate,
                                           F_readout))
 
@@ -692,7 +702,7 @@ def test_contour_equals_budget_at_every_point(params):
         for j, pol in enumerate(c.polarization_grid):
             point = with_physical(params, F_res=fp, nuclear_polarization=pol)
             b = fidelity.fidelity_budget(point)
-            assert (c.n_nest, c.F_e_init) == (b.n_nest, b.F_e_init)
+            assert c.n_nest == b.n_nest
             assert (c.F_ent[i], c.F_gate[i], c.F_readout[i],
                     c.warnings[i]) == (b.F_ent[0], b.F_gate[0],
                                        b.F_readout[0], b.warnings[0])

@@ -107,8 +107,6 @@ class TrialRecords:
 class TimingStats:
     mean: float
     stderr: float
-    trials: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -149,7 +147,6 @@ class FidelityBudget:
     fp_grid: tuple[float, ...]
     polarization_grid: tuple[float, ...]
     n_nest: int
-    F_e_init: float
     F_ent: np.ndarray
     F_gate: np.ndarray
     F_readout: np.ndarray
