@@ -54,6 +54,9 @@ CASES = {
     # no trial succeeds, so every statistic prints as nan
     "mc-cutoff-0": ["mc", "--cutoff", "0", "--trials", "200"],
     "mc-cutoff-4-out": ["mc", "--cutoff", "4", "--out", "{tmp}/trials.csv"],
+    # a three-digit exponent (9.535068e-166) and underflow to 0.000000e+00
+    "rates-underflow": ["rates", "--l-min-km", "100", "--l-max-km", "40000",
+                        "--l-points", "5"],
     # error exits
     "rates-one-point": ["rates", "--l-points", "1"],
     "mc-p0-above-one": ["mc", "--p0", "2"],
