@@ -5,8 +5,9 @@ command prints nothing: it returns ``(exit_code, stdout_text, stderr_lines,
 table)``, and ``main`` alone renders that, the stderr lines first, then the
 stdout text, then the table.  The table is CSV text, or None; it goes to
 stdout, or with ``--out`` to that file plus a ``<out>.meta.json`` companion
-recording the fully resolved parameter set.  All numeric CSV output uses the
-fixed ``%.6e`` format with stable headers and row order.
+recording the fully resolved parameter set.  CSV headers and row order are
+stable; an integer column prints as ``%d`` and a float column as ``%.6e``,
+chosen by dtype and rendered as whole arrays, byte-identical to ``%``.
 
 Exit codes: 0 success, 1 validation failure (also a refused out-of-regime
 contour and an F_ent quadrature that does not converge), 2 usage error
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 import errno
-import itertools
+import functools
 import json
 # argparse's gettext loads locale on the first parse; load it with the CLI
 import locale  # noqa: F401
@@ -52,13 +53,137 @@ def _sweep(variable: str, start: float, stop: float, points: int,
     return np.logspace(math.log10(start), math.log10(stop), points)
 
 
-def _csv(header: str, row_format: str, columns) -> str:
-    """CSV text: ``header``, then one ``row_format`` line per row of the
-    equal-length ``columns``, all rendered by one ``%``."""
+# A float field is rendered into _FLOAT_WIDTH bytes: the sign ("-", or a pad
+# when positive), the seven mantissa digits around the point, "e", the
+# exponent's sign and its two digits, then a pad.  _FLOAT_WIDTH fits the
+# longest ``%.6e`` of a float, "-1.797693e+308", so a field rendered by ``%``
+# fits as well.  Pad bytes are dropped once the whole table is laid out.
+_FLOAT_WIDTH = 14
+_PAD = 0
+#: the largest |exponent| rendered in-array; wider ones go through ``%``
+_EXP_MAX = 99
+
+
+@functools.cache
+def _powers_of_ten() -> np.ndarray:
+    """``10**(6 - e)`` at index ``_EXP_MAX - e``, for |e| <= _EXP_MAX, each the
+    correctly rounded double of its literal."""
+    return np.array([float(f"1e{k}")
+                     for k in range(6 - _EXP_MAX, 7 + _EXP_MAX)])
+
+
+def _fallback(value: float) -> str:
+    """One ``%.6e`` field rendered by ``%``: the array path's only
+    per-element code, for what it cannot prove (see ``_float_fields``)."""
+    return _FMT % value
+
+
+def _float_fields(block: np.ndarray) -> np.ndarray:
+    """The ``%.6e`` fields of the float64 ``block``, as
+    ``block.shape + (_FLOAT_WIDTH,)`` ASCII bytes with pads.
+
+    With ``e = floor(log10|x|)``, ``m = |x| * 10**(6 - e)`` is within about
+    2.3e-9 of its exact value: at most two roundings of a number below
+    about 1e7, one of them the table's power.  So where the fraction of
+    ``m`` is more than 1e-6 from .5, rounding ``m`` gives the seven digits
+    that ``%``'s correct rounding gives.  Rounding lands in [1e6, 1e7] also
+    where ``log10`` is one off next to a power of ten; 1e7 carries into the
+    exponent.  Every other element (a near-tie, NaN, an infinity, an
+    exponent beyond +-_EXP_MAX, or a ``log10`` further off) goes through
+    ``_fallback``; zeros are exact.
+    """
+    a = np.abs(block)
+    # zero, non-finite and huge elements compute garbage that `sure` drops
+    with np.errstate(all="ignore"):
+        e = np.floor(np.log10(a))
+        sure = np.abs(e) <= _EXP_MAX
+        e[~sure] = 0.0
+        m = a * _powers_of_ten().take(_EXP_MAX - e.astype(np.intp))
+        r = np.floor(m)
+        m -= r                                  # the fraction
+        r += m > 0.5
+        m -= 0.5
+        sure &= (r >= 1e6) & (r <= 1e7)
+        sure |= a == 0
+        sure &= np.abs(m, out=m) > 1e-6
+    carry = r == 1e7                            # 9.9999995 rounds to 10
+    r[carry] = 1e6
+    e += carry
+    sure &= np.abs(e) <= _EXP_MAX
+    r[~sure] = 0.0
+    e[~sure] = 0.0
+
+    out = np.empty(block.shape + (_FLOAT_WIDTH,), np.uint8)
+    out[..., 0] = np.signbit(block) * np.uint8(ord("-"))
+    out[..., 2] = ord(".")
+    out[..., 9] = ord("e")
+    out[..., 10] = np.where(e < 0, ord("-"), ord("+"))
+    out[..., 13] = _PAD
+    # exact: r / 10**j, r whole and below 1e7, never rounds up to a whole
+    q = np.empty_like(r)
+    for pos, div in zip((1, 3, 4, 5, 6, 7, 8), (1e6, 1e5, 1e4, 1e3, 1e2,
+                                                1e1, 1.0)):
+        np.floor(np.divide(r, div, out=q), out=q)
+        out[..., pos] = q + ord("0")
+        r -= q * div
+    np.abs(e, out=e)
+    np.floor(np.divide(e, 10.0, out=q), out=q)
+    out[..., 11] = q + ord("0")
+    out[..., 12] = e - 10.0 * q + ord("0")
+
+    unsure = np.flatnonzero(~sure)
+    if unsure.size:
+        text = [_fallback(v) for v in block.ravel()[unsure].tolist()]
+        out.reshape(-1, _FLOAT_WIDTH)[unsure] = np.array(
+            text, dtype=f"S{_FLOAT_WIDTH}").view(np.uint8).reshape(
+                -1, _FLOAT_WIDTH)
+    return out
+
+
+def _int_fields(column: np.ndarray) -> np.ndarray:
+    """The ``%d`` fields of ``column``, as ``(rows, 1 + digits)`` ASCII
+    bytes: the sign or a pad, then the digits, leading zeros as pads."""
+    u = column.astype(np.uint64)
+    negative = column < 0
+    magnitude = np.where(negative, np.uint64(0) - u, u)   # exact at -2**63
+    digits = len(str(int(magnitude.max(initial=0))))
+    out = np.empty((column.size, 1 + digits), np.uint8)
+    out[:, 0] = negative * np.uint8(ord("-"))
+    above = np.zeros_like(magnitude)       # the digits left of this one
+    for pos in range(1, 1 + digits):
+        q = magnitude // np.uint64(10 ** (digits - pos))
+        out[:, pos] = q - np.uint64(10) * above + np.uint64(ord("0"))
+        if pos < digits:
+            out[q == 0, pos] = _PAD
+        above = q
+    return out
+
+
+def _csv(header: str, columns) -> str:
+    """CSV text: ``header``, then one line per row of the equal-length numpy
+    ``columns``.  An integer column prints as ``%d`` and any other as
+    ``%.6e``, each byte as ``%`` prints it.  All float columns are rendered
+    as one block; the fields go into one byte matrix, from which the pads
+    are dropped once."""
     columns = tuple(columns)
-    values = tuple(itertools.chain.from_iterable(zip(*columns)))
-    rows = len(values) // len(columns)
-    return f"{header}\n" + (row_format + "\n") * rows % values
+    integer = [column.dtype.kind in "iu" for column in columns]
+    floats = [c for c, is_int in zip(columns, integer) if not is_int]
+    # the (rows, _FLOAT_WIDTH) fields of each float column, in order
+    float_fields = iter(np.moveaxis(
+        _float_fields(np.stack(floats, axis=1)), 1, 0) if floats else ())
+    fields = [_int_fields(c) if is_int else next(float_fields)
+              for c, is_int in zip(columns, integer)]
+    width = sum(f.shape[1] + 1 for f in fields)
+    # the matrix views a bytearray, so the pads are dropped without a copy
+    text = bytearray(len(columns[0]) * width)
+    rows = np.frombuffer(text, np.uint8).reshape(-1, width)
+    end = 0
+    for f in fields:
+        start, end = end, end + f.shape[1] + 1
+        rows[:, start:end - 1] = f
+        rows[:, end - 1] = ord(",")
+    rows[:, -1] = ord("\n")
+    return f"{header}\n" + text.translate(None, bytes([_PAD])).decode("ascii")
 
 
 _CONFIG = ("--config", {"help": "parameter file (flat key = value text)"})
@@ -189,9 +314,7 @@ def cmd_rates(args: argparse.Namespace, ps: ParameterSet) -> tuple:
     pairs = rates.mean_time_two_plus_two(
         with_link(ps, L_total=distances, eta_s=0.65)).rate
     return 0, "", [], _csv("L_km,rate_direct,rate_B,rate_C,rate_D,rate_2plus2",
-                           ",".join([_FMT] * 6),
-                           (column.tolist()
-                            for column in (grid, direct, *curves, pairs)))
+                           (grid, direct, *curves, pairs))
 
 
 def cmd_contour(args: argparse.Namespace, ps: ParameterSet) -> tuple:
@@ -229,8 +352,8 @@ def cmd_contour(args: argparse.Namespace, ps: ParameterSet) -> tuple:
                                c.F_transfer, c.F_gate[:, None],
                                c.F_readout[:, None], c.F_total)
     return 0, "", notes, _csv("F_p,polarization,F_ent,F_transfer,F_gate,"
-                              "F_readout,F_total", ",".join([_FMT] * 7),
-                              (column.ravel().tolist() for column in grid))
+                              "F_readout,F_total",
+                              (column.ravel() for column in grid))
 
 
 def cmd_validate(args: argparse.Namespace, ps: ParameterSet) -> tuple:
@@ -269,10 +392,8 @@ def cmd_mc(args: argparse.Namespace, ps: ParameterSet) -> tuple:
         f"max-storage median {mcsim.median(stored):.4g} s; "
         f"fraction exceeding 1 s: {above:.4f}"])
     table = (_csv("trial,total_time_s,swap_failures,max_storage_s",
-                  f"%d,{_FMT},%d,{_FMT}",
-                  (range(len(records)), records.total_time.tolist(),
-                   records.swap_failures.tolist(),
-                   records.max_storage_time.tolist()))
+                  (np.arange(len(records)), records.total_time,
+                   records.swap_failures, records.max_storage_time))
              if args.out else None)   # the per-trial CSV goes only to --out
     return 0, report, [], table
 

@@ -114,6 +114,7 @@ def test_removed_knobs_stay_removed():
         mcsim.compare_with_analytic: ["stats", "target"],
         fidelity._ent_adaptive: ["phys", "F_res"],
         fidelity.quadrupolar_factor: ["sigma_Q", "t"],
+        cli._csv: ["header", "columns"],   # the format follows the dtype
     }
     for fn, names in signatures.items():
         assert list(inspect.signature(fn).parameters) == names, fn.__name__

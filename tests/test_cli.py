@@ -14,7 +14,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import golden_corpus
+from percent_csv import percent_csv
 from qdrepeater import acceptance, cli, fidelity, mcsim, params, rates
 from qdrepeater.cli import main
 from qdrepeater.params import (_KEYS, LinkParams, PhysicalParams,
@@ -381,6 +385,94 @@ def test_mc_out_csv_matches_per_row_rendering(capsys, tmp_path, n_nest, p0,
     code, _, _ = run(capsys, argv + (["--p0", repr(p0)] if p0 else []))
     assert code == 0
     assert out_csv.read_text() == "\n".join(lines) + "\n"
+
+
+# ------------------------------------------------------------ CSV renderer
+
+_INT64 = st.integers(-(2**63 - 1), 2**63 - 1)
+_FLOAT64 = st.one_of(
+    st.floats(),                                    # any double
+    st.floats(min_value=-1e99, max_value=1e99),     # two-digit exponents
+    # near-ties of the seventh digit
+    st.builds(lambda n, k: (n + 0.5) * 10.0**k,
+              st.integers(10**6, 10**7 - 1), st.integers(-99, 92)),
+    # next to a power of ten, where log10 can be one off or the digits carry
+    st.builds(lambda k, f: float(f"1e{k}") * f,
+              st.integers(-100, 100), st.floats(1 - 1e-7, 1 + 1e-7)))
+_TIES_AND_BOUNDS = [12345675.0, 1234567.5, 9999999.5, 99999995.0, 0.5, -0.0,
+                    5e-324, float(np.nextafter(1e5, 0)), 1e22, 1e23, 1e-100,
+                    1.7976931348623157e308]
+_ROW = np.arange(2000)
+#: doubles next to ties of the seventh digit at every two-digit exponent;
+#: scaled, about 1% of them fall within 1e-9 of the tie
+_NEAR_TIES = (_ROW * 4507 % 9_000_000 + 1_000_000.5) * 10.0**(_ROW % 191 - 99)
+#: just below each power of ten: the seven digits carry into the exponent
+_CARRIES = np.array([float(f"1e{k}") * (1 - 4e-8) for k in range(-99, 100)])
+
+
+@st.composite
+def _tables(draw):
+    """A mixed int64 and float64 table, as its columns."""
+    rows = draw(st.integers(0, 8))
+    return [np.array(draw(st.lists(_INT64 if integer else _FLOAT64,
+                                   min_size=rows, max_size=rows)),
+                     dtype=np.int64 if integer else np.float64)
+            for integer in draw(st.lists(st.booleans(), min_size=1,
+                                         max_size=5))]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_tables())
+@example([np.array(_TIES_AND_BOUNDS),
+          np.array([0, -1, 2**63 - 1, -(2**63 - 1), 9, 10, -10, 99, 100,
+                    -999, 1000, 7], dtype=np.int64)])
+# NaN, infinities, zero, a three-digit exponent and one reached by a carry
+@example([np.array([np.nan, np.inf, -np.inf, -np.nan, 0.0, 9.535068e-166,
+                    9.9999999e99])])
+@example([_NEAR_TIES])
+@example([_CARRIES])
+def test_csv_matches_the_percent_renderer(columns):
+    assert_csv_matches_the_percent_renderer(columns)
+
+
+def assert_csv_matches_the_percent_renderer(columns):
+    header = ",".join(f"c{i}" for i in range(len(columns)))
+    row_format = ",".join("%d" if column.dtype.kind == "i" else cli._FMT
+                          for column in columns)
+    assert cli._csv(header, columns) == percent_csv(
+        header, row_format, [column.tolist() for column in columns])
+
+
+@pytest.mark.parametrize("off_by", [-2, -1, 1, 2])
+def test_csv_stays_exact_when_log10_is_off(monkeypatch, off_by):
+    # the exponent estimate is checked, not trusted: a wrong one falls back
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + off_by)
+    assert_csv_matches_the_percent_renderer(
+        [np.concatenate([_TIES_AND_BOUNDS, _CARRIES, _CARRIES * -3.7])])
+
+
+@pytest.mark.parametrize("case, fields", [
+    ("rates", []),
+    ("contour", []),
+    ("mc-cutoff-4-out", []),    # mc --cutoff 4 --out, 10000 trials
+    # a three-digit exponent goes through %; zeros stay in the array path
+    ("rates-underflow", ["9.535068e-166"]),
+])
+def test_tables_render_as_arrays_but_for_what_they_cannot_prove(
+        monkeypatch, tmp_path, case, fields):
+    rendered, percent = [], cli._fallback
+
+    def counted(value):
+        rendered.append(percent(value))
+        return rendered[-1]
+
+    monkeypatch.setattr(cli, "_fallback", counted)
+    argv = [arg.replace("{tmp}", str(tmp_path))
+            for arg in golden_corpus.CASES[case]]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert rendered == fields
 
 
 def test_mc_seed_change_moves_numbers_but_still_passes(capsys):
