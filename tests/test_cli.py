@@ -403,8 +403,8 @@ _TIES_AND_BOUNDS = [12345675.0, 1234567.5, 9999999.5, 99999995.0, 0.5, -0.0,
                     5e-324, float(np.nextafter(1e5, 0)), 1e22, 1e23, 1e-100,
                     1.7976931348623157e308]
 _ROW = np.arange(2000)
-#: doubles next to ties of the seventh digit at every two-digit exponent;
-#: scaled, about 1% of them fall within 1e-9 of the tie
+#: doubles next to ties of the seventh digit at every two-digit exponent: a
+#: renderer that trusted scaled values to 1e-12 of the tie gets 1% wrong
 _NEAR_TIES = (_ROW * 4507 % 9_000_000 + 1_000_000.5) * 10.0**(_ROW % 191 - 99)
 #: just below each power of ten: the seven digits carry into the exponent
 _CARRIES = np.array([float(f"1e{k}") * (1 - 4e-8) for k in range(-99, 100)])
