@@ -3,11 +3,12 @@
 Subcommands: ``rates``, ``contour``, ``validate``, ``mc``, ``qsim``.  A
 command prints nothing: it returns ``(exit_code, stdout_text, stderr_lines,
 table)``, and ``main`` alone renders that, the stderr lines first, then the
-stdout text, then the table.  The table is CSV text, or None; it goes to
-stdout, or with ``--out`` to that file plus a ``<out>.meta.json`` companion
-recording the fully resolved parameter set.  CSV headers and row order are
-stable; an integer column prints as ``%d`` and a float column as ``%.6e``,
-chosen by dtype and rendered as whole arrays, byte-identical to ``%``.
+stdout text, then the table.  The table is ASCII CSV bytes, or None; it is
+decoded only to go to stdout, and written as it is with ``--out``, to that
+file plus a ``<out>.meta.json`` companion recording the fully resolved
+parameter set.  CSV headers and row order are stable; an integer column
+prints as ``%d`` and a float column as ``%.6e``, chosen by dtype and
+rendered as whole arrays, byte-identical to ``%``.
 
 Exit codes: 0 success, 1 validation failure (also a refused out-of-regime
 contour and an F_ent quadrature that does not converge), 2 usage error
@@ -159,12 +160,12 @@ def _int_fields(column: np.ndarray) -> np.ndarray:
     return out
 
 
-def _csv(header: str, columns) -> str:
-    """CSV text: ``header``, then one line per row of the equal-length numpy
-    ``columns``.  An integer column prints as ``%d`` and any other as
-    ``%.6e``, each byte as ``%`` prints it.  All float columns are rendered
-    as one block; the fields go into one byte matrix, from which the pads
-    are dropped once."""
+def _csv(header: str, columns) -> bytes:
+    """ASCII CSV bytes: ``header``, then one line per row of the
+    equal-length numpy ``columns``.  An integer column prints as ``%d`` and
+    any other as ``%.6e``, each byte as ``%`` prints it.  All float columns
+    are rendered as one block; the fields go into one byte matrix, from
+    which the pads are dropped once."""
     columns = tuple(columns)
     integer = [column.dtype.kind in "iu" for column in columns]
     floats = [c for c, is_int in zip(columns, integer) if not is_int]
@@ -183,7 +184,7 @@ def _csv(header: str, columns) -> str:
         rows[:, start:end - 1] = f
         rows[:, end - 1] = ord(",")
     rows[:, -1] = ord("\n")
-    return f"{header}\n" + text.translate(None, bytes([_PAD])).decode("ascii")
+    return f"{header}\n".encode("ascii") + text.translate(None, bytes([_PAD]))
 
 
 _CONFIG = ("--config", {"help": "parameter file (flat key = value text)"})
@@ -262,18 +263,18 @@ def _fail(code: int, line: str) -> tuple:
     return code, "", [line], None
 
 
-def _emit(text: str, args: argparse.Namespace, ps: ParameterSet,
+def _emit(table: bytes, args: argparse.Namespace, ps: ParameterSet,
           argv: list[str]) -> str | None:
-    """Write ``text`` to ``--out`` with its meta.json; the error line when a
-    file cannot be written, else None."""
+    """Write ``table`` to ``--out`` with its meta.json; the error line when
+    a file cannot be written, else None."""
     meta = {"command": argv, "parameters": to_dict(ps),
             "provenance": ps.provenance}
     if "seed" in args:
         meta["seed"] = args.seed
     path = args.out
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(table)
         path = args.out + ".meta.json"
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
@@ -438,7 +439,7 @@ def main(argv: list[str] | None = None) -> int:
             sys.stderr.write(f"{error}\n")
             return 2
     elif table:
-        sys.stdout.write(table)
+        sys.stdout.write(table.decode("ascii"))
     return code
 
 

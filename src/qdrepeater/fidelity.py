@@ -81,16 +81,8 @@ class SplittingResult:
 
 
 @record
-class GateResult:
-    """Photon-scattering gate fidelity with its validity notes."""
-
-    fidelity: float
-    warnings: tuple[str, ...]
-
-
-@record
-class ReadoutResult:
-    """Spin readout fidelity with its validity notes."""
+class ComponentResult:
+    """A gate or readout fidelity with its validity notes."""
 
     fidelity: float
     warnings: tuple[str, ...]
@@ -401,7 +393,7 @@ def transfer_fidelity(F_e_init: float, F_n_init: float, F_quad: float) -> float:
 # gate and readout
 # ---------------------------------------------------------------------------
 
-def gate_fidelity(phys: PhysicalParams) -> GateResult:
+def gate_fidelity(phys: PhysicalParams) -> ComponentResult:
     """Cavity-assisted photon-scattering gate fidelity, first order in 1/C.
 
     The cooperativity is identified with the resonant Purcell factor
@@ -438,12 +430,12 @@ def gate_fidelity(phys: PhysicalParams) -> GateResult:
                         "first-order expansion unreliable"
                         for name, term in zip(names, r) if not term <= 0.05)
                   for r in np.broadcast(term_c, term_eps, term_xi, term_spec))
-    return GateResult(fidelity=value if value.ndim else float(value),
-                      warnings=notes if value.ndim else notes[0])
+    return ComponentResult(fidelity=value if value.ndim else float(value),
+                           warnings=notes if value.ndim else notes[0])
 
 
 def readout_fidelity(T: float, D: float, eta_c: float, eta_d: float,
-                     Omega: float, gamma_prime) -> ReadoutResult:
+                     Omega: float, gamma_prime) -> ComponentResult:
     """Spin readout fidelity with Poissonian signal and dark counts.
 
     F = 1/2 * [1 + exp(-T*D) - exp(-T*eta_c*eta_d*Omega**2/gamma')], with the
@@ -463,8 +455,8 @@ def readout_fidelity(T: float, D: float, eta_c: float, eta_d: float,
     notes = tuple((f"readout drive {ratio:.3g} x gamma' is not weak (above 0.2 "
                    "x gamma'); emission-rate formula degrades",) if flag else ()
                   for flag, ratio in strong)
-    return ReadoutResult(fidelity=value if value.ndim else float(value),
-                         warnings=notes if value.ndim else notes[0])
+    return ComponentResult(fidelity=value if value.ndim else float(value),
+                           warnings=notes if value.ndim else notes[0])
 
 
 def invert_readout_drive(F_target: float, T: float, D: float, eta_c: float,

@@ -141,8 +141,8 @@ class TrialRecords:
     earliest-written memory (the mid pair, and the outer pair when the swap
     fails), and one for the end memories.
 
-    Slicing gives the ``TrialRecords`` of a range of trials, and ``==``
-    compares every column exactly.  One trial is read from the columns.
+    ``==`` compares every column exactly.  One trial is read from the
+    columns.
     """
 
     total_time: np.ndarray          # seconds
@@ -152,13 +152,6 @@ class TrialRecords:
 
     def __len__(self) -> int:
         return self.total_time.size
-
-    def __getitem__(self, trials: slice) -> "TrialRecords":
-        if not isinstance(trials, slice):
-            raise TypeError("TrialRecords takes a slice; read one trial "
-                            "from the columns")
-        return TrialRecords(*(getattr(self, f.name)[trials]
-                              for f in fields(self)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TrialRecords):

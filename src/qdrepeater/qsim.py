@@ -407,9 +407,7 @@ def swap_branches(rho: DensityMatrix, F_gate: float, F_readout: float):
     if rho.n_qubits != 4:
         raise ValueError("swap expects a four-qubit register")
     eps = 1.0 - F_readout
-    kraus = _swap_unitary()[None]
-    if F_gate < 1.0:
-        kraus = _two_qubit_depolarizing_kraus(F_gate) @ _swap_unitary()
+    kraus = _two_qubit_depolarizing_kraus(F_gate) @ _swap_unitary()
     state = rho.apply_kraus(kraus, [1, 2])
     # blocks[2*m2 + m3] is outcome (m2, m3)'s unnormalized pair, and
     # outcome ^ flip is the record 2*r2 + r3; branch 4*outcome + flip runs

@@ -150,33 +150,27 @@ def crossover_distance(params: ParameterSet,
     """Distance where the repeater rate first beats direct transmission.
 
     Bisection to 1 m on the (monotone-difference) closed forms between 1 and
-    2000 km; returns None when no sign change exists there.  One array pass
-    evaluates the gap at every midpoint that the next seven steps can visit;
-    the steps then go as a scalar bisection's do, on the same midpoints.
+    2000 km; returns None when no sign change exists there.  Every point the
+    bisection can visit is 1 km + k*h with h = 1999 km / 2**21, exact in
+    float64, and it always takes 21 steps, since h < 1 m <= 2*h.  So three
+    array passes, at strides 2**14, 2**7 and 1, each evaluate the gap at
+    the 129 grid points that the next seven steps can visit; the steps then
+    make the scalar bisection's own comparisons on them, NaN included.
     """
-    def bisection_pass(lo: float, hi: float) -> tuple[list, list]:
-        # [lo, hi] cut in 128, each point 0.5 * (a + b) of its neighbours
-        grid = np.array([lo, hi])
-        for _ in range(7):
-            finer = np.empty(2 * grid.size - 1)
-            finer[::2], finer[1::2] = grid, 0.5 * (grid[:-1] + grid[1:])
-            grid = finer
+    lo, h = 1e3, (2000e3 - 1e3) / 2**21
+    k = 0                       # the current cell starts at lo + k*h
+    for stride in (2**14, 2**7, 1):
+        grid = lo + h * (k + stride * np.arange(129))
         r = mean_time_parallel(with_link(params, L_total=grid)).rate
-        direct = direct_transmission_rate(grid, source_rate, params.link.L_att)
-        return grid.tolist(), (r - direct).tolist()
-
-    lo, hi = 1e3, 2000e3
-    grid, gaps = bisection_pass(lo, hi)
-    if gaps[0] > 0:
-        return lo
-    if gaps[-1] < 0:
-        return None
-    while hi - lo > 1.0:        # grid and gaps cover [lo, hi]
-        if len(grid) == 2:
-            grid, gaps = bisection_pass(lo, hi)
-        mid = len(grid) // 2
-        if gaps[mid] > 0:
-            hi, grid, gaps = grid[mid], grid[:mid + 1], gaps[:mid + 1]
-        else:
-            lo, grid, gaps = grid[mid], grid[mid:], gaps[mid:]
-    return 0.5 * (lo + hi)
+        gaps = r - direct_transmission_rate(grid, source_rate,
+                                            params.link.L_att)
+        if stride == 2**14 and gaps[0] > 0:
+            return lo
+        if stride == 2**14 and gaps[-1] < 0:
+            return None
+        j = 0
+        for step in (64, 32, 16, 8, 4, 2, 1):
+            if not gaps[j + step] > 0:
+                j += step
+        k += j * stride
+    return 0.5 * (float(grid[j]) + float(grid[j + 1]))

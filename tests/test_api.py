@@ -89,7 +89,7 @@ def test_benchmark_builds_configs_and_reads_no_removed_column(monkeypatch):
     "pulse_spacing", "serialize", "branching_ratio", "mean_time_sequential",
     "electron_init_fidelity", "SweepSpec", "ValidationReport", "_correction",
     "_chain_product", "ContourResult", "_budget_grid", "apply_cz",
-    "apply_unitary", "_nominal_bk"])
+    "apply_unitary", "_nominal_bk", "GateResult", "ReadoutResult"])
 def test_removed_names_stay_out_of_the_package(name):
     assert not any(hasattr(mod, name) for mod in (
         qdrepeater, acceptance, cli, fidelity, mcsim, params, qsim, rates))
@@ -103,6 +103,7 @@ def test_removed_knobs_stay_removed():
                                fields(mcsim.ComparisonReport)}
     assert not hasattr(fidelity.FidelityBudget, "in_regime")
     assert not hasattr(qsim.DensityMatrix, "apply_unitary")
+    assert not hasattr(mcsim.TrialRecords, "__getitem__")  # tests/conftest.py
     assert "F_e_init" not in {f.name for f in fields(fidelity.FidelityBudget)}
     assert not {"trials", "seed"} & {f.name for f in
                                      fields(mcsim.TimingStats)}

@@ -439,7 +439,7 @@ def assert_csv_matches_the_percent_renderer(columns):
     header = ",".join(f"c{i}" for i in range(len(columns)))
     row_format = ",".join("%d" if column.dtype.kind == "i" else cli._FMT
                           for column in columns)
-    assert cli._csv(header, columns) == percent_csv(
+    assert cli._csv(header, columns).decode("ascii") == percent_csv(
         header, row_format, [column.tolist() for column in columns])
 
 
