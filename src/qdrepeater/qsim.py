@@ -10,18 +10,19 @@ Two layers:
   evolution never forms a matrix: each register index has at most N
   flip-flop partners, so H acts on a state vector as one gather over a
   partner table, and exp(-iHt) acts as a truncated Taylor series in steps
-  short enough that the truncation error stays below float64 rounding
-  (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)), and
+  short enough, each summed to the order that keeps its truncation error
+  below float64 rounding (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
+  (2011)), and
 * a dense density-matrix register (up to 8 qubits) used to simulate the
   swap circuit and power-of-two chains with scalar-fidelity noise channels.
   A gate or Kraus channel on k qubits acts as its 4**k superoperator on
   the (2,)*2n tensor view of the matrix; no full-register operator is
-  ever built.  The swap's gates and gate noise act as one fused channel on
-  the two middle qubits.  Each Z-readout outcome of those qubits is one
-  slice of the tensor view, which projects and traces them out in one
-  step; its trace is the outcome's probability.  The four slices are read
-  in one einsum, and the record-conditioned corrections of all kept
-  branches are applied as one stacked U rho U^dagger.
+  ever built.  The swap's gates and gate noise form one channel on the two
+  middle qubits.  A Z-readout outcome of those qubits reads only one row
+  of its superoperator, (1-p) A + (p/16) B from two cached arrays, and the
+  four rows times the middle qubits' slab of the tensor view are every
+  outcome's unnormalized end pair; its trace is the outcome's probability.
+  All branches are corrected as one stacked U rho U^dagger.
 
 Conventions: qubit |0> is spin-down, |1> is spin-up; qubit 0 is the most
 significant bit of the register index.  The controlled-Z gate flips the sign
@@ -49,12 +50,6 @@ MAX_FULL_SPACE_NUCLEI = 10
 
 #: Largest ||H dt|| of one Taylor step of the full-space exp(-iHt).
 _TAYLOR_STEP_NORM = 3.0
-#: Lowest Taylor order whose a-priori remainder at that norm x,
-#: x**(m+1)/(m+1)! * (m+2)/(m+2-x), is below the float64 unit roundoff.
-_TAYLOR_ORDER = next(
-    m for m in itertools.count(math.ceil(_TAYLOR_STEP_NORM))
-    if _TAYLOR_STEP_NORM ** (m + 1) / math.factorial(m + 1)
-    * (m + 2) / (m + 2 - _TAYLOR_STEP_NORM) <= np.finfo(float).eps / 2)
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -224,17 +219,26 @@ def _up_spins(n_qubits: int) -> np.ndarray:
     return sum((idx >> bit) & 1 for bit in range(n_qubits))
 
 
+def _taylor_order(x: float) -> int:
+    """Lowest order m >= 1 whose a-priori remainder at ||H dt|| <= x,
+    x**(m+1)/(m+1)! * (m+2)/(m+2-x), is below the float64 unit roundoff;
+    compared multiplied out, so no m with m + 2 <= x qualifies."""
+    return next(m for m in itertools.count(1)
+                if x ** (m + 1) / math.factorial(m + 1) * (m + 2)
+                <= np.finfo(float).eps / 2 * (m + 2 - x))
+
+
 def full_space_oracle(p: TransferParams, state: PureState, t: float) -> PureState:
     """Brute-force evolution in the full product space.
 
     exp(-iHt) acts on the amplitudes as ceil(N |coupling| |t| / 3) Taylor
-    steps, each summed to the fixed order ``_TAYLOR_ORDER`` (27).
-    N |coupling| bounds ||H|| (Gershgorin: at most N couplings per row), so
-    every step has ||H dt|| <= ``_TAYLOR_STEP_NORM`` = 3 and its truncation
-    error is below the float64 unit roundoff.  H is applied through the
-    partner table; no matrix and no decomposition is formed.  The cost
-    grows linearly with N |coupling| |t|: the oracle is meant for times of
-    the order of a Rabi period.
+    steps of length dt.  N |coupling| bounds ||H|| (Gershgorin: at most N
+    couplings per row), so every step has ||H dt|| <= x = N |coupling dt|
+    <= ``_TAYLOR_STEP_NORM`` = 3, and each is summed to ``_taylor_order(x)``
+    terms (27 at x = 3), whose truncation error is below the float64 unit
+    roundoff.  H is applied through the partner table; no matrix and no
+    decomposition is formed.  The cost grows linearly with N |coupling| |t|:
+    the oracle is meant for times of the order of a Rabi period.
     """
     if state.space != "full":
         raise ValueError("full_space_oracle expects a full product-space state")
@@ -243,10 +247,11 @@ def full_space_oracle(p: TransferParams, state: PureState, t: float) -> PureStat
     partners = _flipflop_partners(p)
     steps = math.ceil(p.n_nuclei * abs(p.coupling * t) / _TAYLOR_STEP_NORM)
     dt = t / max(steps, 1)
+    order = _taylor_order(p.n_nuclei * abs(p.coupling * dt))
     amps = state.amps
     for _ in range(steps):
         term = amps
-        for k in range(1, _TAYLOR_ORDER + 1):
+        for k in range(1, order + 1):
             term = (-1j * dt / k) * _flipflop_action(p, partners, term)
             amps = amps + term
     return PureState(amps, p.n_nuclei, "full")
@@ -337,20 +342,28 @@ def bell_fidelity(rho: DensityMatrix) -> float:
     return float(np.real(PSI_PLUS.conj() @ rho.mat @ PSI_PLUS))
 
 
+def _check_fidelity(name: str, value: float, low: float = 0.0) -> None:
+    """ValueError naming ``name`` unless low <= value <= 1 (NaN fails)."""
+    if not low <= value <= 1.0:
+        raise ValueError(f"{name} = {value!r} is outside [{low:g}, 1]")
+
+
 def werner_pair(fidelity: float) -> DensityMatrix:
     """Depolarized |psi_plus> pair with the requested Bell fidelity.
 
     Werner parameter w = (4F-1)/3, so that bell_fidelity returns F exactly.
+    Raises ValueError outside 0 <= F <= 1.
     """
+    _check_fidelity("fidelity", fidelity)
     w = (4.0 * fidelity - 1.0) / 3.0
     mat = w * np.outer(PSI_PLUS, PSI_PLUS.conj()) + (1.0 - w) * np.eye(4) / 4.0
     return DensityMatrix(mat, 2)
 
 
-# The gate constants below are built once, on first use rather than at
-# import: building them touches numpy's complex einsum, multiply and matmul
-# code, which would add about 0.3 MB to the peak RSS of every command that
-# never runs the swap.
+# The swap's constants below are built once, on the first swap rather than
+# at import: building them touches numpy's complex einsum, multiply and
+# matmul code, which would add about 0.3 MB to the peak RSS of every command
+# that never runs the swap.
 
 @functools.cache
 def _pauli_products() -> np.ndarray:
@@ -359,23 +372,41 @@ def _pauli_products() -> np.ndarray:
     return np.einsum("iab,jcd->ijacbd", paulis, paulis).reshape(16, 4, 4)
 
 
-def _two_qubit_depolarizing_kraus(F_gate: float) -> np.ndarray:
-    """The 16 weighted Pauli products P_a (x) P_b, stacked; I (x) I first.
-
-    The depolarizing strength p = 4*(1-F)/3 makes the channel's average gate
-    fidelity equal ``F_gate``.
-    """
-    p_dep = 4.0 * (1.0 - F_gate) / 3.0
-    weights = np.full(16, p_dep / 16.0)
-    weights[0] = 1.0 - 15.0 * p_dep / 16.0
-    return np.sqrt(weights)[:, None, None] * _pauli_products()
-
-
 @functools.cache
-def _swap_unitary() -> np.ndarray:
-    """(H (x) H) CZ (H (x) I) on [D2, D3]: the swap's gates as one unitary."""
-    return (np.kron(HADAMARD, HADAMARD) @ CZ_GATE
-            @ np.kron(HADAMARD, PAULI_I))
+def _swap_rows() -> tuple[np.ndarray, np.ndarray]:
+    """The swap channel's superoperator rows (o, o) <- (b, d) on [D2, D3].
+
+    A is the term of the gates' unitary S = (H (x) H) CZ (H (x) I) alone,
+    S[o, b] conj(S[o, d]), and B its sum over all 16 P_m S; both (4, 16).
+    """
+    S = np.kron(HADAMARD, HADAMARD) @ CZ_GATE @ np.kron(HADAMARD, PAULI_I)
+    kraus = _pauli_products() @ S
+    B = np.einsum("mob,mod->obd", kraus, kraus.conj()).reshape(4, 16)
+    return np.einsum("ob,od->obd", S, S.conj()).reshape(4, 16), B
+
+
+def _swap_blocks(rho: DensityMatrix, F_gate: float) -> np.ndarray:
+    """The unnormalized [D1, D4] pair of each outcome 2*m2 + m3, (4, 4, 4).
+
+    sum_m w_m (P_m S) (x) conj(P_m S) with p = 4(1 - F_gate)/3, w_0 =
+    1 - 15p/16 and w_m = p/16 otherwise is (1 - p) A + (p/16) B.  Raises
+    ValueError outside 0.2 <= F_gate <= 1, where some w_m would be negative.
+    """
+    if rho.n_qubits != 4:
+        raise ValueError("swap expects a four-qubit register")
+    _check_fidelity("F_gate", F_gate, 0.2)
+    p_dep = 4.0 * (1.0 - F_gate) / 3.0
+    A, B = _swap_rows()
+    slab = rho._tensor().transpose(1, 2, 5, 6, 0, 3, 4, 7).reshape(16, 16)
+    return (((1.0 - p_dep) * A + (p_dep / 16.0) * B) @ slab).reshape(4, 4, 4)
+
+
+def _flip_probabilities(F_readout: float) -> np.ndarray:
+    """Probability of each readout flip f = 2*f2 + f3; 0 <= F_readout <= 1."""
+    _check_fidelity("F_readout", F_readout)
+    eps = 1.0 - F_readout
+    p_bit = np.array([1.0 - eps, eps])
+    return np.outer(p_bit, p_bit).reshape(4)
 
 
 @functools.cache
@@ -392,30 +423,21 @@ def swap_branches(rho: DensityMatrix, F_gate: float, F_readout: float):
     H(D2) CZ(D2,D3) H(D2), then H(D3); D2 and D3 are read out in Z with the
     record flipped with probability 1 - F_readout.  The gates and the CZ's
     depolarizing noise act as one channel on (D2, D3), with Kraus operators
-    K_m S for the circuit's unitary S = (H (x) H) CZ (H (x) I): the
-    depolarizing channel commutes with every unitary on the qubits it acts
-    on.  Returns a deterministic
-    ordered list of ``(probability, (record_D2, record_D3), pair_dm)``, in
-    (m2, m3, f2, f3) order of true outcome and readout flip, with the
-    record-conditioned Pauli correction already applied to D4.  The slice
-    ``[:, m2, m3, :, :, m2, m3, :]`` of the tensor view is the unnormalized
-    [D1, D4] state of outcome (m2, m3): it projects D2 and D3 and traces
-    them out at once, and its trace is the joint probability.  One einsum
-    reads all four slices, and every kept branch is corrected in one
-    stacked U @ pair @ U^dagger.
+    sqrt(w_m) P_m S (the channel commutes with every unitary on its qubits).
+    Returns a deterministic ordered list of
+    ``(probability, (record_D2, record_D3), pair_dm)``, in (m2, m3, f2, f3)
+    order of true outcome and readout flip, with the record-conditioned
+    Pauli correction already applied to D4.  ``_swap_blocks`` gives every
+    outcome's unnormalized [D1, D4] pair from the four superoperator rows
+    it reads; its trace is the outcome's probability.  Raises ValueError
+    outside 0.2 <= F_gate <= 1 or 0 <= F_readout <= 1.
     """
-    if rho.n_qubits != 4:
-        raise ValueError("swap expects a four-qubit register")
-    eps = 1.0 - F_readout
-    kraus = _two_qubit_depolarizing_kraus(F_gate) @ _swap_unitary()
-    state = rho.apply_kraus(kraus, [1, 2])
+    p_flip = _flip_probabilities(F_readout)
     # blocks[2*m2 + m3] is outcome (m2, m3)'s unnormalized pair, and
     # outcome ^ flip is the record 2*r2 + r3; branch 4*outcome + flip runs
     # in (m2, m3, f2, f3) order
-    blocks = np.einsum("aijbcijd->ijabcd", state._tensor()).reshape(4, 4, 4)
+    blocks = _swap_blocks(rho, F_gate)
     probs = np.trace(blocks, axis1=1, axis2=2).real
-    p_bit = np.array([1.0 - eps, eps])
-    p_flip = np.outer(p_bit, p_bit).reshape(4)
     outcome, flip = np.divmod(np.arange(16), 4)
     skip = (probs[outcome] <= 1e-15) | (p_flip[flip] == 0.0)
     outcome, flip = outcome[~skip], flip[~skip]
@@ -430,12 +452,18 @@ def swap_branches(rho: DensityMatrix, F_gate: float, F_readout: float):
 
 def averaged_swap(pair_a: DensityMatrix, pair_b: DensityMatrix,
                   F_gate: float, F_readout: float) -> DensityMatrix:
-    """Outcome-averaged swap of two pairs (exact, no sampling)."""
-    joint = pair_a.tensor(pair_b)
-    out = np.zeros((4, 4), dtype=complex)
-    for prob, _, pair in swap_branches(joint, F_gate, F_readout):
-        out += prob * pair.mat
-    return DensityMatrix(out, 2)
+    """Outcome-averaged swap of two pairs (exact, no sampling).
+
+    sum_{o, f} p_f U_r B_o U_r^dagger over outcome o and flip f, record
+    r = o ^ f and unnormalized pair B_o: the branch probabilities cancel.
+    Raises ValueError as ``swap_branches`` does.
+    """
+    p_flip = _flip_probabilities(F_readout)
+    blocks = _swap_blocks(pair_a.tensor(pair_b), F_gate)
+    outcome, flip = np.divmod(np.arange(16), 4)
+    U = _pair_corrections()[outcome ^ flip]
+    corrected = U @ blocks[outcome] @ U.conj().transpose(0, 2, 1)
+    return DensityMatrix(np.tensordot(p_flip[flip], corrected, 1), 2)
 
 
 def chain_fidelity_oracle(l: int, F_ent: float, F_transfer: float,

@@ -1,9 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qdrepeater import qsim
 
@@ -74,24 +81,36 @@ def full_space_evolution_reference(p, amps, times):
     return [modes @ (np.exp(-1j * energies * t) * coeffs) for t in times]
 
 
+def two_qubit_depolarizing_kraus(F_gate):
+    """The 16 weighted Pauli products P_a (x) P_b, stacked; I (x) I first.
+
+    The depolarizing strength p = 4*(1-F)/3 makes the channel's average gate
+    fidelity equal ``F_gate``.
+    """
+    paulis = (qsim.PAULI_I, qsim.PAULI_X, qsim.PAULI_Y, qsim.PAULI_Z)
+    p_dep = 4.0 * (1.0 - F_gate) / 3.0
+    weights = np.full(16, p_dep / 16.0)
+    weights[0] = 1.0 - 15.0 * p_dep / 16.0
+    products = np.stack([np.kron(a, b) for a in paulis for b in paulis])
+    return np.sqrt(weights)[:, None, None] * products
+
+
 def noisy_cz_reference(rho, q1, q2, F_gate=1.0):
     """Controlled-Z on (q1, q2), then two-qubit depolarizing noise of average
     gate fidelity ``F_gate``, as two channels one after the other."""
     out = rho.apply_kraus([qsim.CZ_GATE], [q1, q2])
     if F_gate >= 1.0:
         return out
-    return out.apply_kraus(qsim._two_qubit_depolarizing_kraus(F_gate),
-                           [q1, q2])
+    return out.apply_kraus(two_qubit_depolarizing_kraus(F_gate), [q1, q2])
 
 
 def measure_z_reference(mat, n_qubits, qubit):
+    """Both outcomes of a Z measurement: (outcome, unnormalized state)."""
     bit = (np.arange(2**n_qubits) >> (n_qubits - 1 - qubit)) & 1
     branches = []
     for outcome in (0, 1):
         mask = (bit == outcome).astype(float)
-        sub = mat * (mask[:, None] * mask[None, :])
-        prob = float(np.trace(sub).real)
-        branches.append((prob, outcome, sub / prob))
+        branches.append((outcome, mat * (mask[:, None] * mask[None, :])))
     return branches
 
 
@@ -101,7 +120,8 @@ def swap_branches_reference(rho, F_gate, F_readout):
     Runs the circuit gate by gate (H(D2), noisy CZ, H(D2), H(D3)), measures
     D2, then D3, applies the record's Pauli to D4 as a 4-qubit
     operator (X unless D2 read 1, then Z if D3 read 1), and traces D2 and D3
-    out with an explicit einsum.
+    out with an explicit einsum.  Like ``qsim.swap_branches`` it skips an
+    outcome of probability at most 1e-15.
     """
     eps = 1.0 - F_readout
     state = rho.apply_kraus([qsim.HADAMARD], [1])
@@ -109,8 +129,11 @@ def swap_branches_reference(rho, F_gate, F_readout):
     state = state.apply_kraus([qsim.HADAMARD], [1])
     state = state.apply_kraus([qsim.HADAMARD], [2])
     branches = []
-    for p2, m2, after2 in measure_z_reference(state.mat, 4, 1):
-        for p3, m3, after3 in measure_z_reference(after2, 4, 2):
+    for m2, after2 in measure_z_reference(state.mat, 4, 1):
+        for m3, after3 in measure_z_reference(after2, 4, 2):
+            prob = float(np.trace(after3).real)
+            if prob <= 1e-15:
+                continue
             for f2 in (0, 1):
                 for f3 in (0, 1):
                     p_flip = ((eps if f2 else 1 - eps)
@@ -122,8 +145,8 @@ def swap_branches_reference(rho, F_gate, F_readout):
                              @ np.linalg.matrix_power(qsim.PAULI_X, 1 - r2))
                     U = embed_reference(pauli, [3], 4)
                     corrected = (U @ after3 @ U.conj().T).reshape((2,) * 8)
-                    pair = np.einsum("abcdebcf->adef", corrected)
-                    branches.append((p2 * p3 * p_flip, (r2, r3),
+                    pair = np.einsum("abcdebcf->adef", corrected) / prob
+                    branches.append((prob * p_flip, (r2, r3),
                                      pair.reshape(4, 4)))
     return branches
 
@@ -163,6 +186,18 @@ def random_density_matrix(rng, n_qubits):
          + 1j * rng.normal(size=(2**n_qubits, 2**n_qubits)))
     rho = a @ a.conj().T
     return qsim.DensityMatrix(rho / np.trace(rho).real, n_qubits)
+
+
+def density_matrices(n_qubits):
+    """Drawn density matrices a a^dagger / tr, of every rank."""
+    dim = 2**n_qubits
+    factors = st.integers(1, dim).flatmap(
+        lambda rank: arrays(np.float64, (2, dim, rank),
+                            elements=st.floats(-1.0, 1.0)))
+    return (factors.map(lambda f: f[0] + 1j * f[1])
+            .filter(lambda a: np.vdot(a, a).real > 1e-6)
+            .map(lambda a: qsim.DensityMatrix(
+                a @ a.conj().T / np.vdot(a, a).real, n_qubits)))
 
 
 def random_operator(rng, k):
@@ -351,6 +386,12 @@ def test_partner_table_action_equals_dense_hamiltonian(n):
     assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
 
 
+#: N |coupling t| at which the Taylor steps are checked: a tiny step, a
+#: short one, one step just below and at the largest step norm 3, and two
+#: steps just above it.
+STEP_NORMS = (1e-6, 0.5, 2.999, 3.0, 3.001)
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 def test_block_evolution_equals_dense_propagator(n):
     rng = np.random.default_rng(100 + n)
@@ -358,11 +399,39 @@ def test_block_evolution_equals_dense_propagator(n):
     amps = rng.normal(size=2 ** (n + 1)) + 1j * rng.normal(size=2 ** (n + 1))
     amps /= np.linalg.norm(amps)
     state = qsim.PureState(amps, n, "full")
-    times = (0.0, 0.37, 2.9)
+    times = (0.0, 0.37, 2.9, *(x / (n * p.coupling) for x in STEP_NORMS))
     for t, expected in zip(times,
                            full_space_evolution_reference(p, amps, times)):
         evolved = qsim.full_space_oracle(p, state, t)
         assert np.max(np.abs(evolved.amps - expected)) < 1e-12
+
+
+def test_taylor_order_is_sized_to_the_step_norm():
+    assert qsim._taylor_order(qsim._TAYLOR_STEP_NORM) == 27
+    norms = sorted({*np.linspace(0.0, 3.0, 301), 1e-6, 1e-17}, reverse=True)
+    orders = [qsim._taylor_order(x) for x in norms]
+    assert all(a >= b for a, b in zip(orders, orders[1:]))
+    assert orders[-1] == 1
+    assert qsim._taylor_order(0.5) == 14
+
+
+@pytest.mark.parametrize("norm,terms", [(0.0, 0), (0.5, 14), (3.0, 27),
+                                        (7.5, 3 * 25)])
+def test_full_space_oracle_sums_steps_times_order_terms(monkeypatch, norm,
+                                                        terms):
+    # N |coupling t| = 7.5 takes three steps of norm 2.5, 25 terms each
+    p = qsim.TransferParams(n_nuclei=5, coupling=1.9)
+    state = qsim.embed_collective(qsim.collective_state(0.6, 0.8, 5))
+    calls = []
+    action = qsim._flipflop_action
+
+    def counting(*args):
+        calls.append(args)
+        return action(*args)
+
+    monkeypatch.setattr(qsim, "_flipflop_action", counting)
+    qsim.full_space_oracle(p, state, norm / (5 * p.coupling))
+    assert len(calls) == terms
 
 
 def test_full_space_oracle_builds_no_dense_matrix():
@@ -498,9 +567,10 @@ def test_apply_unitary_and_kraus_equal_embedded_operators(n_qubits, targets):
 def test_kraus_superoperator_matches_einsum_build(fused):
     # the CZ's depolarizing set at F_gate 0.99, alone and fused with the
     # swap's unitary as swap_branches applies it
-    kraus = qsim._two_qubit_depolarizing_kraus(0.99)
+    kraus = two_qubit_depolarizing_kraus(0.99)
     if fused:
-        kraus = kraus @ qsim._swap_unitary()
+        kraus = kraus @ (np.kron(qsim.HADAMARD, qsim.HADAMARD) @ qsim.CZ_GATE
+                         @ np.kron(qsim.HADAMARD, qsim.PAULI_I))
     rho = random_density_matrix(np.random.default_rng(3), 4)
     out = rho.apply_kraus(kraus, [1, 2])
     expected = kraus_by_einsum_superoperator(rho, kraus, [1, 2])
@@ -541,6 +611,92 @@ def test_swap_branches_equal_projector_mask_reference(F_gate, F_readout):
         for (p, _, dm), (p_ref, _, mat_ref) in zip(got, want):
             assert abs(p - p_ref) < 1e-14
             assert np.max(np.abs(dm.mat - mat_ref)) < 1e-14
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(rho=density_matrices(4), pair_a=density_matrices(2),
+       pair_b=density_matrices(2), F_gate=st.floats(0.2, 1.0),
+       F_readout=st.floats(0.0, 1.0))
+def test_swap_equals_gate_by_gate_reference_on_drawn_states(
+        rho, pair_a, pair_b, F_gate, F_readout):
+    got = qsim.swap_branches(rho, F_gate, F_readout)
+    want = swap_branches_reference(rho, F_gate, F_readout)
+    assert [r for _, r, _ in got] == [r for _, r, _ in want]
+    for (p, _, dm), (p_ref, _, mat_ref) in zip(got, want):
+        assert abs(p - p_ref) < 1e-14
+        assert np.max(np.abs(p * dm.mat - p_ref * mat_ref)) < 1e-14
+    averaged = qsim.averaged_swap(pair_a, pair_b, F_gate, F_readout)
+    want = swap_branches_reference(pair_a.tensor(pair_b), F_gate, F_readout)
+    assert np.max(np.abs(averaged.mat
+                         - sum(p * mat for p, _, mat in want))) < 1e-14
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name,value,inside", [
+    ("F_gate", 0.2, True), ("F_gate", math.nextafter(0.2, 0.0), False),
+    ("F_gate", 1.0, True), ("F_gate", math.nextafter(1.0, 2.0), False),
+    ("F_gate", math.nan, False),
+    ("F_readout", 0.0, True), ("F_readout", math.nextafter(0.0, -1.0), False),
+    ("F_readout", 1.0, True), ("F_readout", math.nextafter(1.0, 2.0), False),
+    ("F_readout", math.nan, False)])
+def test_swap_refuses_fidelities_outside_their_domain(name, value, inside):
+    # F_gate < 0.2 would weigh a Pauli channel negatively; any F_readout
+    # outside [0, 1] is no flip probability
+    pair = qsim.werner_pair(0.9)
+    fids = {"F_gate": 0.99, "F_readout": 0.999, name: value}
+    calls = (lambda: qsim.swap_branches(pair.tensor(pair), **fids),
+             lambda: qsim.averaged_swap(pair, pair, **fids),
+             lambda: qsim.chain_fidelity_oracle(2, 0.99, 0.99, **fids,
+                                                F_e_init=1.0))
+    for call in calls:
+        if inside:
+            call()
+        else:
+            with pytest.raises(ValueError, match=name):
+                call()
+    if inside:
+        out = qsim.averaged_swap(pair, pair, **fids)
+        assert np.linalg.eigvalsh(out.mat).min() > -1e-15
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fidelity,inside", [
+    (0.0, True), (1.0, True), (math.nextafter(0.0, -1.0), False),
+    (math.nextafter(1.0, 2.0), False), (math.nan, False)])
+def test_werner_pair_refuses_fidelities_outside_zero_one(fidelity, inside):
+    if inside:
+        pair = qsim.werner_pair(fidelity)
+        assert qsim.bell_fidelity(pair) == pytest.approx(fidelity, abs=1e-15)
+        assert np.linalg.eigvalsh(pair.mat).min() > -1e-15
+    else:
+        with pytest.raises(ValueError, match="fidelity"):
+            qsim.werner_pair(fidelity)
+
+
+def test_swap_constants_are_built_on_the_first_swap_only():
+    # building them costs about 0.3 MB of peak RSS, which the commands that
+    # never swap would pay at import
+    script = (
+        "import contextlib, io\n"
+        "from qdrepeater import cli, qsim\n"
+        "caches = (qsim._swap_rows, qsim._pauli_products)\n"
+        "sizes = [[c.cache_info().currsize for c in caches]]\n"
+        "for argv in (['rates'], ['contour'], ['mc']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0\n"
+        "    sizes.append([c.cache_info().currsize for c in caches])\n"
+        "pair = qsim.werner_pair(0.9)\n"
+        "qsim.swap_branches(pair.tensor(pair), 0.99, 0.999)\n"
+        "sizes.append([c.cache_info().currsize for c in caches])\n"
+        "print(sizes)\n")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == str([[0, 0]] * 4 + [[1, 1]])
 
 
 def test_swap_on_product_input_gives_no_entanglement():
