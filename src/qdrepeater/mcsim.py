@@ -23,19 +23,29 @@ reach about 1e13 slots.  Trials run in chunks whose expected tree nodes,
 plus ``TRIAL_NODES`` per trial, come to about ``CHUNK_NODES``, so that a
 chunk's working set (some 30 bytes per node and 30-120 per trial, about
 1 MB) stays in a 2 MiB per-core L2 cache; a configuration whose trial alone
-is expected to grow more than ``MAX_TRIAL_NODES`` is refused.  A chunk's
-arrays are freed level by level as soon as they are dead, the per-round
-arrays that only the abort pass reads are kept only under a finite cutoff,
-and records go straight into the output columns, so the next chunk mostly
-reuses heap the allocator still holds instead of faulting in pages that
-were handed back to the OS.
+is expected to grow more than ``MAX_TRIAL_NODES`` is refused.
+
+A campaign's chunks share one workspace, two buffers of words grown to the
+largest chunk's need.  Each level writes its keys, round draws and
+per-round arrays into them, alternating between the two as one level's
+arrays die and the next level's are made; only what outlives a level is
+allocated per chunk: each level's round owners, subtree bounds and trials,
+and under a finite cutoff what the abort pass reads.  Records go straight
+into the output columns.  When every chunk allocated and freed its whole
+working set, glibc handed those pages back to the OS and the next chunk
+faulted them in again.  Counted in fresh interpreters (glibc malloc,
+4 KiB pages), ``mc --cutoff 4 --trials 10000 --seed 1`` took 1700-3100
+minor faults that way and takes 360-390 with the workspace, and
+``mc --trials 20000`` 4000-6100 and 410-520.
 
 Times are held as slot counts, whole numbers in float64: exact below 2**53,
 and wide enough for the counts of a link with tiny p0 (a direct 1000 km link
 draws counts beyond the int64 range).  Every sum is taken within one trial,
 so records do not depend on the chunks while each trial's own times stay
-below 2**53 slots.  Times are converted to seconds (times ``slot_time``)
-only to compare them with the cutoff and to report them.
+below 2**53 slots.  The cutoff is compared in whole slots, as the largest
+count K with K * ``slot_time`` <= cutoff, which decides every count, past
+2**53 too, exactly as its product with ``slot_time`` would; times are
+converted to seconds only to place an abort and to report them.
 
 A finite ``memory_cutoff`` bounds how long any nuclear memory may hold a
 state; a trial aborts unsuccessfully at the earliest moment a stored state
@@ -51,6 +61,7 @@ The end memories of a trial add one more hold, until delivery.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import fields
 from numbers import Integral
 
@@ -85,6 +96,7 @@ _MASK = (1 << 64) - 1
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_INF_BITS = 0x7FF0000000000000      # bit pattern of float64 inf
 
 
 @record
@@ -212,33 +224,92 @@ def median(values: np.ndarray) -> float:
     return float(np.partition(values, (lo, hi))[lo:hi + 1].mean())
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
+class _Workspace:
+    """Two buffers of words that one campaign's chunks write their per-node
+    arrays into.
+
+    A buffer grows to what a chunk needs of it when that is more than any
+    chunk before needed, and never shrinks, so the chunks reuse its pages
+    instead of allocating and freeing some 1 MB each, which the allocator
+    would hand back to the OS and fault in again.  Words are only taken
+    through ``other``, as a buffer that an array still to be read does not
+    lie in, so each caller names what it must not overwrite and keeps all
+    its other live arrays outside the buffers.
+    """
+
+    def __init__(self):
+        self._words = [np.empty(0, dtype=np.uint64)] * 2
+
+    def other(self, live: np.ndarray, n: int) -> np.ndarray:
+        """The first ``n`` words of a buffer that ``live`` does not lie in:
+        the second if it lies in the first, else the first.  A buffer that
+        grows drops its words; views of them stay valid."""
+        i = int(np.may_share_memory(live, self._words[0]))
+        if self._words[i].size < n:
+            self._words[i] = None     # let the old go before the new is made
+            self._words[i] = np.empty(n, dtype=np.uint64)
+        return self._words[i][:n]
+
+
+def _mix(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """SplitMix64 step on a uint64 array, in place: a bijection with full
-    avalanche."""
+    avalanche.  ``scratch``, as many words, is overwritten."""
     z += _GOLDEN
-    shifted = z >> np.uint64(30)
-    z ^= shifted
+    z ^= np.right_shift(z, np.uint64(30), out=scratch)
     z *= _MIX1
-    z ^= np.right_shift(z, np.uint64(27), out=shifted)
+    z ^= np.right_shift(z, np.uint64(27), out=scratch)
     z *= _MIX2
-    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    z ^= np.right_shift(z, np.uint64(31), out=scratch)
     return z
 
 
-def _geometric(keys: np.ndarray, p: float) -> np.ndarray:
-    """One draw on {1, 2, ...} of success probability ``p`` per key.
+def _root(seed: int) -> np.ndarray:
+    """A campaign's mixed seed, the key its trials' keys derive from."""
+    root = np.array([seed & _MASK], dtype=np.uint64)
+    return _mix(root, np.empty_like(root))
+
+
+def _geometric(keys: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
+    """One draw on {1, 2, ...} of success probability ``p`` per key, into
+    the float64 array ``out``.
 
     Inverse transform of one uniform, the key's top 53 bits, so the draw at
     a given address can only shrink as ``p`` grows.
     """
     # ceil(log1p(-uniform) / log1p(-p)), at least 1
-    u = np.empty(keys.shape)
-    np.right_shift(keys, np.uint64(11), out=u, casting="unsafe")
-    u *= -(2.0**-53)
-    np.log1p(u, out=u)
-    u /= -math.inf if p >= 1.0 else math.log1p(-p)
-    np.ceil(u, out=u)
-    return np.maximum(u, 1.0, out=u)
+    np.right_shift(keys, np.uint64(11), out=out, casting="unsafe")
+    out *= -(2.0**-53)
+    np.log1p(out, out=out)
+    out /= -math.inf if p >= 1.0 else math.log1p(-p)
+    np.ceil(out, out=out)
+    return np.maximum(out, 1.0, out=out)
+
+
+def _cutoff_slots(cutoff: float, slot: float) -> float:
+    """The cutoff as whole slots: the largest whole K with K * slot <= cutoff
+    in float64, or inf for an infinite cutoff.
+
+    x -> fl(x * slot) never falls as x grows, and non-negative floats are
+    ordered as their bit patterns, so bisecting those finds the largest
+    float x with fl(x * slot) <= cutoff in at most 63 steps, whatever the
+    quotient; K is its floor.  For every whole hold, as slot counts are at
+    any size, hold > K then holds exactly when hold * slot > cutoff.
+    """
+    if cutoff == math.inf:
+        return math.inf
+    lo, hi = 0, _INF_BITS    # fl(lo * slot) <= cutoff < fl(hi * slot)
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        if _float_of_bits(mid) * slot <= cutoff:
+            lo = mid
+        else:
+            hi = mid
+    return float(math.floor(_float_of_bits(lo)))
+
+
+def _float_of_bits(bits: int) -> float:
+    """The float64 whose bit pattern is ``bits``."""
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
 
 
 def _expected_nodes(n_nest: int, p_swap: float) -> float:
@@ -264,31 +335,31 @@ def _trials_per_chunk(cfg: ProtocolConfig) -> int:
     return max(1, int(CHUNK_NODES // weight))
 
 
-def _children(keys: np.ndarray, owner: np.ndarray,
-              head: np.ndarray) -> np.ndarray:
-    """Keys of the two subtrees of each round, side-major: those of the j-th
-    of r rounds sit at j (side 0) and r + j (side 1), at addresses 2i + 1
-    and 2i + 2 under the key of the subtree that owns the round, where i
-    numbers the round among that subtree's; ``head``, each subtree's first
-    round, is doubled in place."""
+def _children(keys: np.ndarray, owner: np.ndarray, head: np.ndarray,
+              children: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """Keys of the two subtrees of each round, side-major, in ``children``:
+    those of the j-th of r rounds sit at j (side 0) and r + j (side 1), at
+    addresses 2i + 1 and 2i + 2 under the key of the subtree that owns the
+    round, where i numbers the round among that subtree's; ``head`` holds
+    each subtree's first round.  ``spare``, 2r words, may share memory with
+    ``keys``: it is written only once they are read."""
     r = owner.size
-    children = np.empty(2 * r, dtype=np.uint64)
     side0, side1 = children[:r], children[r:]
-    # side 1 first serves as scratch for twice each round's head, 2(j - i);
     # mode "clip" writes to ``out`` unbuffered (the indices are in range)
-    head <<= 1
     np.take(head, owner, out=side1.view(np.int64), mode="clip")
-    address = np.arange(2, 2 * r + 1, 2, dtype=np.uint64)
-    address -= side1
     np.take(keys, owner, out=side0, mode="clip")
+    address = np.arange(1, r + 1, dtype=np.uint64)
+    address -= side1
+    address <<= np.uint64(1)
     np.bitwise_xor(side0, address, out=side1)
     address -= np.uint64(1)
     side0 ^= address
     del address
-    return _mix(children)
+    return _mix(children, spare)
 
 
-def _descend(cfg: ProtocolConfig, root: np.ndarray, first: int, count: int):
+def _descend(cfg: ProtocolConfig, root: np.ndarray, first: int, count: int,
+             ws: _Workspace):
     """Top-down: each level's round counts, and the links' slot counts.
 
     Returns the swap failures per trial, the levels top first, each as
@@ -297,31 +368,47 @@ def _descend(cfg: ProtocolConfig, root: np.ndarray, first: int, count: int):
     counts, side-major under the bottom level's rounds.  Every round but a
     subtree's last ends in a failed swap, so a trial's swap failures are its
     rounds less its subtrees, summed per level.
+
+    Each level's keys lie in one buffer of ``ws``.  The other takes their
+    round counts, then their children's keys, and theirs is then the
+    children's scratch.  The links' slot counts go to the buffer that their
+    keys are not in.
     """
-    keys = _mix(root ^ np.arange(first, first + count, dtype=np.uint64))
-    failures = np.zeros(count)
+    keys = np.bitwise_xor(root, np.arange(first, first + count, dtype=np.uint64),
+                          out=ws.other(root, count))
+    _mix(keys, ws.other(keys, count))
+    failures = np.zeros(count, dtype=np.int64)
+    subtrees = 1    # per trial on the level: 1 at the top, then 2 per round
     levels = []
     for depth in range(cfg.n_nest):
-        # the trial of each subtree on this level
-        trial = (np.concatenate((trial_of, trial_of)) if depth
-                 else np.arange(count))
-        rounds = _geometric(keys, cfg.p_swap)
-        failures += np.bincount(trial, weights=rounds - 1.0, minlength=count)
-        rounds = rounds.astype(np.int64)
-        owner = np.repeat(np.arange(rounds.size), rounds)
-        last = np.cumsum(rounds)
-        head = last - rounds
+        s = keys.size
+        dead = ws.other(keys, 2 * s)
+        counts = dead[s:].view(np.int64)
+        np.copyto(counts, _geometric(keys, cfg.p_swap, dead[:s].view(np.float64)),
+                  casting="unsafe")
+        owner = np.repeat(np.arange(s), counts)
+        # bounds[k] is subtree k's first round, bounds[k + 1] - 1 its last
+        bounds = np.empty(s + 1, dtype=np.int64)
+        bounds[0] = 0
+        np.cumsum(counts, out=bounds[1:])
+        del dead, counts
+        trial_of = np.take(trial_of, owner, mode="wrap") if depth else owner
+        rounds = np.bincount(trial_of, minlength=count)
+        failures += rounds - subtrees
+        subtrees = 2 * rounds
+        r = owner.size
+        children = ws.other(keys, 2 * r)
+        keys = _children(keys, owner, bounds[:-1], children,
+                         ws.other(children, 2 * r))
+        last = bounds[1:]
         last -= 1
-        del rounds
-        trial_of = trial[owner]
-        del trial
         levels.append((owner, last, trial_of))
-        keys = _children(keys, owner, head)
-        del head
-    return failures, levels, _geometric(keys, cfg.p0)
+    links = ws.other(keys, keys.size).view(np.float64)
+    return failures, levels, _geometric(keys, cfg.p0, links)
 
 
-def _ascend(cfg: ProtocolConfig, root: np.ndarray, first: int, count: int):
+def _ascend(cfg: ProtocolConfig, root: np.ndarray, limit: float, first: int,
+            count: int, ws: _Workspace):
     """Bottom-up over the tree ``_descend`` draws: each subtree's duration
     and the write offsets of its outer memories, relative to its own start,
     and each trial's longest hold.
@@ -335,100 +422,117 @@ def _ascend(cfg: ProtocolConfig, root: np.ndarray, first: int, count: int):
     finite: then the abort pass gets, per level top first, (owner, last,
     trial_of, d, before_last, over, over_write) -- each round's duration,
     each subtree's time before its last round, and the rounds whose hold
-    exceeds the cutoff with their first writes.  Returns the swap failures,
-    the trials' durations, the first write of their end memories, the
-    longest hold per trial and that list.
+    exceeds ``limit`` slots with their first writes.  Returns the swap
+    failures, the trials' durations, the first write of their end memories,
+    the longest hold per trial and that list.
+
+    A level's first writes, and its outer memories' offsets for the level
+    above, go to the buffer of ``ws`` that its inputs' offsets are not in.
+    Its round durations, then its holds and then its times before the last
+    round overwrite its inputs' durations once read; the abort pass keeps
+    copies.
     """
-    slot, cutoff = cfg.slot_time, cfg.memory_cutoff
-    failures, levels, dur = _descend(cfg, root, first, count)
+    failures, levels, dur = _descend(cfg, root, first, count, ws)
     left = right = dur
     longest = np.zeros(count)
     kept = []
+    cut = limit < math.inf
     for depth in range(len(levels)):
         owner, last, trial_of = levels.pop()
-        r = owner.size
-        d = np.maximum(dur[:r], dur[r:])
-        first_write = np.minimum(right[:r], left[r:])
-        if depth:       # above the links
-            outer = np.minimum(left[:r], right[r:])
-            outer[last] = first_write[last]
-            np.minimum(first_write, outer, out=first_write)
-            del outer
-        left_last, right_last = left[:r][last], right[r:][last]
-        del dur, left, right
-        hold = d - first_write
+        r, s = owner.size, last.size
+        words = ws.other(left, r + 2 * s).view(np.float64)
+        first_write, left_last, right_last = (words[:r], words[r:r + s],
+                                              words[r + s:])
+        np.minimum(right[:r], left[r:], out=first_write)
+        if depth:       # above the links, a failed swap empties the outer pair
+            np.take(first_write, last, out=left_last, mode="clip")
+            np.minimum(first_write, left[:r], out=first_write)
+            np.minimum(first_write, right[r:], out=first_write)
+            first_write[last] = left_last
+        np.take(left[:r], last, out=left_last, mode="clip")
+        np.take(right[r:], last, out=right_last, mode="clip")
+        # at the links, left and right are dur, read by now
+        d = np.maximum(dur[:r], dur[r:], out=dur[:r])
+        hold = np.subtract(d, first_write, out=dur[r:])
         np.maximum.at(longest, trial_of, hold)
-        dur = np.bincount(owner, weights=d, minlength=last.size)
-        before_last = dur - d[last]
-        left = before_last + left_last
-        right = before_last + right_last
-        del left_last, right_last
-        if cutoff < math.inf:
-            over = np.flatnonzero(hold * slot > cutoff)
-            kept.append((owner, last, trial_of, d, before_last, over,
-                         first_write[over]))
-        del owner, last, trial_of, d, first_write, hold, before_last
+        if cut:
+            over = np.flatnonzero(hold > limit)
+            over_write = first_write[over]
+        # the holds are read by now
+        before_last = np.take(d, last, out=dur[r:r + s], mode="clip")
+        dur = np.bincount(owner, weights=d, minlength=s)
+        np.subtract(dur, before_last, out=before_last)
+        left = np.add(left_last, before_last, out=left_last)
+        right = np.add(right_last, before_last, out=right_last)
+        if cut:
+            kept.append((owner, last, trial_of, d.copy(), before_last.copy(),
+                         over, over_write))
+        del owner, last, trial_of, d, hold, before_last
     kept.reverse()
     return failures, dur, np.minimum(left, right), longest, kept
 
 
 def _abort_pass(kept: list, abort: np.ndarray, failures: np.ndarray,
-                slot: float, cutoff: float) -> None:
+                slot: float, cutoff: float, ws: _Workspace) -> None:
     """Lower ``abort`` to the earliest expiry (write + cutoff) of any round's
     hold exceeding the cutoff, from absolute write times found top-down, and
-    take off ``failures`` the swap failures that end after it."""
+    take off ``failures`` the swap failures that end after it.  A level's
+    round starts and offsets go to the buffer of ``ws`` that the level
+    above's round starts are not in."""
     round_start = np.zeros(abort.size)
     for owner, last, trial_of, d, before_last, over, over_write in kept:
-        # each subtree starts with its round on the level above, and the
-        # trials at zero
-        start = np.concatenate((round_start, round_start))
+        r = owner.size
+        words = ws.other(round_start, 2 * r).view(np.float64)
         # a round's offset in its subtree: the running sum of the rounds
         # before it, which restarts at zero at each head, where it adds
         # minus the previous subtree's time before its last round.  The
         # sum thus holds one subtree's offsets at a time and is exact
         # while each trial's own times stay below 2**53 slots.
-        offset = np.empty(owner.size)
+        offset = words[r:]
         offset[0] = 0.0
         offset[1:] = d[:-1]
         offset[last[:-1] + 1] = -before_last[:-1]     # each head but the first
-        round_start = start[owner]
+        # each subtree starts with its round on the level above (side-major,
+        # so subtree k's round is k modulo their count), and the trials at 0
+        round_start = np.take(round_start, owner, out=words[:r], mode="wrap")
         round_start += np.cumsum(offset, out=offset)
-        del offset
         np.minimum.at(abort, trial_of[over],
                       (round_start[over] + over_write) * slot + cutoff)
         # d becomes the second at which the round's swap happened
         d += round_start
         d *= slot
     for _, last, trial_of, end, *_ in kept:
-        late = end > abort[trial_of]
+        trial_abort = ws.other(end, end.size).view(np.float64)
+        late = end > np.take(abort, trial_of, out=trial_abort, mode="clip")
         late[last] = False
         failures -= np.bincount(trial_of[late], minlength=abort.size)
 
 
-def _sample_chunk(cfg: ProtocolConfig, root: np.ndarray, first: int,
-                  out: list) -> None:
+def _sample_chunk(cfg: ProtocolConfig, root: np.ndarray, limit: float,
+                  first: int, out: list, ws: _Workspace) -> None:
     """Write into the TrialRecords column views ``out`` the records of trials
-    ``first`` onwards, under the campaign's mixed seed ``root``.
+    ``first`` onwards, under the campaign's mixed seed ``root``, with its
+    cutoff as ``limit`` whole slots, in its workspace ``ws``.
 
-    Each helper's temporaries die as it returns, and each level's arrays as
-    soon as they are read, but for what the abort pass reads under a finite
-    cutoff; without one, no trial aborts.
+    Each level's keys, draws and per-round times live in ``ws``; those the
+    abort pass reads are copied out only under a finite cutoff, since
+    without one no trial aborts.
     """
     slot, cutoff = cfg.slot_time, cfg.memory_cutoff
     total, success, swap_failures, max_storage = out
-    failures, dur, first_write, longest, kept = _ascend(cfg, root, first,
-                                                        total.size)
+    failures, dur, first_write, longest, kept = _ascend(
+        cfg, root, limit, first, total.size, ws)
     np.multiply(dur, slot, out=total)
     # the end memories hold until delivery (nothing is stored at n_nest 0)
     hold = np.subtract(dur, first_write, out=dur)
     np.maximum(longest, hold, out=longest)
     np.multiply(longest, slot, out=max_storage)
-    np.logical_not(np.greater(max_storage, cutoff, out=success), out=success)
+    np.logical_not(np.greater(longest, limit, out=success), out=success)
     if not success.all():
         abort = np.full(total.size, math.inf)
-        over = hold * slot > cutoff
+        over = hold > limit
         abort[over] = first_write[over] * slot + cutoff
-        _abort_pass(kept, abort, failures, slot, cutoff)
+        _abort_pass(kept, abort, failures, slot, cutoff, ws)
         failed = ~success
         total[failed] = abort[failed]
         max_storage[failed] = cutoff
@@ -445,11 +549,13 @@ def run_trials(cfg: ProtocolConfig) -> TrialRecords:
     columns = (np.empty(n), np.empty(n, dtype=bool), np.empty(n, dtype=np.int64),
                np.empty(n))
     step = _trials_per_chunk(cfg)
-    root = _mix(np.array([cfg.seed & _MASK], dtype=np.uint64))
+    root = _root(cfg.seed)
+    limit = _cutoff_slots(cfg.memory_cutoff, cfg.slot_time)
+    ws = _Workspace()
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n, step):
-            _sample_chunk(cfg, root, lo,
-                          [column[lo:lo + step] for column in columns])
+            _sample_chunk(cfg, root, limit, lo,
+                          [column[lo:lo + step] for column in columns], ws)
     if not (np.isfinite(columns[0]).all() and np.isfinite(columns[3]).all()):
         raise ValueError(f"trial times overflow float64 at p0 {cfg.p0:.3g}, "
                          f"slot_time {cfg.slot_time:.3g} s")

@@ -121,11 +121,16 @@ def collective_index(electron_up: int, excitations: int, n_nuclei: int) -> int:
 
 
 def collective_state(alpha: complex, beta: complex, n_nuclei: int) -> PureState:
-    """(alpha |up> + beta |down>) electron over the polarized ensemble."""
+    """(alpha |up> + beta |down>) electron over the polarized ensemble,
+    normalized.  Raises ValueError when the amplitudes' norm is zero in
+    float64: both zero, or too small to square."""
     amps = np.zeros(2 * (n_nuclei + 1), dtype=complex)
     amps[collective_index(1, 0, n_nuclei)] = alpha
     amps[collective_index(0, 0, n_nuclei)] = beta
     norm = np.linalg.norm(amps)
+    if norm == 0.0:
+        raise ValueError(f"amplitudes alpha = {alpha!r}, beta = {beta!r} "
+                         f"have zero norm")
     return PureState(amps / norm, n_nuclei, "collective")
 
 
@@ -476,10 +481,18 @@ def chain_fidelity_oracle(l: int, F_ent: float, F_transfer: float,
     generation, two write-read cycles), so all pairs of a level are one state
     and one noisy swap per level composes the chain (Dur et al., PRA 59, 169
     (1999)); l must be a power of two (l = 2**n_nest).  No register ever
-    holds more than the four qubits of one swap.
+    holds more than the four qubits of one swap.  Raises ValueError, naming
+    the argument, outside 0.2 <= F_gate <= 1 or 0 <= F <= 1 for the other
+    fidelities, at every l.
     """
     if l < 1 or l & (l - 1):
         raise ValueError(f"chain oracle needs a power-of-two length, got {l}")
+    for name, value, low in (("F_ent", F_ent, 0.0),
+                             ("F_transfer", F_transfer, 0.0),
+                             ("F_gate", F_gate, 0.2),
+                             ("F_readout", F_readout, 0.0),
+                             ("F_e_init", F_e_init, 0.0)):
+        _check_fidelity(name, value, low)
     pair = werner_pair(F_e_init**2 * F_ent * F_transfer**2)
     for _ in range(l.bit_length() - 1):
         pair = averaged_swap(pair, pair, F_gate, F_readout)

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -251,13 +252,15 @@ def test_expected_tree_beyond_the_node_budget_is_refused():
 
 
 #: traced peak bytes per CHUNK_NODES node of one chunk's sampling, its
-#: output columns excluded.  The campaigns below read 8 (n = 0), 19
-#: (n = 1), 28 (n = 3) and 29 (cutoff).  Traced over a whole campaign of
-#: three chunks, which charges all three chunks' output columns to one
-#: chunk, they read 27, 29, 30 and 30; sampling that held each level's
-#: temporaries to the end of its chunk read 55 and 73 at n = 3 and the
-#: cutoff, and chunks sized by tree nodes alone, which copied each chunk's
-#: columns into the output, 181 at n = 0 and 51 at n = 1.
+#: output columns excluded and the campaign's workspace, built for this one
+#: chunk, included.  The campaigns below read 10 (n = 0), 17 (n = 1), 26
+#: (n = 3) and 32 (cutoff), where fresh arrays per chunk read 8, 19, 28 and
+#: 29 without a workspace.  Traced over a whole campaign of three chunks,
+#: which charges all three chunks' output columns to one chunk, they read
+#: 29, 30, 31 and 34; sampling that held each level's temporaries to the
+#: end of its chunk read 55 and 73 at n = 3 and the cutoff, and chunks
+#: sized by tree nodes alone, which copied each chunk's columns into the
+#: output, 181 at n = 0 and 51 at n = 1.
 WORKING_SET_BOUND = 40
 
 
@@ -287,13 +290,16 @@ def test_working_memory_per_chunk_node_stays_small(campaign):
     columns = [np.empty(3 * step), np.empty(3 * step, dtype=bool),
                np.empty(3 * step, dtype=np.int64), np.empty(3 * step)]
     views = [column[step:2 * step] for column in columns]
-    root = mcsim._mix(np.array([base.seed], dtype=np.uint64))
+    root = mcsim._root(base.seed)
+    limit = mcsim._cutoff_slots(base.memory_cutoff, base.slot_time)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         with np.errstate(over="ignore", invalid="ignore"):
-            mcsim._sample_chunk(base, root, step, views)
+            # the campaign's workspace is built here, so the bound counts it
+            mcsim._sample_chunk(base, root, limit, step, views,
+                                mcsim._Workspace())
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -401,6 +407,23 @@ def test_cutoff_aborts_exactly_the_trials_that_store_too_long(n_nest, slot,
     cut = mcsim.run_trials(cfg(n_nest=n_nest, p0=0.3, p_swap=0.6,
                                slot_time=slot, trials=3_000, seed=13,
                                memory_cutoff=cutoff))
+    assert_cut_aborts_what_stores_too_long(cut, uncut, cutoff)
+
+
+def test_cutoff_beyond_2_53_slots_aborts_what_stores_too_long():
+    # p0 = 1e-18: links take about 1e18 slots, and the cutoff is 1.6e17
+    # slots, past 2**53, where not every count has its own float64
+    kwargs = dict(n_nest=1, p0=1e-18, p_swap=0.6, slot_time=6.25e-4,
+                  trials=3_000, seed=13)
+    uncut = mcsim.run_trials(cfg(**kwargs))
+    cut = mcsim.run_trials(cfg(**kwargs, memory_cutoff=1e14))
+    assert 1e14 / 6.25e-4 > 2.0**53
+    assert_cut_aborts_what_stores_too_long(cut, uncut, 1e14)
+
+
+def assert_cut_aborts_what_stores_too_long(cut, uncut, cutoff):
+    """A cut campaign's trials succeed exactly where the uncut campaign on
+    the same trees stored no state longer than ``cutoff`` seconds."""
     ok = cut.success
     assert 0 < ok.sum() < ok.size
     np.testing.assert_array_equal(ok, uncut.max_storage_time <= cutoff)
@@ -412,6 +435,48 @@ def test_cutoff_aborts_exactly_the_trials_that_store_too_long(n_nest, slot,
     # an abort comes before the stored state's consumption, so before delivery
     assert (cut.total_time[~ok] < uncut.total_time[~ok]).all()
     assert (cut.swap_failures[~ok] <= uncut.swap_failures[~ok]).all()
+
+
+def nudged(x: float, ulps: int) -> float:
+    """``x`` moved ``ulps`` representable steps up (or down, if negative)."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.floats(min_value=1e-12, max_value=1e6, allow_subnormal=False),
+       st.integers(min_value=0, max_value=2**62),
+       st.integers(min_value=-3, max_value=3))
+def test_cutoff_as_whole_slots_decides_holds_as_seconds_do(slot, whole, ulps):
+    # cutoffs within a few ulps of a whole number of slots, where rounding
+    # the product decides, below and above 2**53 slots
+    cutoff = nudged(float(whole) * slot, ulps)
+    if not 0.0 <= cutoff < math.inf:
+        reject()
+    limit = mcsim._cutoff_slots(cutoff, slot)
+    assert limit == math.floor(limit) and limit * slot <= cutoff
+    for hold in (limit - 1.0, limit, limit + 1.0):
+        seconds = np.array([hold]) * slot    # as the sampler multiplies
+        assert (hold > limit) == bool(seconds[0] > cutoff)
+
+
+@pytest.mark.parametrize("cutoff, slot, limit", [
+    (math.inf, 6.25e-4, math.inf), (0.0, 1.0, 0.0), (0.0, 6.25e-4, 0.0),
+    (6.0, 1.0, 6.0), (2.9, 0.37, 7.0), (0.3, 0.1, 2.0), (0.7, 0.1, 6.0),
+    (4.0, 6.25e-4, 6400.0), (1e-300, 1.0, 0.0),
+    (17534.719999999998, 6.592, 2660.0),
+    (3714.0472633437107, 6.865152057936619, 540.0),
+    (2.0**53, 1.0, 2.0**53), (math.nextafter(2.0**53, 0.0), 1.0, 2.0**53 - 1.0),
+    (1e13, 6.25e-4, 1.6e16), (1.0, 1e-300, 1e300),
+    (1.7e308, 1e-10, sys.float_info.max), (0.0, 1e-12, 0.0)])
+def test_cutoff_as_whole_slots_at_its_edges(cutoff, slot, limit):
+    # 3 * 0.1 and 7 * 0.1 round above 0.3 and 0.7; 17534.72 / 6.592 rounds
+    # below 2660, whose product is the cutoff, and 3714.05 / 6.865 rounds up
+    # to 541, whose product exceeds it.  Past 2**53 every float64 is a whole
+    # count; a tiny slot times any finite count stays within a huge cutoff,
+    # and one times the smallest counts rounds to a zero cutoff
+    assert mcsim._cutoff_slots(cutoff, slot) == limit
 
 
 @pytest.mark.parametrize("cutoff", [0.0, 10.0, 30.0])

@@ -198,6 +198,20 @@ def test_huge_slot_counts_match_scalar_replay(n_nest, cutoff):
     assert first_mismatch(records, cfg) is None
 
 
+@pytest.mark.parametrize("n_nest", [1, 2])
+def test_cutoff_beyond_2_53_slots_matches_scalar_replay(n_nest):
+    # p0 = 1e-18 and a cutoff of 2e17 slots: counts and holds past 2**53,
+    # where a difference of two counts rounds.  With one round per subtree
+    # every time the replay takes in seconds is a count, or a difference
+    # of two, rounded once, so the records still match it bit for bit.
+    cfg = mcsim.ProtocolConfig(n_nest=n_nest, p0=1e-18, p_swap=1.0,
+                               slot_time=1.0, trials=1000, seed=5,
+                               memory_cutoff=2e17)
+    records = mcsim.run_trials(cfg)
+    assert 0 < records.success.sum() < cfg.trials
+    assert first_mismatch(records, cfg) is None
+
+
 @pytest.mark.parametrize("n_nest", [2, 3])
 def test_tied_write_times_match_scalar_replay(n_nest):
     # at p0 = 1 every link takes one slot, so both outer memories of a
@@ -283,6 +297,50 @@ def test_records_do_not_depend_on_chunk_size_where_trials_dominate(
     monkeypatch.setattr(mcsim, "CHUNK_NODES", 64)
     assert mcsim._trials_per_chunk(cfg) < 20
     assert mcsim.run_trials(cfg) == whole
+
+
+@pytest.mark.parametrize("campaign", ["criterion 9, rerun", "mc --cutoff 4"])
+def test_records_do_not_depend_on_an_earlier_larger_campaign(campaign):
+    # the larger campaign's chunks grow deeper trees, with and without a
+    # cutoff; the smaller one's records must not see what they left behind
+    cfg = (mc_cutoff_config(300) if campaign == "mc --cutoff 4" else
+           CRITERION_9[campaign])
+    alone = mcsim.run_trials(cfg)
+    for larger in (replace(CRITERION_9["criterion 9, n = 3"], trials=2000),
+                   mc_cutoff_config(2000)):
+        mcsim.run_trials(larger)
+        assert mcsim.run_trials(cfg) == alone
+    assert first_mismatch(alone, cfg) is None
+
+
+def test_records_do_not_depend_on_stale_workspace_words(monkeypatch):
+    # chunks of a few trials each vary widely in tree size, so a chunk often
+    # runs in buffers that a larger one before it filled further
+    cfg = mcsim.ProtocolConfig(n_nest=3, p0=0.3, p_swap=0.6, slot_time=1.0,
+                               trials=400, seed=17, memory_cutoff=8.0)
+    whole = mcsim.run_trials(cfg)
+    assert 0 < whole.success.sum() < cfg.trials
+    needs = []
+    other, sample_chunk = mcsim._Workspace.other, mcsim._sample_chunk
+
+    def counting_other(self, live, n):
+        needs[-1] = max(needs[-1], n)
+        return other(self, live, n)
+
+    def counting_chunk(*args):
+        needs.append(0)
+        sample_chunk(*args)
+
+    monkeypatch.setattr(mcsim._Workspace, "other", counting_other)
+    monkeypatch.setattr(mcsim, "_sample_chunk", counting_chunk)
+    monkeypatch.setattr(mcsim, "CHUNK_NODES", 256)
+    assert mcsim.run_trials(cfg) == whole
+    assert len(needs) > 20
+    # some chunk needs less than the one before it, and some more than all
+    # before it, so its buffers grow mid-campaign
+    assert any(b < a for a, b in zip(needs, needs[1:]))
+    assert any(need > max(needs[:i]) for i, need in enumerate(needs) if i)
+    assert first_mismatch(whole, cfg) is None
 
 
 #: SHA-256 of the TrialRecords columns' bytes, in field order, of criterion

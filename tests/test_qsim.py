@@ -673,6 +673,42 @@ def test_werner_pair_refuses_fidelities_outside_zero_one(fidelity, inside):
             qsim.werner_pair(fidelity)
 
 
+FIDELITY_BOUNDS = [
+    *[(name, value, inside) for name in ("F_ent", "F_transfer", "F_readout",
+                                         "F_e_init")
+      for value, inside in ((0.0, True), (math.nextafter(0.0, -1.0), False),
+                            (1.0, True), (math.nextafter(1.0, 2.0), False),
+                            (math.nan, False))],
+    ("F_gate", 0.2, True), ("F_gate", math.nextafter(0.2, 0.0), False),
+    ("F_gate", 1.0, True), ("F_gate", math.nextafter(1.0, 2.0), False),
+    ("F_gate", math.nan, False)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("l", [1, 2])
+@pytest.mark.parametrize("name,value,inside", FIDELITY_BOUNDS)
+def test_chain_oracle_refuses_each_fidelity_outside_its_domain(l, name, value,
+                                                              inside):
+    # at l = 1 no swap runs, and the Werner pair sees only the product of
+    # the link's three fidelities, so the oracle checks each one itself
+    fids = {"F_ent": 0.99, "F_transfer": 0.99, "F_gate": 0.99,
+            "F_readout": 0.999, "F_e_init": 1.0, name: value}
+    if inside:
+        assert -1e-15 <= qsim.chain_fidelity_oracle(l, **fids) <= 1.0 + 1e-15
+    else:
+        with pytest.raises(ValueError, match=name):
+            qsim.chain_fidelity_oracle(l, **fids)
+
+
+@pytest.mark.filterwarnings("error")
+def test_collective_state_refuses_zero_amplitudes():
+    for alpha, beta in ((0.0, 0.0), (0j, 1e-300)):   # 1e-300 squares to 0
+        with pytest.raises(ValueError, match="alpha = .*, beta = .* zero norm"):
+            qsim.collective_state(alpha, beta, 3)
+    small = qsim.collective_state(0.0, 1e-150, 3)
+    assert small.amps[qsim.collective_index(0, 0, 3)] == 1.0
+
+
 def test_swap_constants_are_built_on_the_first_swap_only():
     # building them costs about 0.3 MB of peak RSS, which the commands that
     # never swap would pay at import
