@@ -20,23 +20,21 @@ and campaigns that differ only in p0 or p_swap share their random numbers
 given numpy build and CPU dispatch: numpy's ``log1p`` can differ by one ulp
 between dispatch targets, and that can move a draw by one slot once counts
 reach about 1e13 slots.  Trials run in chunks whose expected tree nodes,
-plus ``TRIAL_NODES`` per trial, come to about ``CHUNK_NODES``, so that a
-chunk's working set (some 30 bytes per node and 30-120 per trial, about
-1 MB) stays in a 2 MiB per-core L2 cache; a configuration whose trial alone
-is expected to grow more than ``MAX_TRIAL_NODES`` is refused.
+plus ``TRIAL_NODES`` per trial, come to about ``CHUNK_NODES``; a
+configuration whose trial alone is expected to grow more than
+``MAX_TRIAL_NODES`` is refused.  A chunk pays a fixed cost in numpy calls
+whatever its size, 0.15-0.3 ms in ``mc --cutoff 4`` and at n_nest 3, so
+fewer and larger chunks save time until their working set (10-40 bytes per
+node) outgrows the 2 MiB per-core L2 cache (``lscpu`` prints 4 MiB for a
+2-core machine, the sum over both cores).
 
 A campaign's chunks share one workspace, two buffers of words grown to the
-largest chunk's need.  Each level writes its keys, round draws and
-per-round arrays into them, alternating between the two as one level's
-arrays die and the next level's are made; only what outlives a level is
-allocated per chunk: each level's round owners, subtree bounds and trials,
-and under a finite cutoff what the abort pass reads.  Records go straight
-into the output columns.  When every chunk allocated and freed its whole
-working set, glibc handed those pages back to the OS and the next chunk
-faulted them in again.  Counted in fresh interpreters (glibc malloc,
-4 KiB pages), ``mc --cutoff 4 --trials 10000 --seed 1`` took 1700-3100
-minor faults that way and takes 360-390 with the workspace, and
-``mc --trials 20000`` 4000-6100 and 410-520.
+largest chunk's need, whose pages they reuse instead of faulting fresh ones
+in.  Each level writes its keys, round draws and per-round arrays into
+them, alternating between the two; only what outlives a level is allocated
+per chunk: each level's round owners, subtree bounds and trials, and under
+a finite cutoff the abort pass's steps.  Records go straight into the
+output columns.
 
 Times are held as slot counts, whole numbers in float64: exact below 2**53,
 and wide enough for the counts of a link with tiny p0 (a direct 1000 km link
@@ -69,20 +67,21 @@ import numpy as np
 
 from .params import record
 
-#: budget of a chunk of trials, in tree nodes.  Sampling takes about 25-45
-#: bytes of working memory per node and 30-120 more per trial, its output
-#: columns included (peak traced allocations over chunks of this budget,
-#: n_nest 0-8, with and without a cutoff), so a chunk of one budget peaks
-#: at 0.5-1.1 MiB.
-CHUNK_NODES = 1 << 15
+#: budget of a chunk of trials, in tree nodes.  Sampling takes 10-40 bytes
+#: of working memory per node, the campaign's workspace included (peak
+#: traced allocations of one chunk, n_nest 0-8, with and without a cutoff),
+#: so a chunk peaks at 0.6-2.5 MiB.  In fresh interpreters on a 2-core VM,
+#: 2**16 ran ``mc --cutoff 4`` and criterion 9's campaigns faster than 2**15,
+#: 3 * 2**15 or 2**17; the larger two also raised peak RSS by 1-6%.
+CHUNK_NODES = 1 << 16
 
 #: nodes each trial of a chunk counts against CHUNK_NODES for its own arrays
 #: (the output columns, its swap failures, longest hold, end memories and
 #: abort time), about three nodes' worth of bytes
 TRIAL_NODES = 3
 
-#: most tree nodes a trial may be expected to grow: at 25-45 bytes per node
-#: an expected trial stays below about 45 MB, and one ten times its
+#: most tree nodes a trial may be expected to grow: at 10-40 bytes per node
+#: an expected trial stays below about 42 MB, and one ten times its
 #: expected size below 0.5 GB.
 MAX_TRIAL_NODES = 1 << 20
 
@@ -228,13 +227,10 @@ class _Workspace:
     """Two buffers of words that one campaign's chunks write their per-node
     arrays into.
 
-    A buffer grows to what a chunk needs of it when that is more than any
-    chunk before needed, and never shrinks, so the chunks reuse its pages
-    instead of allocating and freeing some 1 MB each, which the allocator
-    would hand back to the OS and fault in again.  Words are only taken
-    through ``other``, as a buffer that an array still to be read does not
-    lie in, so each caller names what it must not overwrite and keeps all
-    its other live arrays outside the buffers.
+    A buffer grows to the most any chunk has needed of it and never shrinks.
+    Words are only taken through ``other``, as a buffer that an array still
+    to be read does not lie in, so each caller names what it must not
+    overwrite and keeps all its other live arrays outside the buffers.
     """
 
     def __init__(self):
@@ -366,8 +362,10 @@ def _descend(cfg: ProtocolConfig, root: np.ndarray, first: int, count: int,
     (owner, last, trial_of) -- the subtree each round belongs to, each
     subtree's last round and each round's trial -- and the links' slot
     counts, side-major under the bottom level's rounds.  Every round but a
-    subtree's last ends in a failed swap, so a trial's swap failures are its
-    rounds less its subtrees, summed per level.
+    subtree's last ends in a failed swap, so each subtree adds its rounds
+    less one to its trial's failures: at the top one subtree per trial, and
+    below the two subtrees of each round on the level above, added to that
+    round's trial by one bincount per level.
 
     Each level's keys lie in one buffer of ``ws``.  The other takes their
     round counts, then their children's keys, and theirs is then the
@@ -377,25 +375,31 @@ def _descend(cfg: ProtocolConfig, root: np.ndarray, first: int, count: int,
     keys = np.bitwise_xor(root, np.arange(first, first + count, dtype=np.uint64),
                           out=ws.other(root, count))
     _mix(keys, ws.other(keys, count))
-    failures = np.zeros(count, dtype=np.int64)
-    subtrees = 1    # per trial on the level: 1 at the top, then 2 per round
+    failures = np.zeros(count)
     levels = []
     for depth in range(cfg.n_nest):
         s = keys.size
         dead = ws.other(keys, 2 * s)
+        rounds = _geometric(keys, cfg.p_swap, dead[:s].view(np.float64))
         counts = dead[s:].view(np.int64)
-        np.copyto(counts, _geometric(keys, cfg.p_swap, dead[:s].view(np.float64)),
-                  casting="unsafe")
+        np.copyto(counts, rounds, casting="unsafe")
         owner = np.repeat(np.arange(s), counts)
         # bounds[k] is subtree k's first round, bounds[k + 1] - 1 its last
         bounds = np.empty(s + 1, dtype=np.int64)
         bounds[0] = 0
         np.cumsum(counts, out=bounds[1:])
-        del dead, counts
+        # below the top, subtrees k and s/2 + k are those of round k above;
+        # each pair's failures go over the counts, read by now
+        if depth:
+            pair = np.add(rounds[:s // 2], rounds[s // 2:],
+                          out=counts[:s // 2].view(np.float64))
+            pair -= 2.0
+            failures += np.bincount(trial_of, weights=pair, minlength=count)
+            del pair
+        else:
+            np.subtract(rounds, 1.0, out=failures)
+        del dead, rounds, counts
         trial_of = np.take(trial_of, owner, mode="wrap") if depth else owner
-        rounds = np.bincount(trial_of, minlength=count)
-        failures += rounds - subtrees
-        subtrees = 2 * rounds
         r = owner.size
         children = ws.other(keys, 2 * r)
         keys = _children(keys, owner, bounds[:-1], children,
@@ -419,18 +423,17 @@ def _ascend(cfg: ProtocolConfig, root: np.ndarray, limit: float, first: int,
     outer pair is never written before the mid pair.  A subtree's duration
     is the sum of its rounds', added in round order by one bincount over the
     rounds' owners.  Each level is dropped once summed, unless the cutoff is
-    finite: then the abort pass gets, per level top first, (owner, last,
-    trial_of, d, before_last, over, over_write) -- each round's duration,
-    each subtree's time before its last round, and the rounds whose hold
-    exceeds ``limit`` slots with their first writes.  Returns the swap
-    failures, the trials' durations, the first write of their end memories,
-    the longest hold per trial and that list.
+    finite: then the abort pass gets, per level top first, (owner, trial_of,
+    steps, over, over_write) -- the steps whose running sum is each round's
+    offset in its subtree, and the rounds whose hold exceeds ``limit`` slots
+    with their first writes.  Returns the swap failures, the trials'
+    durations, the first write of their end memories, the longest hold per
+    trial and that list.
 
     A level's first writes, and its outer memories' offsets for the level
     above, go to the buffer of ``ws`` that its inputs' offsets are not in.
-    Its round durations, then its holds and then its times before the last
-    round overwrite its inputs' durations once read; the abort pass keeps
-    copies.
+    Its round durations (under a cutoff, the steps instead), then its holds
+    and then its rewinds overwrite its inputs' durations once read.
     """
     failures, levels, dur = _descend(cfg, root, first, count, ws)
     left = right = dur
@@ -451,23 +454,31 @@ def _ascend(cfg: ProtocolConfig, root: np.ndarray, limit: float, first: int,
             first_write[last] = left_last
         np.take(left[:r], last, out=left_last, mode="clip")
         np.take(right[r:], last, out=right_last, mode="clip")
-        # at the links, left and right are dur, read by now
-        d = np.maximum(dur[:r], dur[r:], out=dur[:r])
+        # at the links, left and right are dur, read by now.  Under a
+        # cutoff the durations go one word into the abort pass's steps
+        if cut:
+            steps = np.empty(r + 1)
+            steps[0] = 0.0
+        d = np.maximum(dur[:r], dur[r:], out=steps[1:] if cut else dur[:r])
         hold = np.subtract(d, first_write, out=dur[r:])
         np.maximum.at(longest, trial_of, hold)
         if cut:
             over = np.flatnonzero(hold > limit)
             over_write = first_write[over]
-        # the holds are read by now
-        before_last = np.take(d, last, out=dur[r:r + s], mode="clip")
+        # the holds are read by now; rewind is minus each subtree's time
+        # before its last round
+        rewind = np.take(d, last, out=dur[r:r + s], mode="clip")
         dur = np.bincount(owner, weights=d, minlength=s)
-        np.subtract(dur, before_last, out=before_last)
-        left = np.add(left_last, before_last, out=left_last)
-        right = np.add(right_last, before_last, out=right_last)
+        np.subtract(rewind, dur, out=rewind)
+        left = np.subtract(left_last, rewind, out=left_last)
+        right = np.subtract(right_last, rewind, out=right_last)
         if cut:
-            kept.append((owner, last, trial_of, d.copy(), before_last.copy(),
-                         over, over_write))
-        del owner, last, trial_of, d, hold, before_last
+            # a round's offset in its subtree is the running sum of the
+            # steps up to it: the durations of the rounds before it, and at
+            # each head the previous subtree's rewind, back to zero
+            d[last] = rewind
+            kept.append((owner, trial_of, steps[:-1], over, over_write))
+        del owner, last, trial_of, d, hold, rewind
     kept.reverse()
     return failures, dur, np.minimum(left, right), longest, kept
 
@@ -475,37 +486,39 @@ def _ascend(cfg: ProtocolConfig, root: np.ndarray, limit: float, first: int,
 def _abort_pass(kept: list, abort: np.ndarray, failures: np.ndarray,
                 slot: float, cutoff: float, ws: _Workspace) -> None:
     """Lower ``abort`` to the earliest expiry (write + cutoff) of any round's
-    hold exceeding the cutoff, from absolute write times found top-down, and
-    take off ``failures`` the swap failures that end after it.  A level's
-    round starts and offsets go to the buffer of ``ws`` that the level
-    above's round starts are not in."""
-    round_start = np.zeros(abort.size)
-    for owner, last, trial_of, d, before_last, over, over_write in kept:
-        r = owner.size
-        words = ws.other(round_start, 2 * r).view(np.float64)
-        # a round's offset in its subtree: the running sum of the rounds
-        # before it, which restarts at zero at each head, where it adds
-        # minus the previous subtree's time before its last round.  The
-        # sum thus holds one subtree's offsets at a time and is exact
-        # while each trial's own times stay below 2**53 slots.
-        offset = words[r:]
-        offset[0] = 0.0
-        offset[1:] = d[:-1]
-        offset[last[:-1] + 1] = -before_last[:-1]     # each head but the first
-        # each subtree starts with its round on the level above (side-major,
-        # so subtree k's round is k modulo their count), and the trials at 0
-        round_start = np.take(round_start, owner, out=words[:r], mode="wrap")
-        round_start += np.cumsum(offset, out=offset)
+    hold exceeding the cutoff, and take off ``failures`` the swap failures
+    that end after it.  Top-down, each level's steps become in place its
+    rounds' absolute starts.
+
+    A failed swap ends as the next round of its subtree starts, so the late
+    failures are the rounds that start after the abort less the heads among
+    them.  A head starts with its round on the level above, two heads per
+    round there, and no trial starts after its abort, so a trial's late
+    failures are its late starts on the bottom level less those on every
+    level above.
+    """
+    above = np.zeros(abort.size)     # the trials start at 0
+    for owner, trial_of, start, over, over_write in kept:
+        # the running sum holds one subtree's offsets at a time, so it is
+        # exact while each trial's own times stay below 2**53 slots.  Each
+        # subtree starts with its round on the level above (side-major, so
+        # subtree k's round is k modulo their count)
+        np.cumsum(start, out=start)
+        start += np.take(above, owner, mode="wrap",
+                         out=ws.other(above, owner.size).view(np.float64))
         np.minimum.at(abort, trial_of[over],
-                      (round_start[over] + over_write) * slot + cutoff)
-        # d becomes the second at which the round's swap happened
-        d += round_start
-        d *= slot
-    for _, last, trial_of, end, *_ in kept:
-        trial_abort = ws.other(end, end.size).view(np.float64)
-        late = end > np.take(abort, trial_of, out=trial_abort, mode="clip")
-        late[last] = False
-        failures -= np.bincount(trial_of[late], minlength=abort.size)
+                      (start[over] + over_write) * slot + cutoff)
+        above = start
+    late = []
+    for _, trial_of, start, *_ in kept:
+        start *= slot
+        after = start > np.take(abort, trial_of, mode="clip",
+                                out=ws.other(start, start.size).view(np.float64))
+        late.append(np.bincount(np.compress(after, trial_of),
+                                minlength=abort.size))
+    failures -= late.pop()
+    for count in late:
+        failures += count
 
 
 def _sample_chunk(cfg: ProtocolConfig, root: np.ndarray, limit: float,
@@ -515,8 +528,8 @@ def _sample_chunk(cfg: ProtocolConfig, root: np.ndarray, limit: float,
     cutoff as ``limit`` whole slots, in its workspace ``ws``.
 
     Each level's keys, draws and per-round times live in ``ws``; those the
-    abort pass reads are copied out only under a finite cutoff, since
-    without one no trial aborts.
+    abort pass reads are written outside it only under a finite cutoff,
+    since without one no trial aborts.
     """
     slot, cutoff = cfg.slot_time, cfg.memory_cutoff
     total, success, swap_failures, max_storage = out

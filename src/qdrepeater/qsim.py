@@ -108,7 +108,7 @@ class PureState:
             raise ValueError(f"state dimension {amps.shape} does not match "
                              f"{self.space} register of {self.n_nuclei} nuclei")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > _NORM_TOL:
+        if not abs(norm - 1.0) <= _NORM_TOL:     # a NaN norm fails too
             raise ValueError(f"state is not normalized (|norm-1| = {abs(norm-1):.2e})")
 
     def overlap(self, other: "PureState") -> complex:
@@ -123,14 +123,15 @@ def collective_index(electron_up: int, excitations: int, n_nuclei: int) -> int:
 def collective_state(alpha: complex, beta: complex, n_nuclei: int) -> PureState:
     """(alpha |up> + beta |down>) electron over the polarized ensemble,
     normalized.  Raises ValueError when the amplitudes' norm is zero in
-    float64: both zero, or too small to square."""
+    float64, both zero or too small to square, or not finite, as a NaN or
+    infinite amplitude makes it."""
     amps = np.zeros(2 * (n_nuclei + 1), dtype=complex)
     amps[collective_index(1, 0, n_nuclei)] = alpha
     amps[collective_index(0, 0, n_nuclei)] = beta
     norm = np.linalg.norm(amps)
-    if norm == 0.0:
-        raise ValueError(f"amplitudes alpha = {alpha!r}, beta = {beta!r} "
-                         f"have zero norm")
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"amplitudes alpha = {alpha!r}, beta = {beta!r} have "
+                         f"{'zero' if norm == 0.0 else 'no finite'} norm")
     return PureState(amps / norm, n_nuclei, "collective")
 
 

@@ -112,11 +112,15 @@ def first_mismatch(records, cfg):
     return None
 
 
-@pytest.mark.parametrize("n_nest", [0, 1, 2, 3])
-@pytest.mark.parametrize("slot, swap_loss, cutoff", [
-    (1.0, 0.0, math.inf), (1.0, 0.4, math.inf),
-    (1.0, 0.5, 6.0), (0.37, 0.11, 2.9)])
-def test_batched_records_match_scalar_replay(n_nest, slot, swap_loss, cutoff):
+@pytest.mark.parametrize("slot, swap_loss, cutoff, n_nest", [
+    *((*row, n_nest) for row in [(1.0, 0.0, math.inf), (1.0, 0.4, math.inf),
+                                 (1.0, 0.5, 6.0), (0.37, 0.11, 2.9)]
+      for n_nest in range(4)),
+    # most swaps fail: about 27 failures per trial at n_nest 2, counted per
+    # round pair, and under the cutoff most aborting trials have late ones
+    # (at n_nest 3 each trial grows some 600 tree nodes, slow to replay)
+    (1.0, 0.75, math.inf, 2), (1.0, 0.75, 12.0, 2)])
+def test_batched_records_match_scalar_replay(slot, swap_loss, cutoff, n_nest):
     # swap_loss = 1 - p_swap: 0 means every swap succeeds at once
     cfg = mcsim.ProtocolConfig(n_nest=n_nest, p0=0.3, p_swap=1.0 - swap_loss,
                                slot_time=slot, trials=300, seed=11,
@@ -363,15 +367,30 @@ RECORD_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("campaign", RECORD_DIGESTS)
-def test_records_are_pinned_by_digest(campaign):
+def record_digest(campaign):
+    """SHA-256 of the campaign's records, as RECORD_DIGESTS holds them."""
     cfg = (mc_cutoff_config(10_000) if campaign == "mc --cutoff 4" else
            CRITERION_9[campaign])
     records = mcsim.run_trials(cfg)
     digest = hashlib.sha256()
     for name in COLUMNS:
         digest.update(getattr(records, name).tobytes())
-    assert digest.hexdigest() == RECORD_DIGESTS[campaign]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("campaign", RECORD_DIGESTS)
+def test_records_are_pinned_by_digest(campaign):
+    assert record_digest(campaign) == RECORD_DIGESTS[campaign]
+
+
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+@pytest.mark.parametrize("campaign", RECORD_DIGESTS)
+def test_records_do_not_depend_on_the_chunk_budget(monkeypatch, campaign,
+                                                   scale):
+    # the campaigns at production sizes, chunked under half and twice the
+    # shipped budget, so a later re-tune of CHUNK_NODES keeps every record
+    monkeypatch.setattr(mcsim, "CHUNK_NODES", int(mcsim.CHUNK_NODES * scale))
+    assert record_digest(campaign) == RECORD_DIGESTS[campaign]
 
 
 def test_abort_times_do_not_depend_on_chunk_size_at_huge_counts(monkeypatch):

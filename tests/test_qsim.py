@@ -709,6 +709,25 @@ def test_collective_state_refuses_zero_amplitudes():
     assert small.amps[qsim.collective_index(0, 0, 3)] == 1.0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 complex(math.nan, 0.0), complex(0.0, math.inf)])
+@pytest.mark.parametrize("side", ["alpha", "beta"])
+def test_collective_state_refuses_non_finite_amplitudes(bad, side):
+    alpha, beta = (bad, 0.6) if side == "alpha" else (0.6, bad)
+    with pytest.raises(ValueError, match="alpha = .*, beta = .* no finite norm"):
+        qsim.collective_state(alpha, beta, 3)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, complex(math.nan, 0.0), math.inf])
+def test_pure_state_refuses_non_finite_amplitudes(bad):
+    amps = np.zeros(8, dtype=complex)
+    amps[0] = bad
+    with pytest.raises(ValueError, match="normalized"):
+        qsim.PureState(amps, 3)
+
+
 def test_swap_constants_are_built_on_the_first_swap_only():
     # building them costs about 0.3 MB of peak RSS, which the commands that
     # never swap would pay at import
